@@ -19,7 +19,7 @@ pub enum ArriveOutcome {
     MissingThreads(Vec<u32>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BarrierEntry {
     barrier_id: u32,
     app_id: u32,
@@ -163,66 +163,19 @@ impl BarrierTable {
     pub fn active_barriers(&self) -> usize {
         self.entries.len()
     }
-
-    /// Serializes the table contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u32(e.barrier_id);
-            w.put_u32(e.app_id);
-            w.put_u32(e.total);
-            w.put_u32(e.arrived);
-            w.put_len(e.cores.len());
-            for &c in &e.cores {
-                w.put_usize(c);
-            }
-            for &t in &e.threads {
-                w.put_u32(t);
-            }
-            for &a in &e.active {
-                w.put_bool(a);
-            }
-        }
-        w.put_u64(self.releases);
-    }
-
-    /// Restores state written by [`BarrierTable::save_state`] onto a table
-    /// of identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(self.capacity)?;
-        self.entries.clear();
-        for _ in 0..n {
-            let barrier_id = r.get_u32()?;
-            let app_id = r.get_u32()?;
-            let total = r.get_u32()?;
-            let arrived = r.get_u32()?;
-            let k = r.get_len(1 << 20)?;
-            let mut cores = Vec::with_capacity(k);
-            for _ in 0..k {
-                cores.push(r.get_usize()?);
-            }
-            let mut threads = Vec::with_capacity(k);
-            for _ in 0..k {
-                threads.push(r.get_u32()?);
-            }
-            let mut active = Vec::with_capacity(k);
-            for _ in 0..k {
-                active.push(r.get_bool()?);
-            }
-            self.entries.push(BarrierEntry {
-                barrier_id,
-                app_id,
-                total,
-                arrived,
-                cores,
-                threads,
-                active,
-            });
-        }
-        self.releases = r.get_u64()?;
-        Ok(())
-    }
 }
+
+remap_snap::state!(BarrierEntry |e| {
+    e.barrier_id,
+    e.app_id,
+    e.total,
+    e.arrived,
+    e.cores,
+    sized(e.cores.len()) e.threads,
+    sized(e.cores.len()) e.active,
+});
+
+remap_snap::state!(BarrierTable |t| { t.entries, t.releases });
 
 #[cfg(test)]
 mod tests {

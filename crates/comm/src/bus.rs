@@ -6,7 +6,7 @@
 //! and adds a fixed transfer latency.
 
 /// One barrier-update message on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BusMessage {
     /// Barrier ID (8 bits on the wire).
     pub barrier_id: u32,
@@ -95,39 +95,11 @@ impl BarrierBus {
     pub fn next_event(&self) -> Option<u64> {
         self.queue.iter().map(|m| m.deliver_at).min()
     }
-
-    /// Serializes the in-flight messages and arbitration state (checkpoint
-    /// support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.queue.len());
-        for m in &self.queue {
-            w.put_u32(m.barrier_id);
-            w.put_u32(m.app_id);
-            w.put_usize(m.from_cluster);
-            w.put_u64(m.deliver_at);
-        }
-        w.put_u64(self.next_free);
-        w.put_u64(self.messages);
-    }
-
-    /// Restores state written by [`BarrierBus::save_state`] onto a bus of
-    /// identical latency.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(1 << 20)?;
-        self.queue.clear();
-        for _ in 0..n {
-            self.queue.push(BusMessage {
-                barrier_id: r.get_u32()?,
-                app_id: r.get_u32()?,
-                from_cluster: r.get_usize()?,
-                deliver_at: r.get_u64()?,
-            });
-        }
-        self.next_free = r.get_u64()?;
-        self.messages = r.get_u64()?;
-        Ok(())
-    }
 }
+
+remap_snap::state!(BusMessage |m| { m.barrier_id, m.app_id, m.from_cluster, m.deliver_at });
+
+remap_snap::state!(BarrierBus |b| { b.queue, b.next_free, b.messages });
 
 #[cfg(test)]
 mod tests {

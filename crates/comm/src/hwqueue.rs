@@ -69,34 +69,9 @@ impl HwQueueNet {
     pub fn is_full(&self, q: usize) -> bool {
         self.queues[q].len() >= self.capacity
     }
-
-    /// Serializes all queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.queues.len());
-        for q in &self.queues {
-            w.put_len(q.len());
-            for &v in q {
-                w.put_u64(v);
-            }
-        }
-        w.put_u64(self.transfers);
-    }
-
-    /// Restores state written by [`HwQueueNet::save_state`] onto a network
-    /// of identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.queues.len())?;
-        for q in &mut self.queues {
-            let n = r.get_len(self.capacity)?;
-            q.clear();
-            for _ in 0..n {
-                q.push(r.get_u64()?);
-            }
-        }
-        self.transfers = r.get_u64()?;
-        Ok(())
-    }
 }
+
+remap_snap::state!(HwQueueNet |n| { exact n.queues, n.transfers });
 
 #[cfg(test)]
 mod tests {

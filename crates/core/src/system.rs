@@ -11,7 +11,7 @@ use remap_fault::{FaultPlan, FaultReport, Roller, SiteCfg, SiteCounters, SITE_BA
 use remap_isa::{Program, Reg};
 use remap_mem::{CacheFault, FlatMem, Hierarchy, HierarchyConfig};
 use remap_power::{CoreKind, EnergyBreakdown, PowerModel};
-use remap_snap::{Reader, SnapError, Writer};
+use remap_snap::{Reader, SnapError, State, Writer};
 use remap_spl::{
     Dest, FunctionKind, RequestError, Spl, SplConfig, SplFault, SplFunction, SplStats,
 };
@@ -36,6 +36,7 @@ struct SplCluster {
     cores: Vec<usize>,
 }
 
+#[derive(Default)]
 struct PendingRelease {
     cfg: u16,
     cluster: usize,
@@ -131,136 +132,21 @@ impl FaultCtl {
         }
         self.next_wake = wake;
     }
-
-    /// Serializes the dynamic fault-control state (checkpoint support). The
-    /// plan-derived configuration fields are not written: restore rebuilds
-    /// the struct from the serialized [`FaultPlan`] first, then overlays
-    /// this state.
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.hwq.roller.event());
-        save_counters(&self.hwq.counters, w);
-        w.put_u64(self.hwq.retries);
-        w.put_len(self.hwq.blocked_until.len());
-        for &b in &self.hwq.blocked_until {
-            w.put_u64(b);
-        }
-        for &a in &self.hwq.attempts {
-            w.put_u32(a);
-        }
-        w.put_u64(self.bar.roller.event());
-        save_counters(&self.bar.counters, w);
-        w.put_u64(self.bar.demotions);
-        w.put_len(self.bar.demoted.len());
-        for &c in &self.bar.demoted {
-            w.put_u16(c);
-        }
-        w.put_u64(self.next_wake);
-    }
-
-    /// Restores state written by [`FaultCtl::save_state`] over a freshly
-    /// rebuilt plan.
-    fn load_state(&mut self, r: &mut Reader) -> Result<(), SnapError> {
-        let event = r.get_u64()?;
-        self.hwq.roller.set_event(event);
-        load_counters(&mut self.hwq.counters, r)?;
-        self.hwq.retries = r.get_u64()?;
-        r.get_exact_len(self.hwq.blocked_until.len())?;
-        for b in &mut self.hwq.blocked_until {
-            *b = r.get_u64()?;
-        }
-        for a in &mut self.hwq.attempts {
-            *a = r.get_u32()?;
-        }
-        let event = r.get_u64()?;
-        self.bar.roller.set_event(event);
-        load_counters(&mut self.bar.counters, r)?;
-        self.bar.demotions = r.get_u64()?;
-        let n = r.get_len(u16::MAX as usize)?;
-        self.bar.demoted.clear();
-        for _ in 0..n {
-            self.bar.demoted.push(r.get_u16()?);
-        }
-        self.next_wake = r.get_u64()?;
-        Ok(())
-    }
 }
 
-fn save_counters(c: &SiteCounters, w: &mut Writer) {
-    w.put_u64(c.injected);
-    w.put_u64(c.detected);
-    w.put_u64(c.recovered);
-    w.put_u64(c.silent);
-}
+// Only the dynamic fault-control state travels: restore rebuilds the
+// structs from the snapshot's [`FaultPlan`] first, then overlays this.
+remap_snap::state!(HwqFaultState |h| {
+    h.roller,
+    h.counters,
+    h.retries,
+    exact h.blocked_until,
+    fixed h.attempts,
+});
 
-fn load_counters(c: &mut SiteCounters, r: &mut Reader) -> Result<(), SnapError> {
-    c.injected = r.get_u64()?;
-    c.detected = r.get_u64()?;
-    c.recovered = r.get_u64()?;
-    c.silent = r.get_u64()?;
-    Ok(())
-}
+remap_snap::state!(BarFaultState |b| { b.roller, b.counters, b.demotions, b.demoted });
 
-fn save_site(s: &SiteCfg, w: &mut Writer) {
-    w.put_u32(s.rate_ppm);
-    w.put_u64(s.from_event);
-    w.put_u64(s.until_event);
-}
-
-fn load_site(r: &mut Reader) -> Result<SiteCfg, SnapError> {
-    Ok(SiteCfg {
-        rate_ppm: r.get_u32()?,
-        from_event: r.get_u64()?,
-        until_event: r.get_u64()?,
-    })
-}
-
-/// Serializes a [`FaultPlan`] so restore can rebuild the seeded fault
-/// streams on a fresh system before overlaying their dynamic state.
-fn save_fault_plan(p: &FaultPlan, w: &mut Writer) {
-    w.put_u64(p.seed);
-    save_site(&p.spl_bitflip, w);
-    w.put_bool(p.spl_parity);
-    w.put_u64(p.spl_replay_ticks);
-    save_site(&p.hwq_drop, w);
-    save_site(&p.hwq_dup, w);
-    save_site(&p.hwq_delay, w);
-    w.put_bool(p.hwq_seqno);
-    w.put_u64(p.hwq_ack_timeout);
-    w.put_u64(p.hwq_backoff_base);
-    w.put_u32(p.hwq_max_attempts);
-    w.put_u64(p.hwq_delay_cycles);
-    save_site(&p.barrier_delay, w);
-    w.put_u64(p.barrier_delay_cycles);
-    w.put_u64(p.barrier_watchdog);
-    w.put_u64(p.barrier_sw_cost);
-    save_site(&p.cache_corrupt, w);
-    w.put_bool(p.cache_parity);
-    w.put_u32(p.cache_scrub_cycles);
-}
-
-fn load_fault_plan(r: &mut Reader) -> Result<FaultPlan, SnapError> {
-    Ok(FaultPlan {
-        seed: r.get_u64()?,
-        spl_bitflip: load_site(r)?,
-        spl_parity: r.get_bool()?,
-        spl_replay_ticks: r.get_u64()?,
-        hwq_drop: load_site(r)?,
-        hwq_dup: load_site(r)?,
-        hwq_delay: load_site(r)?,
-        hwq_seqno: r.get_bool()?,
-        hwq_ack_timeout: r.get_u64()?,
-        hwq_backoff_base: r.get_u64()?,
-        hwq_max_attempts: r.get_u32()?,
-        hwq_delay_cycles: r.get_u64()?,
-        barrier_delay: load_site(r)?,
-        barrier_delay_cycles: r.get_u64()?,
-        barrier_watchdog: r.get_u64()?,
-        barrier_sw_cost: r.get_u64()?,
-        cache_corrupt: load_site(r)?,
-        cache_parity: r.get_bool()?,
-        cache_scrub_cycles: r.get_u32()?,
-    })
-}
+remap_snap::state!(FaultCtl |f| { f.hwq, f.bar, f.next_wake });
 
 /// Records the first structured error of a run; later errors are dropped
 /// (the run aborts at the first one anyway). A free function over the slot
@@ -1714,11 +1600,11 @@ impl System {
     /// or — for the skip engine — provably does not affect results.
     fn config_fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(s, "remap-system-v1;cores={};", self.cores.len());
+        let mut h = remap_snap::Fnv::new();
+        let _ = write!(h, "remap-system-v1;cores={};", self.cores.len());
         for (i, c) in self.cores.iter().enumerate() {
             let _ = write!(
-                s,
+                h,
                 "core{i}:{:?}:{:?}:{:?};",
                 self.kinds[i],
                 c.config(),
@@ -1726,15 +1612,15 @@ impl System {
             );
         }
         for (ci, cl) in self.env.clusters.iter().enumerate() {
-            let _ = write!(s, "cluster{ci}:{:?}:{:?};", cl.spl.config(), cl.cores);
+            let _ = write!(h, "cluster{ci}:{:?}:{:?};", cl.spl.config(), cl.cores);
             let mut fns: Vec<(u16, &SplFunction)> = cl.spl.functions().collect();
             fns.sort_by_key(|&(id, _)| id);
             for (id, f) in fns {
-                let _ = write!(s, "fn{id}:{}:{}:{};", f.name(), f.rows(), f.is_barrier());
+                let _ = write!(h, "fn{id}:{}:{}:{};", f.name(), f.rows(), f.is_barrier());
             }
         }
         let _ = write!(
-            s,
+            h,
             "hwq:{}x{};hwbars:{:?};",
             self.env.hwq.n_queues(),
             self.env.hwq.capacity(),
@@ -1743,16 +1629,14 @@ impl System {
         let mut specs: Vec<(u16, BarrierSpec)> =
             self.env.specs.iter().map(|(&k, &v)| (k, v)).collect();
         specs.sort_by_key(|&(k, _)| k);
-        let _ = write!(s, "specs:{specs:?};grid:{};", self.env.clusters.len());
+        let _ = write!(h, "specs:{specs:?};grid:{};", self.env.clusters.len());
         let _ = write!(
-            s,
+            h,
             "hier:{:?}:mlp={}:dir={};",
             self.env.hier.config(),
             self.env.hier.mlp_enabled(),
             self.env.hier.dir_enabled()
         );
-        let mut h = remap_snap::Fnv::new();
-        h.update(s.as_bytes());
         h.finish()
     }
 
@@ -1769,72 +1653,8 @@ impl System {
         let mut w = Writer::new();
         // The fault plan travels first: restore rebuilds the seeded streams
         // from it before overlaying their dynamic state.
-        match &self.fault_plan {
-            None => w.put_bool(false),
-            Some(p) => {
-                w.put_bool(true);
-                save_fault_plan(p, &mut w);
-            }
-        }
-        w.put_u64(self.env.cycle);
-        w.put_u64(self.env.epoch);
-        w.put_u32(self.env.app_id);
-        w.put_u64(self.committed_total);
-        w.put_u64(self.skipped_cycles);
-        w.put_usize(self.probe_hint);
-        w.put_len(self.running.len());
-        for &id in &self.running {
-            w.put_usize(id);
-        }
-        for &c in &self.last_committed {
-            w.put_u64(c);
-        }
-        for &c in &self.last_commit_cycle {
-            w.put_u64(c);
-        }
-        for &(ep, wake) in &self.core_quiet {
-            w.put_u64(ep);
-            w.put_u64(wake);
-        }
-        for &st in &self.core_streak {
-            w.put_u32(st);
-        }
-        for &p in &self.core_next_probe {
-            w.put_u64(p);
-        }
-        for c in &self.cores {
-            c.save_state(&mut w);
-        }
-        for &t in &self.env.core_thread {
-            w.put_u32(t);
-        }
-        self.env.t2c.save_state(&mut w);
-        self.env.btable.save_state(&mut w);
-        self.env.hwq.save_state(&mut w);
-        self.env.hwbar.save_state(&mut w);
-        self.env.bus.save_state(&mut w);
-        w.put_len(self.env.pending_releases.len());
-        for p in &self.env.pending_releases {
-            w.put_u16(p.cfg);
-            w.put_usize(p.cluster);
-            w.put_u64(p.at);
-            w.put_len(p.local_cores.len());
-            for &lc in &p.local_cores {
-                w.put_usize(lc);
-            }
-        }
-        w.put_len(self.env.clusters.len());
-        for cl in &self.env.clusters {
-            cl.spl.save_state(&mut w);
-        }
-        self.env.hier.save_state(&mut w);
-        match self.env.fault.as_deref() {
-            None => w.put_bool(false),
-            Some(f) => {
-                w.put_bool(true);
-                f.save_state(&mut w);
-            }
-        }
+        self.fault_plan.save(&mut w);
+        self.save(&mut w);
         Snapshot::from_payload(self.config_fingerprint(), &w.into_vec())
     }
 
@@ -1845,134 +1665,99 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`RunError::BadSnapshot`] when the snapshot is torn, of a foreign
-    /// format version or configuration fingerprint, or its payload is
-    /// inconsistent with this system's geometry. On error the system may be
-    /// partially overwritten and must not be run further — rebuild it.
+    /// [`RunError::BadSnapshot`] when the snapshot is of a foreign
+    /// configuration fingerprint or its payload is inconsistent with this
+    /// system's geometry. On error the system may be partially overwritten
+    /// and must not be run further — rebuild it.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), RunError> {
         let expected = self.config_fingerprint();
-        let payload = snap
-            .payload(expected)
-            .map_err(|e| RunError::BadSnapshot {
-                reason: e.to_string(),
-            })?
-            .to_vec();
-        let mut r = Reader::new(&payload);
-        self.load_state(&mut r)
-            .and_then(|()| {
-                if r.is_done() {
-                    Ok(())
-                } else {
-                    Err(SnapError::Corrupt(format!(
-                        "{} trailing payload bytes",
-                        r.remaining()
-                    )))
+        let found = snap.fingerprint().unwrap_or_default();
+        let mut r = Reader::new(snap.payload());
+        if found != expected {
+            Err(SnapError::BadFingerprint { expected, found })
+        } else {
+            Option::<FaultPlan>::read(&mut r).and_then(|plan| {
+                match &plan {
+                    Some(p) => self.set_fault_plan(p),
+                    None => self.clear_fault_plan(),
                 }
+                self.load(&mut r)?;
+                r.finish()
             })
-            .map_err(|e| RunError::BadSnapshot {
-                reason: e.to_string(),
-            })
+        }
+        .map_err(|e| RunError::BadSnapshot {
+            reason: e.to_string(),
+        })
     }
 
-    fn load_state(&mut self, r: &mut Reader) -> Result<(), SnapError> {
+    /// Validates what later indexing relies on, and resets the transients:
+    /// the delivery scratch buffer is cleared each SPL edge and a
+    /// structured error never survives into a snapshot (`run` takes it
+    /// before the checkpoint hook sees the state).
+    fn restored(&mut self) -> Result<(), SnapError> {
         let n = self.cores.len();
-        if r.get_bool()? {
-            let plan = load_fault_plan(r)?;
-            self.set_fault_plan(&plan);
-        } else {
-            self.clear_fault_plan();
-        }
-        self.env.cycle = r.get_u64()?;
-        self.env.epoch = r.get_u64()?;
-        self.env.app_id = r.get_u32()?;
-        self.committed_total = r.get_u64()?;
-        self.skipped_cycles = r.get_u64()?;
-        self.probe_hint = r.get_usize()?;
         if self.probe_hint >= n.max(1) {
             return Err(SnapError::Corrupt(format!(
                 "probe hint {} out of range",
                 self.probe_hint
             )));
         }
-        let n_running = r.get_len(n)?;
-        self.running.clear();
         let mut seen = vec![false; n];
-        for _ in 0..n_running {
-            let id = r.get_usize()?;
-            if id >= n || seen[id] {
+        for &id in &self.running {
+            if id >= n || std::mem::replace(&mut seen[id], true) {
                 return Err(SnapError::Corrupt(format!("bad running core id {id}")));
             }
-            seen[id] = true;
-            self.running.push(id);
         }
-        for c in &mut self.last_committed {
-            *c = r.get_u64()?;
+        let clusters = self.env.clusters.len();
+        if let Some(p) = self
+            .env
+            .pending_releases
+            .iter()
+            .find(|p| p.cluster >= clusters)
+        {
+            return Err(SnapError::Corrupt(format!(
+                "pending release on cluster {} of {clusters}",
+                p.cluster
+            )));
         }
-        for c in &mut self.last_commit_cycle {
-            *c = r.get_u64()?;
-        }
-        for q in &mut self.core_quiet {
-            *q = (r.get_u64()?, r.get_u64()?);
-        }
-        for st in &mut self.core_streak {
-            *st = r.get_u32()?;
-        }
-        for p in &mut self.core_next_probe {
-            *p = r.get_u64()?;
-        }
-        for c in &mut self.cores {
-            c.load_state(r)?;
-        }
-        for t in &mut self.env.core_thread {
-            *t = r.get_u32()?;
-        }
-        self.env.t2c.load_state(r)?;
-        self.env.btable.load_state(r)?;
-        self.env.hwq.load_state(r)?;
-        self.env.hwbar.load_state(r)?;
-        self.env.bus.load_state(r)?;
-        let n_rel = r.get_len(1 << 16)?;
-        self.env.pending_releases.clear();
-        for _ in 0..n_rel {
-            let cfg = r.get_u16()?;
-            let cluster = r.get_usize()?;
-            let at = r.get_u64()?;
-            if cluster >= self.env.clusters.len() {
-                return Err(SnapError::Corrupt(format!(
-                    "pending release on cluster {cluster} of {}",
-                    self.env.clusters.len()
-                )));
-            }
-            let k = r.get_len(n)?;
-            let mut local_cores = Vec::with_capacity(k);
-            for _ in 0..k {
-                local_cores.push(r.get_usize()?);
-            }
-            self.env.pending_releases.push(PendingRelease {
-                cfg,
-                cluster,
-                at,
-                local_cores,
-            });
-        }
-        r.get_exact_len(self.env.clusters.len())?;
-        for cl in &mut self.env.clusters {
-            cl.spl.load_state(r)?;
-        }
-        self.env.hier.load_state(r)?;
-        match (r.get_bool()?, self.env.fault.as_deref_mut()) {
-            (true, Some(f)) => f.load_state(r)?,
-            (false, None) => {}
-            _ => return Err(SnapError::Corrupt("fault-control presence mismatch".into())),
-        }
-        // Transients: the delivery scratch buffer is cleared each SPL edge
-        // and a structured error never survives into a snapshot (run()
-        // takes it before the checkpoint hook sees the state).
         self.spl_events.clear();
         self.env.run_error = None;
         Ok(())
     }
 }
+
+remap_snap::state!(PendingRelease |p| { p.cfg, p.cluster, p.at, p.local_cores });
+
+remap_snap::state!(SplCluster | c | { c.spl });
+
+// Everything dynamic after the fault plan: clocks and counters, the
+// skip-engine bookkeeping, every core, the communication tables, the SPL
+// fabrics, the hierarchy, and the system-level fault control.
+remap_snap::state!(System |s| {
+    s.env.cycle,
+    s.env.epoch,
+    s.env.app_id,
+    s.committed_total,
+    s.skipped_cycles,
+    s.probe_hint,
+    s.running,
+    fixed s.last_committed,
+    fixed s.last_commit_cycle,
+    fixed s.core_quiet,
+    fixed s.core_streak,
+    fixed s.core_next_probe,
+    fixed s.cores,
+    fixed s.env.core_thread,
+    s.env.t2c,
+    s.env.btable,
+    s.env.hwq,
+    s.env.hwbar,
+    s.env.bus,
+    s.env.pending_releases,
+    exact s.env.clusters,
+    s.env.hier,
+    present s.env.fault,
+} check System::restored);
 
 /// Reads the `REMAP_CKPT_EVERY` / `REMAP_CKPT_PATH` checkpoint knobs: a
 /// positive cycle cadence enables checkpointing in every [`System::run`],

@@ -45,6 +45,27 @@ pub struct CoreStats {
     pub busy_cycles: u64,
 }
 
+remap_snap::state!(CoreStats |s| {
+    s.cycles,
+    s.committed,
+    s.committed_by_class,
+    s.fetched,
+    s.dispatched,
+    s.issued,
+    s.squashed,
+    s.branches,
+    s.mispredicts,
+    s.rob_full_stalls,
+    s.iq_full_stalls,
+    s.spl_wait_cycles,
+    s.hw_wait_cycles,
+    s.fence_wait_cycles,
+    s.regfile_reads,
+    s.regfile_writes,
+    s.spl_ops,
+    s.busy_cycles,
+});
+
 /// Maps an [`InstClass`] to its slot in `committed_by_class`.
 pub fn class_index(c: InstClass) -> usize {
     match c {

@@ -237,7 +237,7 @@ pub enum InstClass {
 /// Branch and jump targets are *instruction indices* into the owning
 /// [`Program`](crate::Program) (the simulated machine is word-addressed for
 /// code; byte address = `4 × index`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Inst {
     /// Register-register ALU operation: `rd = op(rs1, rs2)`.
     Alu {
@@ -288,6 +288,7 @@ pub enum Inst {
     /// No operation.
     Nop,
     /// Terminates the thread.
+    #[default]
     Halt,
     /// SPL extension: place `nbytes` low bytes of `rs` into the core's SPL
     /// input-queue entry under construction, at byte alignment `offset`.

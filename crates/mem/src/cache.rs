@@ -309,71 +309,6 @@ impl Cache {
         self.states.iter().filter(|&&s| s != Mesi::Invalid).count()
     }
 
-    /// Serializes the dynamic tag-array state (checkpoint support).
-    /// Geometry is not written — it is part of the config fingerprint.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.tags.len());
-        for &t in &self.tags {
-            w.put_u64(t);
-        }
-        for &s in &self.states {
-            w.put_u8(match s {
-                Mesi::Modified => 0,
-                Mesi::Exclusive => 1,
-                Mesi::Shared => 2,
-                Mesi::Invalid => 3,
-            });
-        }
-        for &l in &self.lru {
-            w.put_u64(l);
-        }
-        w.put_len(self.mru_way.len());
-        for &m in &self.mru_way {
-            w.put_u32(m);
-        }
-        w.put_u64(self.tick);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.writebacks);
-        w.put_u64(self.stats.invalidations);
-    }
-
-    /// Restores state written by [`Cache::save_state`] onto a cache of
-    /// identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        use remap_snap::SnapError;
-        r.get_exact_len(self.tags.len())?;
-        for t in &mut self.tags {
-            *t = r.get_u64()?;
-        }
-        for s in &mut self.states {
-            *s = match r.get_u8()? {
-                0 => Mesi::Modified,
-                1 => Mesi::Exclusive,
-                2 => Mesi::Shared,
-                3 => Mesi::Invalid,
-                b => return Err(SnapError::Corrupt(format!("bad MESI byte {b}"))),
-            };
-        }
-        for l in &mut self.lru {
-            *l = r.get_u64()?;
-        }
-        r.get_exact_len(self.mru_way.len())?;
-        for m in &mut self.mru_way {
-            let v = r.get_u32()?;
-            if v as usize >= self.cfg.ways {
-                return Err(SnapError::Corrupt(format!("mru_way {v} out of range")));
-            }
-            *m = v;
-        }
-        self.tick = r.get_u64()?;
-        self.stats.hits = r.get_u64()?;
-        self.stats.misses = r.get_u64()?;
-        self.stats.writebacks = r.get_u64()?;
-        self.stats.invalidations = r.get_u64()?;
-        Ok(())
-    }
-
     /// Line-aligned base address of every resident line (used to reseed
     /// the coherence directory when it is enabled mid-run).
     pub fn resident_line_addrs(&self) -> impl Iterator<Item = u64> + '_ {
@@ -385,6 +320,47 @@ impl Cache {
             let si = (i / ways) as u64;
             Some((self.tags[i] << self.tag_shift) | (si << self.line_shift))
         })
+    }
+}
+
+// Geometry is not written — it is part of the config fingerprint.
+remap_snap::state!(Cache |c| {
+    exact c.tags,
+    fixed c.states,
+    fixed c.lru,
+    exact c.mru_way,
+    c.tick,
+    c.stats,
+} check Cache::check_restored);
+
+remap_snap::state!(CacheStats |s| { s.hits, s.misses, s.writebacks, s.invalidations });
+
+impl Cache {
+    /// Way predictions index the set, so a restored one must be in range.
+    fn check_restored(&mut self) -> Result<(), remap_snap::SnapError> {
+        match self.mru_way.iter().find(|&&m| m as usize >= self.cfg.ways) {
+            Some(m) => Err(remap_snap::SnapError::Corrupt(format!(
+                "mru_way {m} out of range"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One byte per line, in declaration order (M, E, S, I).
+impl remap_snap::State for Mesi {
+    fn save(&self, w: &mut remap_snap::Writer) {
+        (*self as u8).save(w);
+    }
+    fn load(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
+        *self = match u8::read(r)? {
+            0 => Mesi::Modified,
+            1 => Mesi::Exclusive,
+            2 => Mesi::Shared,
+            3 => Mesi::Invalid,
+            b => return Err(remap_snap::SnapError::Corrupt(format!("bad MESI byte {b}"))),
+        };
+        Ok(())
     }
 }
 

@@ -255,61 +255,6 @@ impl Directory {
         xa.abs_diff(xb) + ya.abs_diff(yb)
     }
 
-    /// Serializes the sharer masks (sorted by line so the encoding is
-    /// independent of hash-map order), port busy windows, and counters.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        let mut lines: Vec<(u64, u64)> = self.sharers.iter().map(|(&l, &m)| (l, m)).collect();
-        lines.sort_unstable_by_key(|&(l, _)| l);
-        w.put_len(lines.len());
-        for (line, mask) in lines {
-            w.put_u64(line);
-            w.put_u64(mask);
-        }
-        for bank in &self.ports {
-            for &p in bank {
-                w.put_u64(p);
-            }
-        }
-        w.put_u64(self.stats.lookups);
-        w.put_u64(self.stats.probes_sent);
-        w.put_u64(self.stats.probes_avoided);
-        w.put_u64(self.stats.bank_conflicts);
-        w.put_u64(self.stats.conflict_cycles);
-        w.put_u64(self.stats.back_invalidations);
-        w.put_u32(self.stats.max_sharers);
-        w.put_u64(self.stats.hop_cycles);
-    }
-
-    /// Restores state written by [`Directory::save_state`].
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(1 << 28)?;
-        self.sharers.clear();
-        for _ in 0..n {
-            let line = r.get_u64()?;
-            let mask = r.get_u64()?;
-            if mask == 0 {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "empty sharer mask for line {line:#x}"
-                )));
-            }
-            self.sharers.insert(line, mask);
-        }
-        for bank in &mut self.ports {
-            for p in bank {
-                *p = r.get_u64()?;
-            }
-        }
-        self.stats.lookups = r.get_u64()?;
-        self.stats.probes_sent = r.get_u64()?;
-        self.stats.probes_avoided = r.get_u64()?;
-        self.stats.bank_conflicts = r.get_u64()?;
-        self.stats.conflict_cycles = r.get_u64()?;
-        self.stats.back_invalidations = r.get_u64()?;
-        self.stats.max_sharers = r.get_u32()?;
-        self.stats.hop_cycles = r.get_u64()?;
-        Ok(())
-    }
-
     /// Quiescence probe: the earliest port-free cycle of any *blocking*
     /// bank (all ports busy past `now`) — the only directory state that
     /// can gate a refused load. Banks with a free port report nothing
@@ -322,6 +267,33 @@ impl Directory {
             .min()
     }
 }
+
+// Sharer masks travel sorted by line (the map's codec), then the port
+// busy windows and counters.
+remap_snap::state!(Directory |d| { d.sharers, d.ports, d.stats } check Directory::check_restored);
+
+impl Directory {
+    /// A tracked line always has at least one sharer.
+    fn check_restored(&mut self) -> Result<(), remap_snap::SnapError> {
+        match self.sharers.iter().find(|&(_, &mask)| mask == 0) {
+            Some((line, _)) => Err(remap_snap::SnapError::Corrupt(format!(
+                "empty sharer mask for line {line:#x}"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+remap_snap::state!(DirStats |s| {
+    s.lookups,
+    s.probes_sent,
+    s.probes_avoided,
+    s.bank_conflicts,
+    s.conflict_cycles,
+    s.back_invalidations,
+    s.max_sharers,
+    s.hop_cycles,
+});
 
 #[cfg(test)]
 mod tests {

@@ -43,27 +43,10 @@ impl CacheFault {
     pub fn counters(&self) -> SiteCounters {
         self.counters
     }
-
-    /// Serializes the dynamic fault-stream state (checkpoint support).
-    /// The site configuration is rebuilt from the fault plan on restore.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_u64(self.roller.event());
-        w.put_u64(self.counters.injected);
-        w.put_u64(self.counters.detected);
-        w.put_u64(self.counters.recovered);
-        w.put_u64(self.counters.silent);
-    }
-
-    /// Restores state written by [`CacheFault::save_state`].
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.roller.set_event(r.get_u64()?);
-        self.counters.injected = r.get_u64()?;
-        self.counters.detected = r.get_u64()?;
-        self.counters.recovered = r.get_u64()?;
-        self.counters.silent = r.get_u64()?;
-        Ok(())
-    }
 }
+
+// The site configuration is rebuilt from the fault plan on restore.
+remap_snap::state!(CacheFault |f| { f.roller, f.counters });
 
 /// Sentinel PC for accesses that must not train the stride prefetcher
 /// (stores, atomics, and any caller without instruction context).
@@ -174,54 +157,24 @@ impl Mlp {
             stats: MlpStats::default(),
         }
     }
-
-    fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.files_d.len());
-        for f in &self.files_d {
-            f.save_state(w);
-        }
-        for f in &self.files_i {
-            f.save_state(w);
-        }
-        for rpt in &self.rpts {
-            rpt.save_state(w);
-        }
-        w.put_len(self.mcs.len());
-        for mc in &self.mcs {
-            mc.save_state(w);
-        }
-        w.put_u64(self.stats.mshr_hits_under_miss);
-        w.put_u64(self.stats.mshr_merges);
-        w.put_u64(self.stats.prefetch_issued);
-        w.put_u64(self.stats.prefetch_useful);
-        w.put_u64(self.stats.prefetch_late);
-        w.put_u64(self.stats.mc_queue_peak);
-    }
-
-    fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.files_d.len())?;
-        for f in &mut self.files_d {
-            f.load_state(r)?;
-        }
-        for f in &mut self.files_i {
-            f.load_state(r)?;
-        }
-        for rpt in &mut self.rpts {
-            rpt.load_state(r)?;
-        }
-        r.get_exact_len(self.mcs.len())?;
-        for mc in &mut self.mcs {
-            mc.load_state(r)?;
-        }
-        self.stats.mshr_hits_under_miss = r.get_u64()?;
-        self.stats.mshr_merges = r.get_u64()?;
-        self.stats.prefetch_issued = r.get_u64()?;
-        self.stats.prefetch_useful = r.get_u64()?;
-        self.stats.prefetch_late = r.get_u64()?;
-        self.stats.mc_queue_peak = r.get_u64()?;
-        Ok(())
-    }
 }
+
+remap_snap::state!(Mlp |m| {
+    exact m.files_d,
+    fixed m.files_i,
+    fixed m.rpts,
+    exact m.mcs,
+    m.stats,
+});
+
+remap_snap::state!(MlpStats |s| {
+    s.mshr_hits_under_miss,
+    s.mshr_merges,
+    s.prefetch_issued,
+    s.prefetch_useful,
+    s.prefetch_late,
+    s.mc_queue_peak,
+});
 
 /// Latency and geometry parameters for the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,6 +256,25 @@ pub struct Hierarchy {
     mlp: Option<Box<Mlp>>,
     dir: Option<Box<Directory>>,
 }
+
+remap_snap::state!(BusStats |s| { s.upgrades, s.c2c_transfers, s.dram_accesses, s.snoops });
+
+remap_snap::state!(CorePrivate |c| { c.l1i, c.l1d, c.l2 });
+
+// Every piece of dynamic hierarchy state: per-core tag arrays, the
+// functional backing store, bus counters, and — when present — the
+// cache-fault stream, MLP machinery, and coherence directory. Presence is
+// configuration: restore never silently rebuilds a model from scratch
+// (`set_mlp`/`set_dir` reseed state and would not be bit-identical), and
+// the fault stream must already be installed from the snapshot's plan.
+remap_snap::state!(Hierarchy |h| {
+    exact h.cores,
+    h.mem,
+    h.bus,
+    present h.fault,
+    present h.mlp,
+    present h.dir,
+});
 
 /// Where a full-miss line fill came from (the timing source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,90 +372,6 @@ impl Hierarchy {
     /// Fault accounting so far (all zeros when no stream is installed).
     pub fn fault_counters(&self) -> SiteCounters {
         self.fault.as_ref().map(|f| f.counters).unwrap_or_default()
-    }
-
-    /// Serializes every piece of dynamic hierarchy state: per-core tag
-    /// arrays, the functional backing store, bus counters, and — when
-    /// present — the cache-fault stream, MLP machinery, and coherence
-    /// directory. Presence flags travel with the payload so a snapshot
-    /// taken with a model enabled refuses to load into a system without it
-    /// (restore never silently rebuilds from scratch: `set_mlp`/`set_dir`
-    /// reseed state and would not be bit-identical).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.cores.len());
-        for c in &self.cores {
-            c.l1i.save_state(w);
-            c.l1d.save_state(w);
-            c.l2.save_state(w);
-        }
-        self.mem.save_state(w);
-        w.put_u64(self.bus.upgrades);
-        w.put_u64(self.bus.c2c_transfers);
-        w.put_u64(self.bus.dram_accesses);
-        w.put_u64(self.bus.snoops);
-        w.put_bool(self.fault.is_some());
-        if let Some(f) = self.fault.as_deref() {
-            f.save_state(w);
-        }
-        w.put_bool(self.mlp.is_some());
-        if let Some(m) = self.mlp.as_deref() {
-            m.save_state(w);
-        }
-        w.put_bool(self.dir.is_some());
-        if let Some(d) = self.dir.as_deref() {
-            d.save_state(w);
-        }
-    }
-
-    /// Restores state written by [`Hierarchy::save_state`] onto a
-    /// hierarchy of identical geometry. The fault stream (when present in
-    /// the snapshot) must already be installed via [`Hierarchy::set_fault`]
-    /// — the caller rebuilds it from the fault plan — and the MLP/directory
-    /// models must match the snapshot's presence flags.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        use remap_snap::SnapError;
-        r.get_exact_len(self.cores.len())?;
-        for c in &mut self.cores {
-            c.l1i.load_state(r)?;
-            c.l1d.load_state(r)?;
-            c.l2.load_state(r)?;
-        }
-        self.mem.load_state(r)?;
-        self.bus.upgrades = r.get_u64()?;
-        self.bus.c2c_transfers = r.get_u64()?;
-        self.bus.dram_accesses = r.get_u64()?;
-        self.bus.snoops = r.get_u64()?;
-        let has_fault = r.get_bool()?;
-        if has_fault != self.fault.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "cache-fault stream presence mismatch (snapshot {has_fault}, system {})",
-                self.fault.is_some()
-            )));
-        }
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.load_state(r)?;
-        }
-        let has_mlp = r.get_bool()?;
-        if has_mlp != self.mlp.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "MLP model presence mismatch (snapshot {has_mlp}, system {})",
-                self.mlp.is_some()
-            )));
-        }
-        if let Some(m) = self.mlp.as_deref_mut() {
-            m.load_state(r)?;
-        }
-        let has_dir = r.get_bool()?;
-        if has_dir != self.dir.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "directory presence mismatch (snapshot {has_dir}, system {})",
-                self.dir.is_some()
-            )));
-        }
-        if let Some(d) = self.dir.as_deref_mut() {
-            d.load_state(r)?;
-        }
-        Ok(())
     }
 
     /// Number of cores this hierarchy serves.

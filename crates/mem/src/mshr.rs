@@ -216,32 +216,6 @@ impl MshrFile {
         }
     }
 
-    /// Serializes the register file (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.line);
-            w.put_u64(e.done_at);
-            w.put_bool(e.prefetch);
-            w.put_bool(e.valid);
-        }
-        w.put_u64(self.max_done);
-    }
-
-    /// Restores state written by [`MshrFile::save_state`] onto a file of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.entries.len())?;
-        for e in &mut self.entries {
-            e.line = r.get_u64()?;
-            e.done_at = r.get_u64()?;
-            e.prefetch = r.get_bool()?;
-            e.valid = r.get_bool()?;
-        }
-        self.max_done = r.get_u64()?;
-        Ok(())
-    }
-
     /// True when `line` already has an entry (in flight or ready) — used
     /// to suppress duplicate prefetches.
     pub fn tracks(&self, line: u64, now: u64) -> bool {
@@ -250,6 +224,10 @@ impl MshrFile {
             .any(|e| e.valid && e.line == line && (e.prefetch || e.done_at > now))
     }
 }
+
+remap_snap::state!(Entry |e| { e.line, e.done_at, e.prefetch, e.valid });
+
+remap_snap::state!(MshrFile |f| { exact f.entries, f.max_done });
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 use crate::function::Entry;
 
 /// A sealed input-queue entry awaiting fabric issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SealedEntry {
     /// The staged data with valid bits.
     pub entry: Entry,
@@ -89,50 +89,13 @@ impl InputQueue {
     pub fn can_seal(&self) -> bool {
         self.sealed.len() < self.capacity
     }
-
-    /// Serializes the queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        save_entry(w, &self.staging);
-        w.put_len(self.sealed.len());
-        for s in &self.sealed {
-            save_entry(w, &s.entry);
-            w.put_u16(s.cfg);
-            w.put_usize(s.dest_core);
-        }
-        w.put_usize(self.peak);
-    }
-
-    /// Restores state written by [`InputQueue::save_state`] onto a queue of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.staging = load_entry(r)?;
-        let n = r.get_len(self.capacity)?;
-        self.sealed.clear();
-        for _ in 0..n {
-            self.sealed.push(SealedEntry {
-                entry: load_entry(r)?,
-                cfg: r.get_u16()?,
-                dest_core: r.get_usize()?,
-            });
-        }
-        self.peak = r.get_usize()?;
-        Ok(())
-    }
 }
 
-fn save_entry(w: &mut remap_snap::Writer, e: &Entry) {
-    w.put_bytes(&e.bytes);
-    w.put_u16(e.valid);
-}
+remap_snap::state!(Entry |e| { e.bytes, e.valid });
 
-fn load_entry(r: &mut remap_snap::Reader) -> Result<Entry, remap_snap::SnapError> {
-    let mut bytes = [0u8; 16];
-    bytes.copy_from_slice(r.get_bytes(16)?);
-    Ok(Entry {
-        bytes,
-        valid: r.get_u16()?,
-    })
-}
+remap_snap::state!(SealedEntry |e| { e.entry, e.cfg, e.dest_core });
+
+remap_snap::state!(InputQueue |q| { q.staging, q.sealed, q.peak });
 
 /// A core's SPL output queue: results the core pops with `spl_store`.
 ///
@@ -210,27 +173,19 @@ impl OutputQueue {
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
     }
+}
 
-    /// Serializes the queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.ready.len());
-        for &v in &self.ready {
-            w.put_u64(v);
-        }
-        w.put_usize(self.reserved);
-        w.put_usize(self.peak);
-    }
+remap_snap::state!(OutputQueue |q| {
+    q.ready,
+    q.reserved,
+    q.peak,
+} check OutputQueue::check_restored);
 
-    /// Restores state written by [`OutputQueue::save_state`] onto a queue of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(self.capacity)?;
-        self.ready.clear();
-        for _ in 0..n {
-            self.ready.push(r.get_u64()?);
-        }
-        self.reserved = r.get_usize()?;
-        if self.ready.len() + self.reserved > self.capacity {
+impl OutputQueue {
+    /// Reservations are redeemed by `deliver`, so a restored queue must
+    /// not promise more slots than it has.
+    fn check_restored(&mut self) -> Result<(), remap_snap::SnapError> {
+        if self.reserved > self.capacity.saturating_sub(self.ready.len()) {
             return Err(remap_snap::SnapError::Corrupt(format!(
                 "output queue over capacity ({} ready + {} reserved > {})",
                 self.ready.len(),
@@ -238,7 +193,6 @@ impl OutputQueue {
                 self.capacity
             )));
         }
-        self.peak = r.get_usize()?;
         Ok(())
     }
 }

@@ -6,27 +6,41 @@
 //! buffer-growth transient, and then asserts that thousands of further
 //! cycles allocate nothing.
 //!
-//! Kept in its own integration-test binary so no concurrent test pollutes
-//! the allocation counter.
+//! Kept in its own integration-test binary, and the counter is per thread,
+//! so neither a concurrent test nor the test harness's own threads pollute
+//! it.
 
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use remap_workloads::comp::CompBench;
 use remap_workloads::CompMode;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-/// The allocation counter is process-global, so the tests in this binary
-/// must not overlap; each takes this lock for its whole body.
+/// The tests in this binary do not overlap; each takes this lock for its
+/// whole body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread (const-initialized: reading it
+    /// never allocates).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         SystemAlloc.alloc(layout)
     }
 
@@ -35,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -63,13 +77,13 @@ fn steady_state_cycles_do_not_allocate() {
         "workload halted during warm-up; pick a larger problem size"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut measured = 0u32;
     while measured < 5_000 && !sys.all_halted() {
         sys.step();
         measured += 1;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(
         measured >= 5_000,
         "workload halted during the measured window after {measured} cycles"
@@ -114,9 +128,9 @@ fn hierarchy_fast_paths_do_not_allocate() {
     };
     let t = warm(&mut h, 0);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut t = warm(&mut h, t);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -135,12 +149,12 @@ fn hierarchy_fast_paths_do_not_allocate() {
     for i in 0..65536u64 {
         t += h.store(0, base + i * 32, 4, i, t) as u64;
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..2048u64 {
         let (_, l) = h.load(0, base + i * 32, 4, 7, t);
         t += l as u64;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -168,12 +182,12 @@ fn skip_path_does_not_allocate() {
         // skip-driven run exercises probe, jump, and normal-step iterations.
         let mut sys = BarrierBench::Ll2.build(BarrierMode::Remap(8), 1024);
         sys.set_skip(skip);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         while !sys.all_halted() {
             let limit = sys.cycle() + 200_000;
             sys.step_or_skip(limit);
         }
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocs = allocations() - before;
         (allocs, sys.skipped_cycles())
     }
 
