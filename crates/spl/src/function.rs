@@ -77,8 +77,9 @@ pub enum Dest {
     Thread(u32),
 }
 
-/// Semantics of a compute configuration: input entry → 64-bit result.
-pub type ComputeFn = Arc<dyn Fn(&Entry) -> u64 + Send + Sync>;
+/// Semantics of a compute configuration: input entry and the function's
+/// state word → 64-bit result.
+pub type ComputeFn = Arc<dyn Fn(&Entry, &mut u64) -> u64 + Send + Sync>;
 /// Semantics of a barrier configuration: participants' entries → result.
 pub type BarrierFn = Arc<dyn Fn(&[Entry]) -> u64 + Send + Sync>;
 
@@ -89,7 +90,7 @@ pub enum FunctionKind {
     Compute {
         /// Where the result goes.
         dest: Dest,
-        /// Semantics: input entry → 64-bit result.
+        /// Semantics: input entry and state word → 64-bit result.
         eval: ComputeFn,
     },
     /// Barrier synchronization with an integrated global function
@@ -127,7 +128,7 @@ pub struct SplFunction {
 }
 
 impl SplFunction {
-    /// Creates a compute configuration.
+    /// Creates a stateless compute configuration.
     ///
     /// # Panics
     ///
@@ -137,6 +138,25 @@ impl SplFunction {
         rows: u32,
         dest: Dest,
         eval: impl Fn(&Entry) -> u64 + Send + Sync + 'static,
+    ) -> SplFunction {
+        SplFunction::stateful(name, rows, dest, move |e, _| eval(e))
+    }
+
+    /// Creates a compute configuration that keeps state across operations
+    /// in the rows' flip-flops (a streaming reduction, a systolic filter).
+    /// The state is one `u64` word per registered function, owned by the
+    /// fabric: it starts at zero, `eval` reads and updates it on every
+    /// operation, and it travels in snapshots. Closures must keep no state
+    /// of their own — a snapshot cannot see it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0`.
+    pub fn stateful(
+        name: impl Into<String>,
+        rows: u32,
+        dest: Dest,
+        eval: impl Fn(&Entry, &mut u64) -> u64 + Send + Sync + 'static,
     ) -> SplFunction {
         assert!(rows > 0, "a function needs at least one row");
         SplFunction {
@@ -232,10 +252,26 @@ mod tests {
                 assert_eq!(*dest, Dest::Thread(3));
                 let mut e = Entry::default();
                 e.stage(0, 4, 9);
-                assert_eq!(eval(&e), 9);
+                assert_eq!(eval(&e, &mut 0), 9);
             }
             _ => panic!("expected compute"),
         }
+    }
+
+    #[test]
+    fn stateful_function_threads_its_word() {
+        let f = SplFunction::stateful("acc", 2, Dest::SelfCore, |e, s| {
+            *s += e.u32(0) as u64;
+            *s
+        });
+        let FunctionKind::Compute { eval, .. } = f.kind() else {
+            panic!("expected compute");
+        };
+        let mut e = Entry::default();
+        e.stage(0, 4, 5);
+        let mut word = 0;
+        assert_eq!((eval(&e, &mut word), eval(&e, &mut word)), (5, 10));
+        assert_eq!(word, 10);
     }
 
     #[test]

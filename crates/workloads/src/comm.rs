@@ -462,13 +462,10 @@ impl CommBench {
                 // state (in_word, word count, line count) — a streaming
                 // reduction computed while data flows to the consumer,
                 // which then only drains running totals.
-                let state = std::sync::atomic::AtomicU64::new(0);
-                SplFunction::compute("wc_count8", 8, dest, move |e| {
-                    use std::sync::atomic::Ordering::Relaxed;
-                    let s = state.load(Relaxed);
-                    let mut in_word = s & 1;
-                    let mut words = (s >> 1) & 0x7f_ffff;
-                    let mut lines = s >> 24;
+                SplFunction::stateful("wc_count8", 8, dest, |e, state| {
+                    let mut in_word = *state & 1;
+                    let mut words = (*state >> 1) & 0x7f_ffff;
+                    let mut lines = *state >> 24;
                     for i in 0..8 {
                         let c = e.u8(i);
                         let is_space = c == b' ' || c == b'\n';
@@ -476,7 +473,7 @@ impl CommBench {
                         lines += (c == b'\n') as u64;
                         in_word = !is_space as u64;
                     }
-                    state.store(in_word | (words << 1) | (lines << 24), Relaxed);
+                    *state = in_word | (words << 1) | (lines << 24);
                     (words & 0xffff) | ((lines & 0xffff) << 16)
                 })
             }

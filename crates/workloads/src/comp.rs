@@ -279,14 +279,24 @@ impl CompBench {
                 // the row flip-flops, updated stage by stage as samples
                 // stream through — successive samples pipeline wavefront
                 // style, exactly like PipeRench streaming filters.
-                let state = std::sync::Mutex::new([0i64; 4]);
-                SplFunction::compute("synth", 14, dest, move |e| {
-                    let mut v = state.lock().expect("single fabric thread");
-                    let (sri, p) = synth_step(e.i32(0) as i64, *v);
-                    v[3] = sat16(v[2] + p[2]);
-                    v[2] = sat16(v[1] + p[1]);
-                    v[1] = sat16(v[0] + p[0]);
-                    v[0] = sri;
+                // Each `v[j]` is a saturated 16-bit value: the four pack
+                // into the function's state word, 16 bits apiece.
+                SplFunction::stateful("synth", 14, dest, |e, state| {
+                    let mut v = [0i64; 4];
+                    for (j, x) in v.iter_mut().enumerate() {
+                        *x = (*state >> (16 * j)) as u16 as i16 as i64;
+                    }
+                    let (sri, p) = synth_step(e.i32(0) as i64, v);
+                    let next = [
+                        sri,
+                        sat16(v[0] + p[0]),
+                        sat16(v[1] + p[1]),
+                        sat16(v[2] + p[2]),
+                    ];
+                    *state = next
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (j, &x)| w | (x as u16 as u64) << (16 * j));
                     (sri as u64) & 0xffff
                 })
             }

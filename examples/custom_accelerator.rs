@@ -68,14 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A 30-row function on a 24-row fabric: virtualized execution
     // (initiation interval 2) — it still runs, just at reduced throughput.
-    // The checksum state lives in the fabric's flip-flops.
-    let state = std::sync::atomic::AtomicU64::new(0xffff_ffff);
+    // The checksum state lives in the fabric's flip-flops: the function's
+    // state word, which starts at zero, holds the accumulator inverted.
     b.register_spl(
         1,
-        SplFunction::compute("crc", 30, Dest::Thread(1), move |e| {
-            use std::sync::atomic::Ordering::Relaxed;
-            let acc = crc_step(state.load(Relaxed), e.u32(0) as u64);
-            state.store(acc, Relaxed);
+        SplFunction::stateful("crc", 30, Dest::Thread(1), |e, state| {
+            let acc = crc_step(*state ^ 0xffff_ffff, e.u32(0) as u64);
+            *state = acc ^ 0xffff_ffff;
             acc
         }),
     );
