@@ -330,16 +330,13 @@ fn bench_spl_tick_into(c: &mut Criterion) {
 /// therefore the marshalling comparison — is independent of host core
 /// count (CI runners may expose a single CPU).
 ///
-/// * `sweep_join_e2e_skewed` vs `sweep_stream_e2e_skewed`: end-to-end
-///   wall time. Join-at-end runs a config's reps back to back on one
-///   worker, so the straggler's tail is `16 × reps`; the streaming engine
-///   splits `(config, rep)` granules across workers and the tail halves.
-/// * `sweep_join_ttfr` vs `sweep_stream_ttfr`: time to first result. The
-///   join pool cannot surface anything before the whole sweep lands; the
-///   streaming consumer gets item 0 the moment its reps finish (the
-///   1-item window keeps workers off later items so teardown is instant).
+/// * `sweep_stream_e2e_skewed`: end-to-end wall time. The engine splits
+///   `(config, rep)` granules across workers, so the straggler's reps
+///   run in parallel.
+/// * `sweep_stream_ttfr`: time to first result. The consumer gets item 0
+///   the moment its reps finish (the 1-item window keeps workers off later
+///   items so teardown is instant).
 fn bench_sweep_marshaller(c: &mut Criterion) {
-    use remap_bench::runner::run_join_at_end;
     use remap_bench::sweep::{stream, SweepOpts};
     use std::ops::ControlFlow;
     use std::time::Duration;
@@ -355,17 +352,6 @@ fn bench_sweep_marshaller(c: &mut Criterion) {
         }
     };
 
-    c.bench_function("sweep_join_e2e_skewed", |b| {
-        b.iter(|| {
-            let out = run_join_at_end(JOBS, &items, |i, _| {
-                for _ in 0..REPS {
-                    std::thread::sleep(rep_cost(i));
-                }
-                i
-            });
-            black_box(out.len())
-        })
-    });
     c.bench_function("sweep_stream_e2e_skewed", |b| {
         b.iter(|| {
             let mut n = 0usize;
@@ -382,17 +368,6 @@ fn bench_sweep_marshaller(c: &mut Criterion) {
                 },
             );
             black_box(n)
-        })
-    });
-    c.bench_function("sweep_join_ttfr", |b| {
-        b.iter(|| {
-            let out = run_join_at_end(JOBS, &items, |i, _| {
-                for _ in 0..REPS {
-                    std::thread::sleep(rep_cost(i));
-                }
-                i
-            });
-            black_box(out[0])
         })
     });
     c.bench_function("sweep_stream_ttfr", |b| {

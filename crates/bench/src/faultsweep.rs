@@ -568,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_lines_match_join_at_end_json() {
+    fn streamed_lines_match_collected_json() {
         // A representative slice of the grid: every archetype, mixed
         // rates and protection (full grid twice would double test time).
         let cells: Vec<Cell> = grid().into_iter().take(9).collect();

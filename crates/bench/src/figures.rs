@@ -622,13 +622,9 @@ pub fn smoke(jobs: usize) {
     let serial = crate::barrier_sweep_jobs(BarrierBench::Ll2, BarrierMode::Remap(8), &sizes, 1);
     let pooled = crate::barrier_sweep_jobs(BarrierBench::Ll2, BarrierMode::Remap(8), &sizes, jobs);
     assert_eq!(serial, pooled, "parallel sweep must match serial");
-    // The same sweep through the join-at-end baseline and through the
-    // streaming marshaller with rep-split granules: every path must agree
-    // with the serial reference, value for value and order for order.
-    let joined = runner::run_join_at_end(jobs, &sizes, |_, &n| {
-        barrier_point(BarrierBench::Ll2, BarrierMode::Remap(8), n)
-    });
-    assert_eq!(serial, joined, "join-at-end runner must match serial");
+    // The same sweep through the streaming marshaller with rep-split
+    // granules must agree with the serial reference, value for value and
+    // order for order.
     let mut streamed = Vec::with_capacity(sizes.len());
     crate::sweep::stream(
         crate::sweep::SweepOpts::new(jobs).reps(2),
@@ -647,7 +643,7 @@ pub fn smoke(jobs: usize) {
     for (n, per_iter, rel) in &pooled {
         println!("ll2 Barrier-p8 n={n}: {per_iter:.0} cycles/iter, relative ED {rel:.2}");
     }
-    println!("serial, {jobs}-job, join-at-end, and streamed rep-split sweeps identical: yes");
+    println!("serial, {jobs}-job, and streamed rep-split sweeps identical: yes");
     let m = BarrierBench::Ll2
         .run(BarrierMode::Remap(8), 64)
         .expect("smoke workload validates");

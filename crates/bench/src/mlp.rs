@@ -2,8 +2,8 @@
 //!
 //! Runs each workload configuration twice — once with the non-blocking
 //! hierarchy (MSHRs, stride/next-line prefetch, memory-controller queue)
-//! and once with the blocking reference model (`System::set_mlp(false)`,
-//! the same model `REMAP_NO_MLP=1` selects) — and reports the simulated
+//! and once with the blocking reference model (`System::set_mlp(false)`)
+//! — and reports the simulated
 //! cycle delta together with the MLP counters from the run report. The
 //! per-workload rows are spliced into `BENCH_simperf.json` as an `"mlp"`
 //! section so the throughput baseline and the ablation live in one

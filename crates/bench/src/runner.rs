@@ -11,17 +11,14 @@
 //!   so long configs don't stall a statically partitioned worker;
 //! * results are returned **in item order**, independent of the job count
 //!   or scheduling — a parallel sweep is bit-identical to a serial one;
-//! * since the sweep-pipeline rework, [`run_with_jobs`] is a collect
-//!   adapter over the bounded-window ordered-streaming engine in
-//!   [`crate::sweep`]; the old join-at-end pool survives only as the
-//!   [`run_join_at_end`] microbenchmark baseline;
+//! * [`run_with_jobs`] is a collect adapter over the bounded-window
+//!   ordered-streaming engine in [`crate::sweep`];
 //! * a panicking worker propagates its payload to the caller via
 //!   [`std::panic::resume_unwind`];
 //! * the default job count honours the `REMAP_JOBS` environment variable
 //!   and otherwise uses [`std::thread::available_parallelism`].
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Number of worker threads to use: `REMAP_JOBS` if set to a positive
 /// integer, otherwise the host's available parallelism. A set-but-invalid
@@ -83,9 +80,7 @@ pub fn jobs_explicit_from(env: Option<&str>) -> bool {
 /// Since the sweep-pipeline rework this is a thin collect adapter over
 /// [`crate::sweep::stream`]: results still come back as one in-order
 /// vector, but they are marshalled through the bounded-window streaming
-/// engine rather than buffered per worker and sorted at the end. The
-/// old join-at-end behaviour survives as [`run_join_at_end`], kept as the
-/// baseline of the marshaller microbenchmark.
+/// engine rather than buffered per worker and sorted at the end.
 ///
 /// `jobs <= 1` (or a single item) degrades to a plain serial loop on the
 /// calling thread — the serial baseline of the speedup measurements runs
@@ -111,68 +106,6 @@ where
         },
     );
     out
-}
-
-/// The pre-pipeline join-at-end runner: workers buffer `(index, result)`
-/// pairs privately, the caller joins every worker, sorts once, and only
-/// then sees the first result. Kept verbatim as the baseline that the
-/// `sweep_marshaller` microbenchmark (and the streaming determinism tests)
-/// compare the ordered-streaming engine against — do not route new sweeps
-/// through it.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic (by spawn order) on the caller.
-pub fn run_join_at_end<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    if jobs <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let workers = jobs.min(items.len());
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        // Catch so one bad config doesn't abort the whole
-                        // pool mid-drain; the payload is re-raised below.
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok(t) => out.push((i, t)),
-                            Err(p) => return Err(p),
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        let mut first_panic = None;
-        for h in handles {
-            match h.join().expect("worker thread itself never panics") {
-                Ok(chunk) => indexed.extend(chunk),
-                Err(p) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, t)| t).collect()
 }
 
 /// [`run_with_jobs`] with the default job count from [`jobs`].
@@ -399,7 +332,7 @@ mod tests {
 
     #[test]
     fn flaky_job_succeeds_on_retry() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let calls = AtomicU32::new(0);
         let got = run_resilient(1, &[()], |_, _| {
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -413,12 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn join_at_end_matches_streaming_runner() {
+    fn streaming_runner_matches_serial_loop() {
         let items: Vec<usize> = (0..41).collect();
+        let serial: Vec<_> = items.iter().enumerate().map(|(i, &x)| (i, x * 7)).collect();
         for jobs in [1, 2, 5] {
-            let joined = run_join_at_end(jobs, &items, |i, &x| (i, x * 7));
             let streamed = run_with_jobs(jobs, &items, |i, &x| (i, x * 7));
-            assert_eq!(joined, streamed, "jobs={jobs}");
+            assert_eq!(serial, streamed, "jobs={jobs}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! cycles, speedup over the sequential baseline, and the directory's probe
 //! counters for every point. Part two times the simulator itself on a
 //! 36-core memory-bound stream with the directory on and off
-//! (`REMAP_NO_DIR`'s broadcast reference): filtering probes through sharer
+//! (`Hierarchy::set_dir(false)`, the broadcast reference): filtering probes through sharer
 //! masks is a host-side win, and CI gates on it.
 //!
 //! Results land in `BENCH_scaling.json`. Two gates fail the target:
@@ -148,7 +148,6 @@ fn ablation_accesses() -> u64 {
 
 fn dir_ablation_run(dir_on: bool) -> (f64, u64, u64, DirStats) {
     let mut h = Hierarchy::new(ABLATION_CORES, HierarchyConfig::default());
-    h.set_mlp(true);
     h.set_dir(dir_on);
     let t0 = Instant::now();
     let mut now = 0u64;
@@ -436,7 +435,6 @@ mod tests {
         // a sharing-free stream.
         let run = |dir_on: bool| {
             let mut h = Hierarchy::new(4, HierarchyConfig::default());
-            h.set_mlp(true);
             h.set_dir(dir_on);
             let mut now = 0u64;
             let mut sum = 0u64;

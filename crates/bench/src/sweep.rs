@@ -20,9 +20,8 @@
 //!   loses at most the in-flight window and the next run picks up where
 //!   the previous one died, byte-identical to an uninterrupted sweep.
 //!
-//! The join-at-end behaviour survives as [`crate::runner::run_join_at_end`]
-//! for the marshaller microbenchmark; everything else in the harness rides
-//! this engine through [`crate::runner::run_with_jobs`].
+//! Everything in the harness rides this engine, most of it through
+//! [`crate::runner::run_with_jobs`].
 
 use std::any::Any;
 use std::io::{Seek, SeekFrom, Write};

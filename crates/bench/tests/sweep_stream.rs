@@ -1,9 +1,8 @@
 //! The streaming marshaller must be invisible in the results: any pool
-//! shape (jobs × window × reps) yields exactly the join-at-end baseline's
-//! values in exactly its order, and the `remap serve` request handlers
-//! stream the same ordered lines.
+//! shape (jobs × window × reps) yields exactly the serial loop's values in
+//! exactly its order, and the `remap serve` request handlers stream the
+//! same ordered lines.
 
-use remap_bench::runner::run_join_at_end;
 use remap_bench::sweep::{stream, stream_jsonl, JsonlOpts, SweepOpts};
 use std::ops::ControlFlow;
 
@@ -17,10 +16,15 @@ fn work(i: usize, x: u64) -> u64 {
     h
 }
 
+/// The serial reference: `work` over `items` in order on this thread.
+fn serial(items: &[u64]) -> Vec<u64> {
+    items.iter().enumerate().map(|(i, &x)| work(i, x)).collect()
+}
+
 #[test]
-fn stream_matches_join_at_end_across_pool_shapes() {
+fn stream_matches_serial_reference_across_pool_shapes() {
     let items: Vec<u64> = (0..131).map(|i| i * 17 + 3).collect();
-    let reference = run_join_at_end(4, &items, |i, &x| work(i, x));
+    let reference = serial(&items);
     for jobs in [1, 2, 3, 8] {
         for window in [1, 2, 7, 64, 1000] {
             let mut streamed = Vec::with_capacity(items.len());
@@ -42,7 +46,7 @@ fn stream_matches_join_at_end_across_pool_shapes() {
 #[test]
 fn rep_split_merges_to_the_single_rep_result() {
     let items: Vec<u64> = (0..53).collect();
-    let reference = run_join_at_end(4, &items, |i, &x| work(i, x));
+    let reference = serial(&items);
     for reps in [2, 3, 5] {
         let mut merged = Vec::with_capacity(items.len());
         stream(

@@ -166,6 +166,7 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
         every: DEFAULT_CKPT_EVERY,
         resume: None,
     };
+    let mut every = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -175,10 +176,9 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
             },
             "--every" => match it.next() {
                 Some(v) => {
-                    o.every =
-                        v.parse::<u64>().ok().filter(|&e| e > 0).ok_or_else(|| {
-                            format!("--every needs a positive cycle count, got `{v}`")
-                        })?
+                    every = Some(v.parse::<u64>().ok().filter(|&e| e > 0).ok_or_else(|| {
+                        format!("--every needs a positive cycle count, got `{v}`")
+                    })?)
                 }
                 None => return Err("--every needs a cycle count".into()),
             },
@@ -197,13 +197,20 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
             }
         }
     }
+    if let Some(e) = every {
+        if o.checkpoint.is_none() {
+            return Err(format!("--every needs --checkpoint\n{RUN_USAGE}"));
+        }
+        o.every = e;
+    }
     Ok(o)
 }
 
-/// Runs a built system under the checkpoint/resume options and validates it,
-/// producing the same [`Measurement`] a plain bench run would. The plain
-/// path (no options) goes through the bench's own `run` instead.
-fn run_supervised(
+/// Runs a built system under the `remap run` options and validates it:
+/// optional `--resume` restore, a run (checkpointed under
+/// `--checkpoint`), then the same validation and measurement every bench
+/// run goes through.
+fn run_with_opts(
     mut sys: remap::System,
     max_cycles: u64,
     opts: &RunOpts,
@@ -227,7 +234,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Err(RUN_USAGE.into());
     };
     let opts = parse_run_opts(rest)?;
-    let supervised = opts.checkpoint.is_some() || opts.resume.is_some();
     if let Some(b) = CompBench::ALL.iter().find(|b| b.name() == bench) {
         let m = match mode.as_str() {
             "seq" => CompMode::SeqOoo1,
@@ -236,12 +242,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown computation mode `{other}`")),
         };
         let n = opts.n.unwrap_or(2048);
-        let meas = if supervised {
-            run_supervised(b.build(m, n), 80_000_000, &opts, |s| b.check(s, n))
-                .map_err(|e| format!("{} [{mode}]: {e}", b.name()))?
-        } else {
-            b.run(m, n)?
-        };
+        let meas = run_with_opts(b.build(m, n), CompBench::MAX_CYCLES, &opts, |s| {
+            b.check(s, n)
+        })
+        .map_err(|e| format!("{} [{}]: {e}", b.name(), m.label()))?;
         report(b.name(), mode, n, &meas);
         return Ok(());
     }
@@ -257,12 +261,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown communication mode `{other}`")),
         };
         let n = opts.n.unwrap_or(2048);
-        let meas = if supervised {
-            run_supervised(b.build(m, n), 200_000_000, &opts, |s| b.check(s, n))
-                .map_err(|e| format!("{} [{mode}]: {e}", b.name()))?
-        } else {
-            b.run(m, n)?
-        };
+        let meas = run_with_opts(b.build(m, n), CommBench::MAX_CYCLES, &opts, |s| {
+            b.check(s, n)
+        })
+        .map_err(|e| format!("{} [{}]: {e}", b.name(), m.label()))?;
         report(b.name(), mode, n, &meas);
         return Ok(());
     }
@@ -275,12 +277,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             BarrierBench::Dijkstra => 120,
             _ => 128,
         });
-        let meas = if supervised {
-            run_supervised(b.build(m, n), 400_000_000, &opts, |s| b.check(s, n))
-                .map_err(|e| format!("{} [{mode}] n={n}: {e}", b.name()))?
-        } else {
-            b.run(m, n)?
-        };
+        let meas = run_with_opts(b.build(m, n), BarrierBench::MAX_CYCLES, &opts, |s| {
+            b.check(s, n)
+        })
+        .map_err(|e| format!("{} [{}] n={n}: {e}", b.name(), m.label()))?;
         report(b.name(), mode, n, &meas);
         println!(
             "  per-iteration {:.0} cycles ({} iterations)",
@@ -715,6 +715,15 @@ mod tests {
     fn run_command_rejects_unknown_benchmark() {
         let args: Vec<String> = vec!["nope".into(), "seq".into()];
         assert!(cmd_run(&args).is_err());
+    }
+
+    #[test]
+    fn run_command_rejects_every_without_checkpoint() {
+        let args: Vec<String> = ["wc", "seq", "64", "--every", "500"]
+            .map(String::from)
+            .to_vec();
+        let e = cmd_run(&args).expect_err("--every alone would be ignored");
+        assert!(e.contains("--checkpoint"), "{e}");
     }
 
     #[test]

@@ -123,8 +123,11 @@ pub struct RunReport {
     /// Cycles until the last core halted.
     pub cycles: u64,
     /// Of those, cycles bulk-advanced by the quiescence skip engine rather
-    /// than simulated one at a time (zero with `REMAP_NO_SKIP`). Skipping is
-    /// bit-identical to ticking, so this is a pure performance statistic.
+    /// than simulated one at a time (zero under [`System::set_skip`]`(false)`).
+    /// Skipping is bit-identical to ticking, so this is a pure performance
+    /// statistic.
+    ///
+    /// [`System::set_skip`]: crate::System::set_skip
     pub skipped_cycles: u64,
     /// Per-core statistics snapshot at completion.
     pub core_stats: Vec<CoreStats>,
@@ -134,11 +137,11 @@ pub struct RunReport {
     /// [`FaultPlan`]: remap_fault::FaultPlan
     pub faults: FaultReport,
     /// Memory-level-parallelism accounting from the non-blocking hierarchy
-    /// (all zeros under `REMAP_NO_MLP` / [`System::set_mlp`]`(false)`).
+    /// (all zeros under [`System::set_mlp`]`(false)`).
     ///
     /// [`System::set_mlp`]: crate::System::set_mlp
     pub mlp: remap_mem::MlpStats,
-    /// Coherence-directory accounting (all zeros under `REMAP_NO_DIR` /
+    /// Coherence-directory accounting (all zeros under
     /// [`System::set_dir`]`(false)`).
     ///
     /// [`System::set_dir`]: crate::System::set_dir

@@ -16,6 +16,7 @@ use remap_spl::{
     Dest, FunctionKind, RequestError, Spl, SplConfig, SplFault, SplFunction, SplStats,
 };
 use std::collections::HashMap;
+use std::path::Path;
 
 /// The SPL runs at one quarter of the core clock (500 MHz vs 2 GHz).
 pub const SPL_CLOCK_DIVISOR: u64 = 4;
@@ -833,7 +834,7 @@ impl SystemBuilder {
             committed_total: 0,
             fault_plan: None,
             spl_events: Vec::new(),
-            skip_enabled: skip_enabled_from_env(),
+            skip_enabled: true,
             skipped_cycles: 0,
             probe_hint: 0,
             core_quiet: vec![(0, 0); cores.len()],
@@ -892,8 +893,8 @@ pub struct System {
     fault_plan: Option<FaultPlan>,
     /// Reused SPL delivery-event buffer (cleared each SPL cycle).
     spl_events: Vec<remap_spl::SplEvent>,
-    /// Whether the quiescence skip engine is enabled (default on; disabled by
-    /// `REMAP_NO_SKIP` or [`System::set_skip`]).
+    /// Whether the quiescence skip engine is enabled (default on; see
+    /// [`System::set_skip`]).
     skip_enabled: bool,
     /// Cycles bulk-advanced by the skip engine (subset of `env.cycle`).
     skipped_cycles: u64,
@@ -914,14 +915,14 @@ pub struct System {
     env: Env,
 }
 
-/// Reads the `REMAP_NO_SKIP` escape hatch once at system construction.
-/// Setting it to any non-empty value other than `0` forces pure per-cycle
-/// ticking (useful for debugging and for parity testing).
-fn skip_enabled_from_env() -> bool {
-    match std::env::var("REMAP_NO_SKIP") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
+/// Where [`System::drive`] stops.
+struct Stop<'a> {
+    /// Fail with [`RunError::Timeout`] once the cycle reaches this.
+    max_cycles: u64,
+    /// Return `Ok` once the cycle reaches this, leaving the system runnable.
+    park_at: u64,
+    /// Write a checkpoint to the path at least every this many cycles.
+    ckpt: Option<(u64, &'a Path)>,
 }
 
 impl System {
@@ -1092,9 +1093,10 @@ impl System {
         any
     }
 
-    /// Enables or disables the quiescence skip engine. Equivalent to the
-    /// `REMAP_NO_SKIP` environment knob, but per-system (tests use this to
-    /// run skip-on and skip-off instances in one process).
+    /// Enables or disables the quiescence skip engine (on by default).
+    /// Disabling it forces pure per-cycle ticking, the reference the skip
+    /// engine is held bit-identical to (tests run skip-on and skip-off
+    /// instances side by side).
     pub fn set_skip(&mut self, enabled: bool) {
         self.skip_enabled = enabled;
     }
@@ -1197,28 +1199,37 @@ impl System {
         self.skipped_cycles += delta;
     }
 
-    /// One iteration of the skipping run loop: if the system is provably
-    /// quiescent, bulk-advances to one cycle before the earliest wake point
-    /// (clamped to `limit`), then executes one normal [`System::step`].
-    /// With skipping disabled this is exactly `step`.
+    /// If the system is provably quiescent, bulk-advances it to one cycle
+    /// before the earliest wake point, clamped to `limit`. Returns `false`
+    /// when the probe found some component busy or an event due next cycle,
+    /// so there was nothing to skip.
+    fn skip_toward(&mut self, limit: u64) -> bool {
+        match self.quiescent_wake() {
+            Some(wake) if wake.min(limit) > self.env.cycle + 1 => {
+                self.skip_to(wake.min(limit) - 1);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// One iteration of a skipping loop: the driver's skip step, probing on
+    /// every call (no backoff), then one normal [`System::step`]. With
+    /// skipping disabled this is exactly `step`. The host-side step tracer
+    /// drives this to time each step and skip individually.
     pub fn step_or_skip(&mut self, limit: u64) -> bool {
         if self.skip_enabled {
-            if let Some(wake) = self.quiescent_wake() {
-                let target = wake.min(limit);
-                if target > self.env.cycle + 1 {
-                    self.skip_to(target - 1);
-                }
-            }
+            self.skip_toward(limit);
         }
         self.step()
     }
 
     /// Runs until every core halts or `max_cycles` elapse.
     ///
-    /// Unless disabled (`REMAP_NO_SKIP`, [`System::set_skip`]), the run loop
-    /// bulk-advances over provably idle stretches (barrier waits, SPL
-    /// in-flight waits, queue back-pressure) with results bit-identical to
-    /// per-cycle ticking; see DESIGN.md §11.
+    /// Unless disabled ([`System::set_skip`]), the run loop bulk-advances
+    /// over provably idle stretches (barrier waits, SPL in-flight waits,
+    /// queue back-pressure) with results bit-identical to per-cycle
+    /// ticking; see DESIGN.md §11.
     ///
     /// # Errors
     ///
@@ -1226,24 +1237,16 @@ impl System {
     /// no core commits an instruction for 200 000 consecutive cycles. Both
     /// fire at exactly the same cycle whether or not skipping is enabled: a
     /// bulk jump is clamped so the detection step itself is always executed.
-    ///
-    /// Setting `REMAP_CKPT_EVERY=<cycles>` makes the run write a crash-safe
-    /// checkpoint snapshot at least every that many simulated cycles, to
-    /// `REMAP_CKPT_PATH` (default `remap.ckpt`); see
-    /// [`System::run_with_checkpoints`].
+    /// A structured error recorded by a port operation aborts the run.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, RunError> {
-        match ckpt_from_env() {
-            Some((every, path)) => self.run_ckpt(max_cycles, Some((every, path.as_path()))),
-            None => self.run_ckpt(max_cycles, None),
-        }
+        self.run_report(max_cycles, None)
     }
 
     /// [`System::run`], writing a checkpoint [`Snapshot`] to `path` at least
-    /// every `every` simulated cycles (plus once at the end state if the run
-    /// errors). Writes are crash-safe: the previous checkpoint generation
-    /// survives as `<path>.prev` until the new one is fully on disk
-    /// ([`Snapshot::write_to`]), so a kill at any moment leaves a restorable
-    /// file behind.
+    /// every `every` simulated cycles. Writes are crash-safe: the previous
+    /// checkpoint generation survives as `<path>.prev` until the new one is
+    /// fully on disk ([`Snapshot::write_to`]), so a kill at any moment
+    /// leaves a restorable file behind.
     ///
     /// Checkpointing never perturbs the simulation: results are bit-identical
     /// to an uncheckpointed run.
@@ -1256,17 +1259,41 @@ impl System {
         &mut self,
         max_cycles: u64,
         every: u64,
-        path: &std::path::Path,
+        path: &Path,
     ) -> Result<RunReport, RunError> {
-        self.run_ckpt(max_cycles, Some((every.max(1), path)))
+        self.run_report(max_cycles, Some((every.max(1), path)))
     }
 
-    fn run_ckpt(
+    /// Advances to cycle `target` (or until every core halts), using the
+    /// skip engine when enabled. Returns `true` while cores are still
+    /// running. Checkpoint tests use this to park a system at an exact
+    /// cycle — including in the middle of a stretch the skip engine would
+    /// otherwise jump over — then [`System::snapshot`] it.
+    ///
+    /// It stops early on any error a run would report (a port operation's
+    /// structured error, or a deadlock) and leaves that error pending for
+    /// the next [`System::run`]. So `run_until(t)` followed by `run(max)`
+    /// returns the same result as `run(max)` alone, for any `t` up to `max`;
+    /// only the report's `skipped_cycles` may differ.
+    pub fn run_until(&mut self, target: u64) -> bool {
+        let stop = Stop {
+            max_cycles: u64::MAX,
+            park_at: target,
+            ckpt: None,
+        };
+        if let Err(e) = self.drive(stop) {
+            self.env.run_error = Some(e);
+        }
+        !self.all_halted()
+    }
+
+    /// The body of [`System::run`] and [`System::run_with_checkpoints`]:
+    /// drives the system to completion and reports.
+    fn run_report(
         &mut self,
         max_cycles: u64,
-        ckpt: Option<(u64, &std::path::Path)>,
+        ckpt: Option<(u64, &Path)>,
     ) -> Result<RunReport, RunError> {
-        const STALL_WINDOW: u64 = 200_000;
         // Debug builds run the static verifier before simulating and report
         // (but do not fail on) protocol errors: some tests intentionally
         // violate the protocol to exercise runtime deadlock detection.
@@ -1283,6 +1310,32 @@ impl System {
                 );
             }
         }
+        let wall_start = std::time::Instant::now();
+        self.drive(Stop {
+            max_cycles,
+            park_at: u64::MAX,
+            ckpt,
+        })?;
+        Ok(RunReport {
+            cycles: self.env.cycle,
+            skipped_cycles: self.skipped_cycles,
+            core_stats: self.cores.iter().map(|c| c.stats().clone()).collect(),
+            faults: self.fault_report(),
+            mlp: self.env.hier.mlp_stats(),
+            dir: self.env.hier.dir_stats(),
+            wall_seconds: wall_start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The one run loop behind [`System::run`],
+    /// [`System::run_with_checkpoints`] and [`System::run_until`]. Returns
+    /// `Ok` once every core halts or the cycle reaches `stop.park_at`.
+    ///
+    /// Every check is on the state between two cycles, so a call that stops
+    /// and a later call that resumes see the same sequence of checks as one
+    /// uninterrupted call.
+    fn drive(&mut self, stop: Stop) -> Result<(), RunError> {
+        const STALL_WINDOW: u64 = 200_000;
         // After a probe finds some component busy, hold off re-probing for a
         // few cycles: during a busy-but-not-committing stretch every probe
         // fails, and a failed probe costs about as much as a step. The
@@ -1291,50 +1344,17 @@ impl System {
         // Purely a scheduling heuristic: it decides *when* to look for a
         // skip, never what a skip does, so bit-parity is unaffected.
         const PROBE_BACKOFF: u64 = 4;
-        let wall_start = std::time::Instant::now();
         // The stall window counts from the most recent commit anywhere, not
-        // from run() entry: a run resumed from a snapshot (or continued
-        // after run_until) declares a deadlock at exactly the same cycle an
-        // uninterrupted run would.
+        // from this call's entry: a run resumed from a snapshot (or
+        // continued after run_until) declares a deadlock at exactly the same
+        // cycle an uninterrupted run would.
         let mut last_progress = self.last_commit_cycle.iter().copied().max().unwrap_or(0);
         let mut last_committed = self.committed_total;
         let mut next_probe = self.env.cycle;
-        let mut next_ckpt = ckpt.map_or(u64::MAX, |(every, _)| self.env.cycle + every);
-        while !self.all_halted() {
-            if self.env.cycle >= max_cycles {
-                return Err(RunError::Timeout {
-                    max_cycles,
-                    running: self.running_cores(),
-                });
-            }
-            // Only probe for quiescence when the previous step committed
-            // nothing: a committing system is rarely skippable, and the
-            // probe is not free. The jump is clamped so the deadlock window
-            // and the cycle limit are reached by a normal step, which keeps
-            // error cycles identical to the ticked path. (A fully reactive
-            // system reports `wake == u64::MAX`; the clamp then jumps it
-            // straight to the deadlock detection point.)
-            if self.skip_enabled
-                && self.committed_total == last_committed
-                && self.env.cycle >= next_probe
-            {
-                match self.quiescent_wake() {
-                    None => next_probe = self.env.cycle + PROBE_BACKOFF,
-                    Some(wake) => {
-                        let limit = max_cycles.min(last_progress + STALL_WINDOW + 1);
-                        let target = wake.min(limit);
-                        if target > self.env.cycle + 1 {
-                            self.skip_to(target - 1);
-                        } else {
-                            // Quiescent but with an event due next cycle:
-                            // nothing to skip, so the probe was pure cost.
-                            // Back off exactly as for a failed probe.
-                            next_probe = self.env.cycle + PROBE_BACKOFF;
-                        }
-                    }
-                }
-            }
-            self.step();
+        let mut next_ckpt = stop
+            .ckpt
+            .map_or(u64::MAX, |(every, _)| self.env.cycle + every);
+        loop {
             // A port operation may have recorded a structured error (bad
             // configuration, fault escalation): abort with it immediately.
             if let Some(e) = self.env.run_error.take() {
@@ -1352,12 +1372,11 @@ impl System {
                     blocked: self.blocked_cores(),
                 });
             }
-            // Checkpoint after the step's bookkeeping so the snapshot sees a
-            // consistent between-cycles state. A bulk skip may jump past the
-            // due point; the next real step catches up (cadence is "at least
-            // every N simulated cycles", never a perturbation of the run).
+            // A bulk skip may jump past the due point; the next real step
+            // catches up (cadence is "at least every N simulated cycles",
+            // never a perturbation of the run).
             if self.env.cycle >= next_ckpt {
-                if let Some((every, path)) = ckpt {
+                if let Some((every, path)) = stop.ckpt {
                     self.snapshot()
                         .write_to(path)
                         .map_err(|e| RunError::BadSnapshot {
@@ -1366,29 +1385,31 @@ impl System {
                     next_ckpt = self.env.cycle + every;
                 }
             }
+            if self.all_halted() || self.env.cycle >= stop.park_at {
+                return Ok(());
+            }
+            if self.env.cycle >= stop.max_cycles {
+                return Err(RunError::Timeout {
+                    max_cycles: stop.max_cycles,
+                    running: self.running_cores(),
+                });
+            }
+            // The jump is clamped so the deadlock window, the cycle limit
+            // and the parking cycle are reached by a normal step, which
+            // keeps error cycles identical to the ticked path. (A fully
+            // reactive system reports `wake == u64::MAX`; the clamp then
+            // jumps it straight to the deadlock detection point.)
+            if self.skip_enabled && self.env.cycle >= next_probe {
+                let limit = stop
+                    .max_cycles
+                    .min(stop.park_at)
+                    .min(last_progress + STALL_WINDOW + 1);
+                if !self.skip_toward(limit) {
+                    next_probe = self.env.cycle + PROBE_BACKOFF;
+                }
+            }
+            self.step();
         }
-        Ok(RunReport {
-            cycles: self.env.cycle,
-            skipped_cycles: self.skipped_cycles,
-            core_stats: self.cores.iter().map(|c| c.stats().clone()).collect(),
-            faults: self.fault_report(),
-            mlp: self.env.hier.mlp_stats(),
-            dir: self.env.hier.dir_stats(),
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// Advances to cycle `target` (or until every core halts, or a port
-    /// operation records a structured error), using the skip engine when
-    /// enabled. Returns `true` while cores are still running. Checkpoint
-    /// tests use this to park a system at an exact cycle — including in the
-    /// middle of a stretch the skip engine would otherwise jump over — then
-    /// [`System::snapshot`] it.
-    pub fn run_until(&mut self, target: u64) -> bool {
-        while !self.all_halted() && self.env.cycle < target && self.env.run_error.is_none() {
-            self.step_or_skip(target);
-        }
-        !self.all_halted()
     }
 
     /// Installs a seeded fault-injection plan: per-cluster SPL bit-flip
@@ -1759,18 +1780,6 @@ remap_snap::state!(System |s| {
     present s.env.fault,
 } check System::restored);
 
-/// Reads the `REMAP_CKPT_EVERY` / `REMAP_CKPT_PATH` checkpoint knobs: a
-/// positive cycle cadence enables checkpointing in every [`System::run`],
-/// to the given path (default `remap.ckpt`).
-fn ckpt_from_env() -> Option<(u64, std::path::PathBuf)> {
-    let every: u64 = std::env::var("REMAP_CKPT_EVERY").ok()?.parse().ok()?;
-    if every == 0 {
-        return None;
-    }
-    let path = std::env::var("REMAP_CKPT_PATH").unwrap_or_else(|_| "remap.ckpt".into());
-    Some((every, std::path::PathBuf::from(path)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2065,6 +2074,14 @@ mod tests {
         assert_eq!(ticked.skipped_cycles(), 0);
         // Per-cycle wait statistics were replicated across the jump.
         assert_eq!(skipped.core_stats(0), ticked.core_stats(0));
+        // Parking the stuck system with `run_until` anywhere, before or past
+        // its deadlock point, must not move the deadlock the next run reports.
+        for park in [100_000, 199_000, 300_000, 1_000_000] {
+            let mut parked = build();
+            parked.run_until(park);
+            assert!(parked.cycle() <= park.min(200_001));
+            assert_eq!(parked.run(2_000_000).unwrap_err(), es, "parked at {park}");
+        }
     }
 
     /// Builds the Figure 1(b) producer→consumer system (used by the
@@ -2290,21 +2307,30 @@ mod tests {
 
     #[test]
     fn unknown_spl_config_is_structured_error() {
-        let mut a = Asm::new("bad");
-        a.li(R1, 1);
-        a.spl_load(R1, 0, 4);
-        a.spl_init(99); // never registered
-        a.halt();
-        let mut b = SystemBuilder::new();
-        b.add_core(CoreKind::Ooo1, a.assemble().unwrap());
-        b.add_spl_cluster(SplConfig::paper(1), vec![0]);
-        let mut sys = b.build();
-        match sys.run(100_000) {
-            Err(RunError::BadConfig { core, config, .. }) => {
+        let build = || {
+            let mut a = Asm::new("bad");
+            a.li(R1, 1);
+            a.spl_load(R1, 0, 4);
+            a.spl_init(99); // never registered
+            a.halt();
+            let mut b = SystemBuilder::new();
+            b.add_core(CoreKind::Ooo1, a.assemble().unwrap());
+            b.add_spl_cluster(SplConfig::paper(1), vec![0]);
+            b.build()
+        };
+        let mut sys = build();
+        let err = sys.run(100_000).unwrap_err();
+        match err {
+            RunError::BadConfig { core, config, .. } => {
                 assert_eq!((core, config), (0, 99));
             }
-            other => panic!("expected BadConfig, got {other:?}"),
+            ref other => panic!("expected BadConfig, got {other:?}"),
         }
+        // `run_until` stops on the error and leaves it for the next run.
+        let mut parked = build();
+        parked.run_until(100_000);
+        assert_eq!(parked.cycle(), sys.cycle());
+        assert_eq!(parked.run(100_000).unwrap_err(), err);
     }
 
     #[test]

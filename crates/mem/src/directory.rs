@@ -15,8 +15,8 @@
 //! when the line is resident in that core's private L2 (L1D ⊆ L2
 //! inclusion makes the L2 tag authoritative), so probing only masked
 //! cores touches precisely the caches the broadcast walk would have
-//! changed. `REMAP_NO_DIR=1` or `Hierarchy::set_dir(false)` restore the
-//! broadcast reference model.
+//! changed. `Hierarchy::set_dir(false)` restores the broadcast reference
+//! model.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -44,12 +44,6 @@ const CLUSTER_CORES: usize = 4;
 /// Cluster count up to which the interconnect is the paper's flat quad
 /// arrangement: no hop charges, identical to the pre-grid timing.
 const QUAD_CLUSTERS: usize = 4;
-
-/// Whether directory modeling is enabled given the `REMAP_NO_DIR` value
-/// (mirrors `REMAP_NO_MLP`: any non-empty value disables).
-pub fn dir_enabled_from_env(v: Option<&str>) -> bool {
-    !matches!(v, Some(s) if !s.is_empty())
-}
 
 /// Directory activity counters, surfaced in `RunReport`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -359,13 +353,5 @@ mod tests {
         // Cluster 0 is (0,0); cluster 8 is (2,2): 4 hops, 3 charged.
         assert_eq!(d.hop_extra(0, 35), 3 * GRID_HOP_LATENCY);
         assert_eq!(d.stats().hop_cycles, 3 * GRID_HOP_LATENCY);
-    }
-
-    #[test]
-    fn env_gate_parses_like_no_mlp() {
-        assert!(dir_enabled_from_env(None));
-        assert!(dir_enabled_from_env(Some("")));
-        assert!(!dir_enabled_from_env(Some("1")));
-        assert!(!dir_enabled_from_env(Some("0")), "any non-empty disables");
     }
 }

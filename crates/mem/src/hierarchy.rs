@@ -1,7 +1,7 @@
 //! The full multi-core memory hierarchy with MESI coherence.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, Mesi};
-use crate::directory::{dir_enabled_from_env, DirStats, Directory};
+use crate::directory::{DirStats, Directory};
 use crate::flat::FlatMem;
 use crate::memctl::MemCtl;
 use crate::mshr::MshrFile;
@@ -117,12 +117,6 @@ impl MlpStats {
     pub fn prefetch_accuracy(&self) -> f64 {
         (self.prefetch_useful + self.prefetch_late) as f64 / self.prefetch_issued as f64
     }
-}
-
-/// Whether MLP modeling is enabled given the `REMAP_NO_MLP` value
-/// (mirrors `REMAP_NO_SKIP`: any non-empty value disables).
-pub fn mlp_enabled_from_env(v: Option<&str>) -> bool {
-    !matches!(v, Some(s) if !s.is_empty())
 }
 
 /// Timing-only non-blocking-cache state: per-core MSHR files, per-core
@@ -244,8 +238,8 @@ struct CorePrivate {
 /// (L1I) prefetchers run ahead of confident miss streams. All of this is
 /// *timing-only*: tags, MESI state, and functional data still update
 /// immediately at request time, so architectural values are identical with
-/// the model on or off (`REMAP_NO_MLP=1` or [`Hierarchy::set_mlp`] recover
-/// the old blocking-latency model bit-for-bit).
+/// the model on or off ([`Hierarchy::set_mlp`]`(false)` recovers the old
+/// blocking-latency model bit-for-bit).
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
@@ -285,7 +279,7 @@ enum FillSrc {
 
 impl Hierarchy {
     /// Creates a hierarchy for `n_cores` cores with empty caches and memory.
-    /// MLP modeling is on unless `REMAP_NO_MLP` is set in the environment.
+    /// MLP modeling is on, and so is the directory up to 64 cores.
     pub fn new(n_cores: usize, cfg: HierarchyConfig) -> Hierarchy {
         let cores = (0..n_cores)
             .map(|_| CorePrivate {
@@ -294,12 +288,9 @@ impl Hierarchy {
                 l2: Cache::new(cfg.l2),
             })
             .collect();
-        let enabled = mlp_enabled_from_env(std::env::var("REMAP_NO_MLP").ok().as_deref());
-        let dir_on =
-            n_cores <= 64 && dir_enabled_from_env(std::env::var("REMAP_NO_DIR").ok().as_deref());
         Hierarchy {
-            mlp: enabled.then(|| Box::new(Mlp::new(n_cores, &cfg))),
-            dir: dir_on.then(|| Box::new(fresh_dir(n_cores, &cfg))),
+            mlp: Some(Box::new(Mlp::new(n_cores, &cfg))),
+            dir: (n_cores <= 64).then(|| Box::new(fresh_dir(n_cores, &cfg))),
             cfg,
             cores,
             mem: FlatMem::new(),
@@ -308,15 +299,14 @@ impl Hierarchy {
         }
     }
 
-    /// Enables or disables MLP modeling, overriding `REMAP_NO_MLP`.
+    /// Enables or disables MLP modeling.
     /// Enabling rebuilds the MSHR/prefetch/controller state from scratch
     /// (counters reset); disabling restores the blocking-latency model.
     pub fn set_mlp(&mut self, enabled: bool) {
         self.mlp = enabled.then(|| Box::new(Mlp::new(self.cores.len(), &self.cfg)));
     }
 
-    /// Enables or disables the coherence directory, overriding
-    /// `REMAP_NO_DIR`. Enabling reseeds the sharer sets from the lines
+    /// Enables or disables the coherence directory. Enabling reseeds the sharer sets from the lines
     /// currently resident in every private L2 (so mid-run activation is
     /// functionally exact); disabling restores the broadcast snoop walk.
     /// Core counts above 64 always use the broadcast model.
@@ -1144,10 +1134,7 @@ mod tests {
     use crate::directory::GRID_HOP_LATENCY;
 
     fn h2() -> Hierarchy {
-        let mut h = Hierarchy::new(2, HierarchyConfig::default());
-        h.set_mlp(true); // deterministic under REMAP_NO_MLP in the test env
-        h.set_dir(true); // deterministic under REMAP_NO_DIR in the test env
-        h
+        Hierarchy::new(2, HierarchyConfig::default())
     }
 
     #[test]
@@ -1399,7 +1386,6 @@ mod tests {
             .collect();
         let run = |dir: bool| {
             let mut h = Hierarchy::new(4, HierarchyConfig::default());
-            h.set_mlp(true);
             h.set_dir(dir);
             let mut t = 0u64;
             let mut vals = Vec::new();
@@ -1472,7 +1458,6 @@ mod tests {
         // to cluster 8 is 4 hops, 3 of them charged beyond the baseline.
         let mut h = Hierarchy::new(36, HierarchyConfig::default());
         h.set_mlp(false);
-        h.set_dir(true);
         let t = h.store(0, 0x100, 4, 7, 0) as u64;
         let (v, lat) = h.load(35, 0x100, 4, PC_NONE, t);
         assert_eq!(v, 7);
@@ -1481,14 +1466,6 @@ mod tests {
         // Same-cluster transfers stay at the baseline.
         let (_, lat) = h.load(1, 0x100, 4, PC_NONE, t + lat as u64);
         assert_eq!(lat, 32, "nearest sharer supplies without hop charges");
-    }
-
-    #[test]
-    fn mlp_env_gate_parses_like_no_skip() {
-        assert!(mlp_enabled_from_env(None));
-        assert!(mlp_enabled_from_env(Some("")));
-        assert!(!mlp_enabled_from_env(Some("1")));
-        assert!(!mlp_enabled_from_env(Some("0")), "any non-empty disables");
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! merge outstanding fills, stride/next-line prefetchers run ahead of
 //! regular miss streams, and a per-cluster memory controller bounds
 //! in-flight DRAM requests (see DESIGN.md §15). All of that is timing-only
-//! state; `REMAP_NO_MLP=1` or [`Hierarchy::set_mlp`] restore the blocking
-//! latency model exactly.
+//! state; [`Hierarchy::set_mlp`]`(false)` restores the blocking latency
+//! model exactly.
 //!
 //! Full misses route through a banked sharer [`Directory`] by default, so
 //! only actual sharers are probed instead of every core, with inter-cluster
-//! grid-hop charges beyond 16 cores (see DESIGN.md §17). `REMAP_NO_DIR=1`
-//! or [`Hierarchy::set_dir`] restore the broadcast snoop walk.
+//! grid-hop charges beyond 16 cores (see DESIGN.md §17).
+//! [`Hierarchy::set_dir`]`(false)` restores the broadcast snoop walk.
 //!
 //! ```
 //! use remap_mem::{Hierarchy, HierarchyConfig, PC_NONE};
@@ -48,14 +48,11 @@ mod mshr;
 mod prefetch;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Mesi};
-pub use directory::{
-    dir_enabled_from_env, DirStats, Directory, DIR_BANKS, DIR_BANK_BUSY, DIR_PORTS,
-    GRID_HOP_LATENCY,
-};
+pub use directory::{DirStats, Directory, DIR_BANKS, DIR_BANK_BUSY, DIR_PORTS, GRID_HOP_LATENCY};
 pub use flat::FlatMem;
 pub use hierarchy::{
-    mlp_enabled_from_env, BusStats, CacheFault, Hierarchy, HierarchyConfig, MlpConfig, MlpStats,
-    MC_CLUSTER_CORES, PC_NONE,
+    BusStats, CacheFault, Hierarchy, HierarchyConfig, MlpConfig, MlpStats, MC_CLUSTER_CORES,
+    PC_NONE,
 };
 pub use memctl::MemCtl;
 pub use mshr::MshrFile;

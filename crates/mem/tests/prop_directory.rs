@@ -107,7 +107,6 @@ fn assert_dir_matches_broadcast(
 ) -> Result<(), TestCaseError> {
     let mut dir = Hierarchy::new(cores, HierarchyConfig::default());
     dir.set_mlp(mlp);
-    dir.set_dir(true);
     let mut bcast = Hierarchy::new(cores, HierarchyConfig::default());
     bcast.set_mlp(mlp);
     bcast.set_dir(false);

@@ -100,7 +100,6 @@ proptest! {
     #[test]
     fn mlp_is_timing_only(ops in proptest::collection::vec(arb_op(4, 24), 1..250)) {
         let mut nonblocking = Hierarchy::new(4, HierarchyConfig::default());
-        nonblocking.set_mlp(true);
         let mut blocking = Hierarchy::new(4, HierarchyConfig::default());
         blocking.set_mlp(false);
 

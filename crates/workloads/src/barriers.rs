@@ -154,6 +154,10 @@ impl BarrierBench {
         BarrierBench::Dijkstra,
     ];
 
+    /// Cycle budget of a run: a run still going after this many cycles
+    /// fails with a timeout.
+    pub const MAX_CYCLES: u64 = 400_000_000;
+
     /// Report name.
     pub fn name(self) -> &'static str {
         match self {
@@ -264,7 +268,7 @@ impl BarrierBench {
     /// Returns a description when the run dies or the oracle check fails.
     pub fn run(self, mode: BarrierMode, n: usize) -> Result<Measurement, String> {
         let sys = self.build(mode, n);
-        run_checked(sys, 400_000_000, |s| self.check(s, n))
+        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
             .map_err(|e| format!("{} [{}] n={n}: {e}", self.name(), mode.label()))
     }
 

@@ -55,6 +55,10 @@ impl CommBench {
         CommBench::Astar,
     ];
 
+    /// Cycle budget of a run: a run still going after this many cycles
+    /// fails with a timeout.
+    pub const MAX_CYCLES: u64 = 200_000_000;
+
     /// Report name.
     pub fn name(self) -> &'static str {
         match self {
@@ -131,7 +135,7 @@ impl CommBench {
     /// Returns a description when the run dies or the oracle check fails.
     pub fn run(self, mode: CommMode, n: usize) -> Result<Measurement, String> {
         let sys = self.build(mode, n);
-        run_checked(sys, 200_000_000, |s| self.check(s, n))
+        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
             .map_err(|e| format!("{} [{}]: {e}", self.name(), mode.label()))
     }
 

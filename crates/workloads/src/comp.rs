@@ -45,6 +45,10 @@ impl CompBench {
         CompBench::Libquantum,
     ];
 
+    /// Cycle budget of a run: a run still going after this many cycles
+    /// fails with a timeout.
+    pub const MAX_CYCLES: u64 = 80_000_000;
+
     /// Report name.
     pub fn name(self) -> &'static str {
         match self {
@@ -100,7 +104,7 @@ impl CompBench {
     /// Returns a description when the run dies or the oracle check fails.
     pub fn run(self, mode: CompMode, n: usize) -> Result<Measurement, String> {
         let sys = self.build(mode, n);
-        run_checked(sys, 80_000_000, |s| self.check(s, n))
+        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
             .map_err(|e| format!("{} [{}]: {e}", self.name(), mode.label()))
     }
 

@@ -93,7 +93,7 @@ pub struct Measurement {
     /// Cycles until all threads halted.
     pub cycles: u64,
     /// Of those, cycles bulk-advanced by the quiescence skip engine (zero
-    /// with `REMAP_NO_SKIP`); purely a simulator-performance statistic.
+    /// with the engine disabled); purely a simulator-performance statistic.
     pub skipped_cycles: u64,
     /// Total energy under the default power model, in picojoules.
     pub energy_pj: f64,

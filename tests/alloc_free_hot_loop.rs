@@ -109,7 +109,6 @@ fn hierarchy_fast_paths_do_not_allocate() {
 
     let _guard = SERIAL.lock().unwrap();
     let mut h = Hierarchy::new(2, HierarchyConfig::default());
-    h.set_mlp(true); // robust against REMAP_NO_MLP leaking into the test env
 
     // Warm-up: touch the whole working set from both cores so every page
     // of the arena is resident and both L1/L2 tag arrays are populated.

@@ -1,6 +1,6 @@
 //! Tier-1 gate for the quiescence skip engine: every workload configuration
 //! must produce a bit-identical run whether idle stretches are bulk-skipped
-//! (the default) or simulated cycle by cycle (`REMAP_NO_SKIP`).
+//! (the default) or simulated cycle by cycle (`System::set_skip(false)`).
 //!
 //! "Bit-identical" covers everything a run can report: total cycles, every
 //! per-core statistic (including per-cycle stall counters, which the skip
