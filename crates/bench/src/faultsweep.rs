@@ -681,4 +681,51 @@ mod tests {
         assert!(a.contains("\"archetype\": \"hwq_pipe\""));
         assert!(!a.contains("wall"), "wall times would break determinism");
     }
+
+    #[test]
+    fn golden_document_bytes_are_pinned() {
+        let mut faults = remap::FaultReport::default();
+        faults.hwq.injected = 5;
+        faults.hwq.detected = 4;
+        faults.hwq.recovered = 4;
+        faults.hwq.silent = 1;
+        faults.hwq_retries = 3;
+        let a = CellResult {
+            cell: Cell {
+                archetype: Archetype::HwqPipe,
+                rate_ppm: 50_000,
+                protected: false,
+            },
+            ok: false,
+            cycles: 4321,
+            faults,
+        };
+        let b = CellResult {
+            cell: Cell {
+                archetype: Archetype::MemMarch,
+                rate_ppm: 0,
+                protected: true,
+            },
+            ok: true,
+            cycles: 31_507,
+            faults: remap::FaultReport::default(),
+        };
+        let fail = JobFailure {
+            index: 1,
+            attempts: 2,
+            message: "panic: cell 1 exploded".to_string(),
+        };
+        let lines = [result_line(&a), failure_line(&fail), result_line(&b)];
+        let expected = r#"{
+  "seed": 12648430,
+  "rates_ppm": [0, 50000, 200000],
+  "cells": [
+    {"archetype": "hwq_pipe", "rate_ppm": 50000, "protected": false, "ok": false, "cycles": 4321, "injected": 5, "detected": 4, "recovered": 4, "silent": 1, "hwq_retries": 3, "barrier_demotions": 0},
+    {"job_failure": 1, "attempts": 2, "message": "panic: cell 1 exploded"},
+    {"archetype": "mem_march", "rate_ppm": 0, "protected": true, "ok": true, "cycles": 31507, "injected": 0, "detected": 0, "recovered": 0, "silent": 0, "hwq_retries": 0, "barrier_demotions": 0}
+  ]
+}
+"#;
+        assert_eq!(wrap_lines(&lines), expected);
+    }
 }

@@ -868,4 +868,119 @@ mod tests {
         assert!(overwrite_allowed(Some(healthy), true, Some("1")));
         assert!(!overwrite_allowed(Some(healthy), true, Some("")));
     }
+
+    /// A fixed report with a two-entry history and two config rows.
+    fn golden_perf() -> SimPerf {
+        let row = |bench, mode, run, cycles, skipped_cycles, committed, walls: (f64, f64)| Record {
+            config: Config { bench, mode, run },
+            cycles,
+            skipped_cycles,
+            committed,
+            wall_seconds: walls.0,
+            sim_wall_seconds: walls.1,
+        };
+        SimPerf {
+            jobs: 4,
+            jobs_explicit: true,
+            reps: 2,
+            host_parallelism: 8,
+            serial_wall_seconds: 2.0,
+            parallel_wall_seconds: 0.5,
+            commit: "abc1234".to_string(),
+            written_epoch_seconds: 1_754_700_000,
+            history: vec![
+                "{\"commit\": \"def5678\", \"written_epoch_seconds\": 5, \
+                 \"aggregate_sim_kcps\": 4308.6, \"compute_sim_kcps\": 7844.5}"
+                    .to_string(),
+                "{\"commit\": \"unknown\", \"written_epoch_seconds\": 0, \
+                 \"aggregate_sim_kcps\": 2228.2, \"compute_sim_kcps\": 4107.8}"
+                    .to_string(),
+            ],
+            records: vec![
+                row(
+                    "adpcm",
+                    "1Th+Comp",
+                    RunKind::Comp(CompBench::ALL[0], CompMode::Spl),
+                    1000,
+                    250,
+                    500,
+                    (0.002, 0.001),
+                ),
+                row(
+                    "wc",
+                    "2Th+Comm",
+                    RunKind::Comm(CommBench::ALL[0], CommMode::Comm2T),
+                    123_456,
+                    0,
+                    99_999,
+                    (0.0375, 0.031_234_5),
+                ),
+            ],
+        }
+    }
+
+    #[test]
+    fn golden_document_bytes_are_pinned() {
+        let expected = r#"{
+  "jobs": 4,
+  "jobs_explicit": true,
+  "reps": 2,
+  "host_parallelism": 8,
+  "pool_degraded": false,
+  "serial_wall_seconds": 2.000000,
+  "parallel_wall_seconds": 0.500000,
+  "sweep_speedup": 4.000,
+  "aggregate_sim_kcps": 3150.8,
+  "compute_sim_kcps": 1000.0,
+  "baseline_aggregate_sim_kcps": 2228.2,
+  "baseline_compute_sim_kcps": 4107.8,
+  "aggregate_speedup_vs_baseline": 1.414,
+  "compute_speedup_vs_baseline": 0.243,
+  "aggregate_skip_rate": 0.0020,
+  "commit": "abc1234",
+  "written_epoch_seconds": 1754700000,
+  "history": [
+    {"commit": "def5678", "written_epoch_seconds": 5, "aggregate_sim_kcps": 4308.6, "compute_sim_kcps": 7844.5},
+    {"commit": "unknown", "written_epoch_seconds": 0, "aggregate_sim_kcps": 2228.2, "compute_sim_kcps": 4107.8}
+  ],
+  "configs": [
+    {"bench": "adpcm", "mode": "1Th+Comp", "cycles": 1000, "skipped_cycles": 250, "skip_rate": 0.2500, "committed": 500, "wall_seconds": 0.002000, "sim_wall_seconds": 0.001000, "sim_kcps": 1000.0, "effective_kcps": 750.0},
+    {"bench": "wc", "mode": "2Th+Comm", "cycles": 123456, "skipped_cycles": 0, "skip_rate": 0.0000, "committed": 99999, "wall_seconds": 0.037500, "sim_wall_seconds": 0.031234, "sim_kcps": 3952.6, "effective_kcps": 3952.6}
+  ]
+}
+"#;
+        assert_eq!(golden_perf().to_json(), expected);
+    }
+
+    #[test]
+    fn checked_in_baseline_rolls_the_same_history() {
+        // Pinned against the checked-in artifact: regenerating
+        // BENCH_simperf.json means updating these two entries.
+        let h = roll_history(Some(include_str!("../../../BENCH_simperf.json")));
+        assert_eq!(
+            h,
+            [
+                "{\"commit\": \"ef7c6c7\", \"written_epoch_seconds\": 1786300735, \
+                 \"aggregate_sim_kcps\": 4273.9, \"compute_sim_kcps\": 7384.4}",
+                "{\"commit\": \"unknown\", \"written_epoch_seconds\": 0, \
+                 \"aggregate_sim_kcps\": 4308.6, \"compute_sim_kcps\": 7844.5}",
+            ]
+        );
+    }
+
+    #[test]
+    fn only_top_level_keys_feed_the_history() {
+        // The aggregate key also appears inside a nested row, inside a
+        // string value, and as a `baseline_`-prefixed key; none of them
+        // may stand in for the top-level member.
+        let nested_only = "{\n  \"note\": \"\\\"aggregate_sim_kcps\\\": 1.0\",\n  \
+                           \"baseline_aggregate_sim_kcps\": 3.0,\n  \"configs\": [\n    \
+                           {\"aggregate_sim_kcps\": 2.0, \"commit\": \"row0000\"}\n  ]\n}\n";
+        assert!(roll_history(Some(nested_only)).is_empty());
+        let doc = nested_only.replace("\n}\n", ",\n  \"aggregate_sim_kcps\": 4.0\n}\n");
+        let h = roll_history(Some(&doc));
+        assert_eq!(h.len(), 1, "{h:?}");
+        assert!(h[0].contains("\"aggregate_sim_kcps\": 4.0"), "{}", h[0]);
+        assert!(h[0].contains("\"commit\": \"unknown\""), "{}", h[0]);
+    }
 }
