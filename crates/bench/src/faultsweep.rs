@@ -21,6 +21,7 @@
 //! is seeded, so the emitted JSON is byte-identical across invocations
 //! (wall-clock fields are deliberately excluded).
 
+use crate::json::{self, Json};
 use crate::runner::{self, JobFailure};
 use crate::sweep::{stream_jsonl, JsonlOpts, SweepOpts};
 use remap::{CoreKind, FaultPlan, RunError, SiteCfg, SystemBuilder};
@@ -300,116 +301,69 @@ pub fn run_cell(cell: Cell) -> Result<CellResult, String> {
     })
 }
 
-/// The JSON object for one successful cell, without indentation, comma,
-/// or newline — the unit the streaming pipeline journals and emits.
+/// The JSON object for one successful cell, on one line without a
+/// newline — the unit the streaming pipeline journals and emits.
 pub fn result_line(c: &CellResult) -> String {
     let f = &c.faults;
-    format!(
-        "{{\"archetype\": \"{}\", \"rate_ppm\": {}, \"protected\": {}, \
-         \"ok\": {}, \"cycles\": {}, \"injected\": {}, \"detected\": {}, \
-         \"recovered\": {}, \"silent\": {}, \"hwq_retries\": {}, \
-         \"barrier_demotions\": {}}}",
-        c.cell.archetype.name(),
-        c.cell.rate_ppm,
-        c.cell.protected,
-        c.ok,
-        c.cycles,
-        f.total_injected(),
-        f.spl.detected + f.hwq.detected + f.barrier.detected + f.cache.detected,
-        f.total_recovered(),
-        f.total_silent(),
-        f.hwq_retries,
-        f.barrier_demotions,
-    )
+    let detected = f.spl.detected + f.hwq.detected + f.barrier.detected + f.cache.detected;
+    Json::obj([
+        ("archetype", c.cell.archetype.name().into()),
+        ("rate_ppm", c.cell.rate_ppm.into()),
+        ("protected", c.cell.protected.into()),
+        ("ok", c.ok.into()),
+        ("cycles", c.cycles.into()),
+        ("injected", f.total_injected().into()),
+        ("detected", detected.into()),
+        ("recovered", f.total_recovered().into()),
+        ("silent", f.total_silent().into()),
+        ("hwq_retries", f.hwq_retries.into()),
+        ("barrier_demotions", f.barrier_demotions.into()),
+    ])
+    .to_string()
 }
 
 /// The JSON object for a cell whose job failed every attempt.
 pub fn failure_line(fail: &JobFailure) -> String {
-    format!(
-        "{{\"job_failure\": {}, \"attempts\": {}, \"message\": {:?}}}",
-        fail.index, fail.attempts, fail.message
-    )
+    Json::obj([
+        ("job_failure", fail.index.into()),
+        ("attempts", fail.attempts.into()),
+        ("message", fail.message.as_str().into()),
+    ])
+    .to_string()
 }
 
-/// Runs one cell with the crash-resilient retry policy (two attempts,
-/// panics caught) and renders its JSON line — success or failure, a
-/// granule always yields a line, so a streamed sweep never stalls on a
-/// bad cell.
+/// Runs one cell under [`runner::retry`] and renders its JSON line —
+/// success or failure, a granule always yields a line, so a streamed sweep
+/// never stalls on a bad cell.
 pub fn cell_line(index: usize, cell: Cell) -> String {
-    const ATTEMPTS: u32 = 2;
-    let mut last = String::new();
-    for _ in 0..ATTEMPTS {
-        match std::panic::catch_unwind(|| run_cell(cell)) {
-            Ok(Ok(c)) => return result_line(&c),
-            Ok(Err(e)) => last = runner::truncate_message(e),
-            Err(p) => last = runner::panic_message(&*p),
-        }
+    match runner::retry(index, || run_cell(cell)) {
+        Ok(c) => result_line(&c),
+        Err(fail) => failure_line(&fail),
     }
-    failure_line(&JobFailure {
-        index,
-        attempts: ATTEMPTS,
-        message: last,
-    })
 }
 
-/// Wraps already-rendered cell lines in the report envelope. Shared by
-/// the streaming path and [`to_json`] so both are byte-identical.
+/// Wraps rendered cell lines in the report envelope.
 pub fn wrap_lines(lines: &[String]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"seed\": {SWEEP_SEED},\n"));
-    s.push_str(&format!(
-        "  \"rates_ppm\": [{}],\n",
-        RATES_PPM.map(|r| r.to_string()).join(", ")
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, line) in lines.iter().enumerate() {
-        let comma = if i + 1 < lines.len() { "," } else { "" };
-        s.push_str(&format!("    {line}{comma}\n"));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders the sweep as JSON. Hand-rolled (the workspace carries no
-/// serialization dependency) and free of wall-clock fields, so the same
-/// seed yields byte-identical output.
-pub fn to_json(results: &[Result<CellResult, JobFailure>]) -> String {
-    let lines: Vec<String> = results
-        .iter()
-        .map(|r| match r {
-            Ok(c) => result_line(c),
-            Err(fail) => failure_line(fail),
-        })
-        .collect();
-    wrap_lines(&lines)
-}
-
-/// The raw value of `"key": ` in a flat rendered JSON line (up to the
-/// next `,` or `}`), or `None` when the key is absent. A tiny positional
-/// scanner, not a parser: every line this sweep inspects is rendered by
-/// [`result_line`]/[`failure_line`], whose objects are one level deep.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+    let cells = lines.iter().map(|l| Json::Raw(l.clone())).collect();
+    json::render(&Json::obj([
+        ("seed", SWEEP_SEED.into()),
+        ("rates_ppm", Json::Arr(RATES_PPM.map(Json::from).to_vec())),
+        ("cells", Json::Arr(cells)),
+    ]))
 }
 
 /// Inspects a rendered cell line for the two harness defects the sweep
 /// polices: a job that failed every attempt, or a *protected* cell with
 /// silent corruption. String-level because resumed lines are replayed
-/// from the journal, never recomputed into structs; fields are located by
-/// key ([`json_field`]) rather than by exact serialization, so drift in
-/// [`result_line`]'s field order or spacing cannot silently disable the
-/// check.
+/// from the journal, never recomputed into structs; fields are read by
+/// key ([`json::get`]), so a change in [`result_line`]'s field order
+/// cannot silently disable the check.
 pub fn line_error(line: &str) -> Option<String> {
-    if json_field(line, "job_failure").is_some() {
+    if json::get(line, "job_failure").is_some() {
         return Some(format!("cell failed every attempt: {line}"));
     }
-    if json_field(line, "protected") == Some("true")
-        && json_field(line, "silent").is_some_and(|s| s != "0")
+    if json::get(line, "protected") == Some("true")
+        && json::get(line, "silent").is_some_and(|s| s != "0")
     {
         return Some(format!("silent corruption in a protected config: {line}"));
     }
@@ -572,8 +526,7 @@ mod tests {
         // A representative slice of the grid: every archetype, mixed
         // rates and protection (full grid twice would double test time).
         let cells: Vec<Cell> = grid().into_iter().take(9).collect();
-        let results = runner::run_resilient(2, &cells, |_, &cell| run_cell(cell));
-        let joined = to_json(&results);
+        let joined = wrap_lines(&runner::run_with_jobs(2, &cells, |i, &c| cell_line(i, c)));
         let mut lines = Vec::new();
         let opts = JsonlOpts {
             sweep: SweepOpts::new(2),
@@ -670,13 +623,15 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_balanced() {
         let cells = grid();
-        let run = || {
-            let results = runner::run_resilient(2, &cells, |_, &cell| run_cell(cell));
-            to_json(&results)
-        };
+        let run = || wrap_lines(&runner::run_with_jobs(2, &cells, |i, &c| cell_line(i, c)));
         let a = run();
         let b = run();
         assert_eq!(a, b, "same seed twice must be byte-identical");
+        assert_eq!(
+            a,
+            include_str!("../../../BENCH_faultsweep.json"),
+            "checked-in artifact"
+        );
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert!(a.contains("\"archetype\": \"hwq_pipe\""));
         assert!(!a.contains("wall"), "wall times would break determinism");
@@ -727,5 +682,20 @@ mod tests {
 }
 "#;
         assert_eq!(wrap_lines(&lines), expected);
+    }
+
+    #[test]
+    fn failure_messages_render_as_valid_json_strings() {
+        let fail = JobFailure {
+            index: 4,
+            attempts: 2,
+            message: "panic: \u{1b}[31mred\u{1b}[0m nul\0 tab\t".to_string(),
+        };
+        let line = failure_line(&fail);
+        assert!(line.contains("\\u001b[31mred"), "{line}");
+        assert!(line.contains("nul\\u0000"), "{line}");
+        assert!(line.contains("tab\\t"), "{line}");
+        assert!(!line.contains("\\u{"), "Rust escapes are not JSON: {line}");
+        assert!(line_error(&line).is_some());
     }
 }

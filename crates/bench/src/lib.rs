@@ -21,6 +21,7 @@
 
 pub mod faultsweep;
 pub mod figures;
+pub mod json;
 pub mod mlp;
 pub mod runner;
 pub mod scaling;
@@ -164,11 +165,6 @@ pub fn whole_program_rows_jobs(jobs: usize) -> Vec<WholeRow> {
     })
 }
 
-/// [`whole_program_rows_jobs`] with the default job count.
-pub fn whole_program_rows() -> Vec<WholeRow> {
-    whole_program_rows_jobs(runner::jobs())
-}
-
 /// One row of the optimized-region experiments (Figures 10 and 11).
 #[derive(Debug, Clone)]
 pub struct RegionRow {
@@ -210,11 +206,6 @@ pub fn region_rows_jobs(jobs: usize) -> Vec<RegionRow> {
     })
 }
 
-/// [`region_rows_jobs`] with the default job count.
-pub fn region_rows() -> Vec<RegionRow> {
-    region_rows_jobs(runner::jobs())
-}
-
 /// Percentage improvement of `cycles` against a baseline cycle count.
 pub fn improvement_pct(base: u64, cycles: u64) -> f64 {
     (base as f64 / cycles as f64 - 1.0) * 100.0
@@ -243,15 +234,6 @@ pub fn barrier_sweep_jobs(
     jobs: usize,
 ) -> Vec<(usize, f64, f64)> {
     runner::run_with_jobs(jobs, sizes, |_, &n| barrier_point(bench, mode, n))
-}
-
-/// [`barrier_sweep_jobs`] with the default job count.
-pub fn barrier_sweep(
-    bench: BarrierBench,
-    mode: BarrierMode,
-    sizes: &[usize],
-) -> Vec<(usize, f64, f64)> {
-    barrier_sweep_jobs(bench, mode, sizes, runner::jobs())
 }
 
 /// The paper's sweep sizes for each barrier benchmark (Figure 12 axes).

@@ -13,6 +13,7 @@
 //! zero hits-under-miss or an undefined prefetch accuracy means the MLP
 //! machinery silently disengaged, and the target fails.
 
+use crate::json::{self, Json, Json::Fixed};
 use crate::sweep::{self, SweepOpts};
 use remap_workloads::comp::CompBench;
 use remap_workloads::CompMode;
@@ -106,54 +107,23 @@ fn run_one(cfg: &Config) -> Row {
     }
 }
 
-/// Renders the rows as the `"mlp"` JSON section body (the array only).
-fn rows_json(rows: &[Row]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"config\": \"{}\", \"blocking_cycles\": {}, \"mlp_cycles\": {}, \
-             \"reduction_pct\": {:.2}, \"mshr_hits_under_miss\": {}, \"mshr_merges\": {}, \
-             \"prefetch_issued\": {}, \"prefetch_useful\": {}, \"prefetch_late\": {}, \
-             \"mc_queue_peak\": {} }}{}\n",
-            r.name,
-            r.blocking_cycles,
-            r.mlp_cycles,
-            r.reduction_pct(),
-            r.mlp.mshr_hits_under_miss,
-            r.mlp.mshr_merges,
-            r.mlp.prefetch_issued,
-            r.mlp.prefetch_useful,
-            r.mlp.prefetch_late,
-            r.mlp.mc_queue_peak,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]");
-    s
-}
-
-/// Splices an `"mlp"` section into an existing `BENCH_simperf.json`
-/// (replacing any previous section), or builds a standalone document when
-/// the baseline file does not exist yet. `remap bench simperf` rewrites
-/// the whole file without the section; running `mlp` afterwards re-adds it.
-fn splice_mlp(existing: Option<&str>, section_body: &str) -> String {
-    let base = existing.and_then(|doc| {
-        // A previous section starts at the separator before its key.
-        let cut = match doc.find(",\n  \"mlp\":") {
-            Some(i) => i,
-            None => doc.rfind('}')?,
-        };
-        let head = doc[..cut].trim_end();
-        if head.is_empty() {
-            None
-        } else {
-            Some(head.to_string())
-        }
-    });
-    match base {
-        Some(head) => format!("{head},\n  \"mlp\": {section_body}\n}}\n"),
-        None => format!("{{\n  \"mlp\": {section_body}\n}}\n"),
-    }
+/// The `"mlp"` section: one object per row.
+fn rows_json(rows: &[Row]) -> Json {
+    let row = |r: &Row| {
+        Json::obj([
+            ("config", r.name.as_str().into()),
+            ("blocking_cycles", r.blocking_cycles.into()),
+            ("mlp_cycles", r.mlp_cycles.into()),
+            ("reduction_pct", Fixed(r.reduction_pct(), 2)),
+            ("mshr_hits_under_miss", r.mlp.mshr_hits_under_miss.into()),
+            ("mshr_merges", r.mlp.mshr_merges.into()),
+            ("prefetch_issued", r.mlp.prefetch_issued.into()),
+            ("prefetch_useful", r.mlp.prefetch_useful.into()),
+            ("prefetch_late", r.mlp.prefetch_late.into()),
+            ("mc_queue_peak", r.mlp.mc_queue_peak.into()),
+        ])
+    };
+    Json::Arr(rows.iter().map(row).collect())
 }
 
 /// Runs the ablation, prints the table, enforces the CI gates, and splices
@@ -232,8 +202,10 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
         ));
     }
 
-    let existing = std::fs::read_to_string(path).ok();
-    let doc = splice_mlp(existing.as_deref(), &rows_json(&rows));
+    // Splice the section into the simperf document, replacing any previous
+    // one; `remap bench simperf` rewrites the file without it.
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let doc = json::with_member(&existing, "mlp", rows_json(&rows));
     match std::fs::write(path, doc) {
         Ok(()) => println!("spliced mlp section into {path}"),
         Err(e) => println!("could not write {path}: {e}"),
@@ -246,29 +218,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splice_appends_to_a_simperf_document() {
-        let doc = "{\n  \"jobs\": 2,\n  \"records\": [\n    { }\n  ]\n}\n";
-        let out = splice_mlp(Some(doc), "[\n  ]");
-        assert!(out.contains("\"jobs\": 2"), "baseline preserved: {out}");
-        assert!(
-            out.ends_with("\"mlp\": [\n  ]\n}\n"),
-            "section appended: {out}"
-        );
-    }
-
-    #[test]
-    fn splice_replaces_a_previous_section() {
-        let doc = "{\n  \"jobs\": 2,\n  \"mlp\": [\n    { \"old\": 1 }\n  ]\n}\n";
-        let out = splice_mlp(Some(doc), "[\n  ]");
-        assert!(!out.contains("old"), "stale section dropped: {out}");
-        assert_eq!(out.matches("\"mlp\"").count(), 1);
-    }
-
-    #[test]
-    fn splice_without_a_baseline_is_standalone() {
-        let out = splice_mlp(None, "[\n  ]");
-        assert!(out.starts_with("{\n  \"mlp\":"));
-        assert!(out.ends_with("\n}\n"));
+    fn section_replaces_the_previous_one() {
+        let row = Row {
+            name: "g721enc/SeqOoo1".to_string(),
+            blocking_cycles: 200,
+            mlp_cycles: 150,
+            mlp: remap_mem::MlpStats::default(),
+        };
+        let doc = "{\n  \"jobs\": 2,\n  \"mlp\": [\n    {\"old\": 1}\n  ]\n}\n";
+        let out = json::with_member(doc, "mlp", rows_json(&[row]));
+        assert_eq!(json::get(&out, "jobs"), Some("2"), "baseline kept: {out}");
+        let rows = json::elements(json::get(&out, "mlp").expect("section present"));
+        assert_eq!(rows.len(), 1, "stale rows dropped: {out}");
+        assert_eq!(json::get(rows[0], "reduction_pct"), Some("25.00"));
     }
 
     #[test]

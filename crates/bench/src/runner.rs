@@ -14,9 +14,13 @@
 //! * [`run_with_jobs`] is a collect adapter over the bounded-window
 //!   ordered-streaming engine in [`crate::sweep`];
 //! * a panicking worker propagates its payload to the caller via
-//!   [`std::panic::resume_unwind`];
+//!   [`std::panic::resume_unwind`]; only [`retry`] catches panics, one
+//!   item at a time, for sweeps that record failures as data (the
+//!   faultsweep cells);
 //! * the default job count honours the `REMAP_JOBS` environment variable
-//!   and otherwise uses [`std::thread::available_parallelism`].
+//!   and otherwise uses [`std::thread::available_parallelism`]; every
+//!   positive-count knob (`REMAP_JOBS`, `REMAP_SIMPERF_REPS`) is parsed by
+//!   one function, `env_count`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -25,40 +29,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// value warns on stderr (once per call) instead of silently ignoring the
 /// user's request.
 pub fn jobs() -> usize {
-    let (n, warning) = parse_jobs(std::env::var("REMAP_JOBS").ok().as_deref());
+    let (n, _, warning) = jobs_env();
     if let Some(w) = warning {
         eprintln!("warning: {w}");
     }
     n
-}
-
-/// [`jobs`] with the environment value passed explicitly (testable without
-/// mutating process-global state). Invalid or non-positive values fall back
-/// to the host parallelism.
-pub fn jobs_from(env: Option<&str>) -> usize {
-    parse_jobs(env).0
-}
-
-/// Core of [`jobs`]: returns the job count plus a warning message when the
-/// environment value was set but unusable (so callers decide where the
-/// warning goes).
-pub fn parse_jobs(env: Option<&str>) -> (usize, Option<String>) {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match env {
-        None => (host, None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => (n, None),
-            _ => (
-                host,
-                Some(format!(
-                    "REMAP_JOBS={v:?} is not a positive integer; \
-                     using host parallelism ({host})"
-                )),
-            ),
-        },
-    }
 }
 
 /// Whether the job count was set *explicitly* via a valid `REMAP_JOBS`
@@ -66,12 +41,41 @@ pub fn parse_jobs(env: Option<&str>) -> (usize, Option<String>) {
 /// for it (`REMAP_JOBS=1`) and a measurement defect otherwise — the smoke
 /// bench and the simperf report treat the two cases differently.
 pub fn jobs_explicit() -> bool {
-    jobs_explicit_from(std::env::var("REMAP_JOBS").ok().as_deref())
+    jobs_env().1
 }
 
-/// [`jobs_explicit`] with the environment value passed explicitly.
-pub fn jobs_explicit_from(env: Option<&str>) -> bool {
-    env.is_some_and(|v| v.trim().parse::<usize>().is_ok_and(|n| n >= 1))
+fn jobs_env() -> (usize, bool, Option<String>) {
+    let host = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let raw = std::env::var("REMAP_JOBS").ok();
+    env_count("REMAP_JOBS", raw.as_deref(), ("host parallelism", host))
+}
+
+/// Parses the positive-count knob `name` from its raw environment value
+/// (`None` when unset). Returns the count, whether it was set explicitly
+/// to a valid value, and a warning when it was set but unusable. Unset or
+/// unusable values fall back to `default`, a `(description, count)` pair
+/// the warning names — the caller decides where the warning goes.
+pub(crate) fn env_count(
+    name: &str,
+    raw: Option<&str>,
+    default: (&str, usize),
+) -> (usize, bool, Option<String>) {
+    let (what, fallback) = default;
+    match raw {
+        None => (fallback, false, None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => (n, true, None),
+            _ => (
+                fallback,
+                false,
+                Some(format!(
+                    "{name}={v:?} is not a positive integer; using {what} ({fallback})"
+                )),
+            ),
+        },
+    }
 }
 
 /// Runs `f(index, &items[index])` for every item on a pool of `jobs`
@@ -106,16 +110,6 @@ where
         },
     );
     out
-}
-
-/// [`run_with_jobs`] with the default job count from [`jobs`].
-pub fn run<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    run_with_jobs(jobs(), items, f)
 }
 
 /// One sweep item that could not produce a result: it panicked or returned
@@ -182,34 +176,31 @@ pub fn truncate_message(msg: String) -> String {
     format!("{} … ({dropped} bytes truncated)", &msg[..cut])
 }
 
-/// Crash-resilient sweep: like [`run_with_jobs`], but a job that panics or
-/// returns `Err` is retried once, and a job that fails both attempts is
-/// reported as a [`JobFailure`] in its slot instead of aborting the sweep.
+/// Attempts [`retry`] makes per item: the initial run plus one retry.
+const ATTEMPTS: u32 = 2;
+
+/// Runs sweep item `index` under the crash-resilient policy: a panic or
+/// `Err` is retried once, and an item failing every attempt comes back as
+/// a [`JobFailure`] instead of aborting the sweep.
 ///
 /// Deterministic jobs fail deterministically, so the single retry exists to
 /// absorb *host*-side flakiness (resource exhaustion in a parallel sweep),
 /// not to mask simulator bugs — the failure record keeps the attempt count
-/// so a flaky-once job is still visible.
-pub fn run_resilient<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<Result<T, JobFailure>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> Result<T, String> + Sync,
-{
-    run_with_jobs(jobs, items, |i, item| {
-        let mut last = String::new();
-        for _attempt in 0..2 {
-            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                Ok(Ok(t)) => return Ok(t),
-                Ok(Err(e)) => last = truncate_message(e),
-                Err(p) => last = panic_message(p.as_ref()),
-            }
+/// so a flaky-once job is still visible. Figure sweeps do not use this:
+/// their panics propagate.
+pub fn retry<T>(index: usize, f: impl Fn() -> Result<T, String>) -> Result<T, JobFailure> {
+    let mut last = String::new();
+    for _ in 0..ATTEMPTS {
+        match catch_unwind(AssertUnwindSafe(&f)) {
+            Ok(Ok(t)) => return Ok(t),
+            Ok(Err(e)) => last = truncate_message(e),
+            Err(p) => last = panic_message(p.as_ref()),
         }
-        Err(JobFailure {
-            index: i,
-            attempts: 2,
-            message: last,
-        })
+    }
+    Err(JobFailure {
+        index,
+        attempts: ATTEMPTS,
+        message: last,
     })
 }
 
@@ -264,41 +255,51 @@ mod tests {
     }
 
     #[test]
-    fn jobs_env_parsing() {
-        assert_eq!(jobs_from(Some("3")), 3);
-        assert_eq!(jobs_from(Some(" 12 ")), 12);
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(jobs_from(Some("0")), host);
-        assert_eq!(jobs_from(Some("not-a-number")), host);
-        assert_eq!(jobs_from(None), host);
-    }
-
-    #[test]
-    fn invalid_jobs_value_warns_and_falls_back() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let (n, warning) = parse_jobs(Some("banana"));
-        assert_eq!(n, host);
-        let w = warning.expect("set-but-invalid value warns");
-        assert!(w.contains("banana") && w.contains("REMAP_JOBS"), "{w}");
-        let (n, warning) = parse_jobs(Some("0"));
-        assert_eq!(n, host);
-        assert!(warning.is_some(), "zero is non-positive, warns");
-        assert_eq!(parse_jobs(Some("6")), (6, None));
-        assert_eq!(parse_jobs(None), (host, None));
+    fn env_count_table() {
+        let jobs = ("REMAP_JOBS", ("host parallelism", 8));
+        let reps = ("REMAP_SIMPERF_REPS", ("default", 2));
+        let jobs_warning =
+            "REMAP_JOBS=\"banana\" is not a positive integer; using host parallelism (8)";
+        let reps_warning =
+            "REMAP_SIMPERF_REPS=\"zero\" is not a positive integer; using default (2)";
+        let table = [
+            (jobs, Some("3"), (3, true, None)),
+            (jobs, Some(" 12 "), (12, true, None)),
+            (jobs, Some("1"), (1, true, None)),
+            (jobs, Some("0"), (8, false, Some("REMAP_JOBS=\"0\""))),
+            (jobs, Some("banana"), (8, false, Some(jobs_warning))),
+            (jobs, None, (8, false, None)),
+            (reps, None, (2, false, None)),
+            (reps, Some("5"), (5, true, None)),
+            (reps, Some(" 3 "), (3, true, None)),
+            (reps, Some("zero"), (2, false, Some(reps_warning))),
+            (
+                reps,
+                Some("0"),
+                (2, false, Some("REMAP_SIMPERF_REPS=\"0\"")),
+            ),
+        ];
+        for ((name, default), raw, (n, explicit, warning)) in table {
+            let got = env_count(name, raw, default);
+            assert_eq!((got.0, got.1), (n, explicit), "{name}={raw:?}");
+            match (got.2, warning) {
+                (None, None) => {}
+                (Some(w), Some(want)) => assert!(w.starts_with(want), "{w}"),
+                (got, want) => panic!("{name}={raw:?}: warning {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]
     fn panicking_job_no_longer_aborts_the_sweep() {
         let items: Vec<usize> = (0..16).collect();
-        let got = run_resilient(4, &items, |_, &x| {
-            if x == 9 {
-                panic!("job 9 exploded");
-            }
-            Ok(x * x)
+        let got = run_with_jobs(4, &items, |i, &x| {
+            retry(i, || {
+                if x == 9 {
+                    panic!("job 9 exploded");
+                }
+                Ok(x * x)
+            })
         });
         assert_eq!(got.len(), 16);
         for (i, r) in got.iter().enumerate() {
@@ -315,17 +316,10 @@ mod tests {
 
     #[test]
     fn erroring_job_is_reported_in_slot() {
-        let items = [1u32, 2, 3];
-        let got = run_resilient(1, &items, |_, &x| {
-            if x == 2 {
-                Err("oracle mismatch".to_string())
-            } else {
-                Ok(x)
-            }
+        let got = retry(1, || -> Result<u32, String> {
+            Err("oracle mismatch".to_string())
         });
-        assert_eq!(got[0], Ok(1));
-        assert_eq!(got[2], Ok(3));
-        let f = got[1].as_ref().expect_err("middle job errors");
+        let f = got.expect_err("the job errors every attempt");
         assert_eq!(f.message, "oracle mismatch");
         assert!(f.to_string().contains("job 1 failed after 2 attempts"));
     }
@@ -334,14 +328,14 @@ mod tests {
     fn flaky_job_succeeds_on_retry() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let calls = AtomicU32::new(0);
-        let got = run_resilient(1, &[()], |_, _| {
+        let got = retry(0, || {
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 Err("transient".to_string())
             } else {
                 Ok(42)
             }
         });
-        assert_eq!(got, vec![Ok(42)]);
+        assert_eq!(got, Ok(42));
         assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
@@ -380,21 +374,10 @@ mod tests {
         assert!(msg.len() <= MAX_FAILURE_MESSAGE_BYTES + 64, "{}", msg.len());
         assert!(msg.contains("bytes truncated"), "truncation is recorded");
         assert!(msg.starts_with("panic: é"));
-        // The same bound applies to `Err` messages through run_resilient.
-        let got = run_resilient(1, &[()], |_, _| -> Result<(), String> {
-            Err("x".repeat(1 << 20))
-        });
-        let f = got[0].as_ref().expect_err("job fails both attempts");
+        // The same bound applies to `Err` messages through `retry`.
+        let f = retry(0, || -> Result<(), String> { Err("x".repeat(1 << 20)) })
+            .expect_err("job fails both attempts");
         assert!(f.message.len() <= MAX_FAILURE_MESSAGE_BYTES + 64);
         assert!(f.message.contains("bytes truncated"));
-    }
-
-    #[test]
-    fn jobs_explicit_parsing() {
-        assert!(jobs_explicit_from(Some("1")));
-        assert!(jobs_explicit_from(Some(" 4 ")));
-        assert!(!jobs_explicit_from(Some("0")));
-        assert!(!jobs_explicit_from(Some("not-a-number")));
-        assert!(!jobs_explicit_from(None));
     }
 }

@@ -15,6 +15,7 @@
 //! swept workload (scale-out must actually scale), and a directory
 //! wall-time speedup under [`DIR_GATE_MIN_SPEEDUP`].
 
+use crate::json::{self, Json, Json::Fixed};
 use crate::sweep::{self, SweepOpts};
 use remap_mem::{DirStats, Hierarchy, HierarchyConfig, PC_NONE};
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
@@ -186,39 +187,37 @@ fn fmt_threads(t: Option<usize>) -> String {
 }
 
 /// Renders the whole document.
-fn doc_json(jobs: usize, curves: &[Curve], ablation: &str) -> String {
-    let mut s = format!("{{\n  \"jobs\": {jobs},\n  \"workloads\": [\n");
-    for (wi, c) in curves.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"bench\": \"{}\", \"n\": {}, \"seq_cycles\": {}, \
-             \"gated_monotone\": {}, \"points\": [\n",
-            c.bench, c.n, c.seq_cycles, c.monotone
-        ));
-        for (i, p) in c.points.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{ \"threads\": {}, \"cycles\": {}, \"speedup\": {:.3}, \
-                 \"wall_ms\": {:.1}, \"effective_kcps\": {:.1}, \
-                 \"dir_probes_sent\": {}, \"dir_probes_avoided\": {}, \
-                 \"dir_bank_conflicts\": {}, \"dir_hop_cycles\": {} }}{}\n",
-                p.threads.unwrap_or(1),
-                p.cycles,
-                c.speedup(p),
-                p.wall_ms,
-                p.effective_kcps(),
-                p.dir.probes_sent,
-                p.dir.probes_avoided,
-                p.dir.bank_conflicts,
-                p.dir.hop_cycles,
-                if i + 1 < c.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "    ] }}{}\n",
-            if wi + 1 < curves.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!("  ],\n  \"dir_ablation\": {ablation}\n}}\n"));
-    s
+fn doc_json(jobs: usize, curves: &[Curve], ablation: Json) -> String {
+    let point = |c: &Curve, p: &Point| {
+        Json::obj([
+            ("threads", p.threads.unwrap_or(1).into()),
+            ("cycles", p.cycles.into()),
+            ("speedup", Fixed(c.speedup(p), 3)),
+            ("wall_ms", Fixed(p.wall_ms, 1)),
+            ("effective_kcps", Fixed(p.effective_kcps(), 1)),
+            ("dir_probes_sent", p.dir.probes_sent.into()),
+            ("dir_probes_avoided", p.dir.probes_avoided.into()),
+            ("dir_bank_conflicts", p.dir.bank_conflicts.into()),
+            ("dir_hop_cycles", p.dir.hop_cycles.into()),
+        ])
+    };
+    let curve = |c: &Curve| {
+        Json::obj([
+            ("bench", c.bench.into()),
+            ("n", c.n.into()),
+            ("seq_cycles", c.seq_cycles.into()),
+            ("gated_monotone", c.monotone.into()),
+            (
+                "points",
+                Json::Arr(c.points.iter().map(|p| point(c, p)).collect()),
+            ),
+        ])
+    };
+    json::render(&Json::obj([
+        ("jobs", jobs.into()),
+        ("workloads", Json::Arr(curves.iter().map(curve).collect())),
+        ("dir_ablation", ablation),
+    ]))
 }
 
 /// Runs the scale-out sweep and the directory ablation, prints both
@@ -378,18 +377,19 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
         ));
     }
 
-    let ablation = format!(
-        "{{ \"cores\": {ABLATION_CORES}, \"accesses_per_run\": {}, \
-         \"broadcast_wall_ms\": {:.1}, \"directory_wall_ms\": {:.1}, \
-         \"wall_time_speedup\": {:.2}, \"gate_min_speedup\": {DIR_GATE_MIN_SPEEDUP}, \
-         \"probes_avoided\": {} }}",
-        ablation_accesses(),
-        wall_bcast * 1e3,
-        wall_dir * 1e3,
-        wall_speedup,
-        stats.probes_avoided
-    );
-    let doc = doc_json(jobs, &curves, &ablation);
+    let ablation = Json::obj([
+        ("cores", ABLATION_CORES.into()),
+        ("accesses_per_run", ablation_accesses().into()),
+        ("broadcast_wall_ms", Fixed(wall_bcast * 1e3, 1)),
+        ("directory_wall_ms", Fixed(wall_dir * 1e3, 1)),
+        ("wall_time_speedup", Fixed(wall_speedup, 2)),
+        (
+            "gate_min_speedup",
+            Json::Raw(DIR_GATE_MIN_SPEEDUP.to_string()),
+        ),
+        ("probes_avoided", stats.probes_avoided.into()),
+    ]);
+    let doc = doc_json(jobs, &curves, ablation);
     match std::fs::write(path, doc) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => println!("could not write {path}: {e}"),
@@ -416,10 +416,10 @@ mod tests {
                 dir: DirStats::default(),
             }],
         }];
-        let doc = doc_json(2, &curves, "{ \"cores\": 36 }");
+        let doc = doc_json(2, &curves, Json::obj([("cores", 36u32.into())]));
         assert!(doc.starts_with("{\n  \"jobs\": 2"), "{doc}");
         assert!(doc.contains("\"speedup\": 4.000"), "{doc}");
-        assert!(doc.contains("\"dir_ablation\": { \"cores\": 36 }"), "{doc}");
+        assert!(doc.contains("\"dir_ablation\": {\"cores\": 36}"), "{doc}");
         assert_eq!(
             doc.matches('{').count(),
             doc.matches('}').count(),

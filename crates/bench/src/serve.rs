@@ -64,6 +64,7 @@
 //! client owns persistence) but run through the same engine, so item
 //! ordering is bit-identical to the offline `remap bench` targets.
 
+use crate::json::{Json, Json::Fixed};
 use crate::sweep::{stream_jsonl, JsonlOpts, SweepOpts};
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use std::io::{BufRead, BufReader, Write};
@@ -415,9 +416,12 @@ fn respond(request: &str, state: &ServerState, out: &mut dyn Write) -> std::io::
                 &parsed,
                 |_, &n| {
                     let (n, per_iter, rel_ed) = crate::barrier_point(bench, mode, n);
-                    format!(
-                        "{{\"n\": {n}, \"cycles_per_iter\": {per_iter:.1}, \"rel_ed\": {rel_ed:.4}}}"
-                    )
+                    Json::obj([
+                        ("n", n.into()),
+                        ("cycles_per_iter", Fixed(per_iter, 1)),
+                        ("rel_ed", Fixed(rel_ed, 4)),
+                    ])
+                    .to_string()
                 },
                 out,
             )?;

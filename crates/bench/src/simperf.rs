@@ -23,6 +23,7 @@
 //!    aggregates into a bounded `history` array so the throughput
 //!    trajectory survives across PRs.
 
+use crate::json::{self, Json, Json::Fixed};
 use crate::sweep::{self, SweepOpts};
 use crate::{runner, sweep_sizes, REGION_N};
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
@@ -177,29 +178,12 @@ pub fn configs() -> Vec<Config> {
 /// *minimum* wall time kept — the run least perturbed by the host — which
 /// is the standard de-noising for deterministic workloads.
 fn reps() -> usize {
-    let (n, warning) = reps_from(std::env::var("REMAP_SIMPERF_REPS").ok().as_deref());
+    let raw = std::env::var("REMAP_SIMPERF_REPS").ok();
+    let (n, _, warning) = runner::env_count("REMAP_SIMPERF_REPS", raw.as_deref(), ("default", 2));
     if let Some(w) = warning {
         eprintln!("warning: {w}");
     }
     n
-}
-
-/// Core of [`reps`]: the repetition count plus a warning message when the
-/// environment value was set but unusable (testable without mutating
-/// process-global state).
-pub fn reps_from(env: Option<&str>) -> (usize, Option<String>) {
-    match env {
-        None => (2, None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => (n, None),
-            _ => (
-                2,
-                Some(format!(
-                    "REMAP_SIMPERF_REPS={v:?} is not a positive integer; using default (2)"
-                )),
-            ),
-        },
-    }
 }
 
 fn run_once(cfg: &Config) -> (Measurement, f64) {
@@ -346,84 +330,56 @@ impl SimPerf {
         self.jobs <= 1
     }
 
-    /// Renders the machine-readable report (hand-rolled JSON — the
-    /// workspace deliberately carries no serialization dependency).
+    /// Renders the machine-readable report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        s.push_str(&format!("  \"jobs_explicit\": {},\n", self.jobs_explicit));
-        s.push_str(&format!("  \"reps\": {},\n", self.reps));
-        s.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
-        s.push_str(&format!("  \"pool_degraded\": {},\n", self.pool_degraded()));
-        s.push_str(&format!(
-            "  \"serial_wall_seconds\": {:.6},\n",
-            self.serial_wall_seconds
-        ));
-        s.push_str(&format!(
-            "  \"parallel_wall_seconds\": {:.6},\n",
-            self.parallel_wall_seconds
-        ));
-        s.push_str(&format!("  \"sweep_speedup\": {:.3},\n", self.speedup()));
-        s.push_str(&format!(
-            "  \"aggregate_sim_kcps\": {:.1},\n",
-            self.aggregate_kcps()
-        ));
-        s.push_str(&format!(
-            "  \"compute_sim_kcps\": {:.1},\n",
-            self.compute_kcps()
-        ));
-        s.push_str(&format!(
-            "  \"baseline_aggregate_sim_kcps\": {BASELINE_AGGREGATE_KCPS:.1},\n"
-        ));
-        s.push_str(&format!(
-            "  \"baseline_compute_sim_kcps\": {BASELINE_COMPUTE_KCPS:.1},\n"
-        ));
-        s.push_str(&format!(
-            "  \"aggregate_speedup_vs_baseline\": {:.3},\n",
-            self.aggregate_kcps() / BASELINE_AGGREGATE_KCPS
-        ));
-        s.push_str(&format!(
-            "  \"compute_speedup_vs_baseline\": {:.3},\n",
-            self.compute_kcps() / BASELINE_COMPUTE_KCPS
-        ));
-        s.push_str(&format!(
-            "  \"aggregate_skip_rate\": {:.4},\n",
-            self.aggregate_skip_rate()
-        ));
-        s.push_str(&format!("  \"commit\": {:?},\n", self.commit));
-        s.push_str(&format!(
-            "  \"written_epoch_seconds\": {},\n",
-            self.written_epoch_seconds
-        ));
-        s.push_str("  \"history\": [\n");
-        for (i, h) in self.history.iter().enumerate() {
-            let comma = if i + 1 < self.history.len() { "," } else { "" };
-            s.push_str(&format!("    {h}{comma}\n"));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"configs\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"bench\": \"{}\", \"mode\": \"{}\", \"cycles\": {}, \"skipped_cycles\": {}, \"skip_rate\": {:.4}, \"committed\": {}, \"wall_seconds\": {:.6}, \"sim_wall_seconds\": {:.6}, \"sim_kcps\": {:.1}, \"effective_kcps\": {:.1}}}{}\n",
-                r.config.bench,
-                r.config.mode,
-                r.cycles,
-                r.skipped_cycles,
-                r.skip_rate(),
-                r.committed,
-                r.wall_seconds,
-                r.sim_wall_seconds,
-                r.sim_kcps(),
-                r.effective_kcps(),
-                if i + 1 < self.records.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let history = self.history.iter().map(|h| Json::Raw(h.clone()));
+        let configs = self.records.iter().map(|r| {
+            Json::obj([
+                ("bench", r.config.bench.into()),
+                ("mode", r.config.mode.into()),
+                ("cycles", r.cycles.into()),
+                ("skipped_cycles", r.skipped_cycles.into()),
+                ("skip_rate", Fixed(r.skip_rate(), 4)),
+                ("committed", r.committed.into()),
+                ("wall_seconds", Fixed(r.wall_seconds, 6)),
+                ("sim_wall_seconds", Fixed(r.sim_wall_seconds, 6)),
+                ("sim_kcps", Fixed(r.sim_kcps(), 1)),
+                ("effective_kcps", Fixed(r.effective_kcps(), 1)),
+            ])
+        });
+        json::render(&Json::obj([
+            ("jobs", self.jobs.into()),
+            ("jobs_explicit", self.jobs_explicit.into()),
+            ("reps", self.reps.into()),
+            ("host_parallelism", self.host_parallelism.into()),
+            ("pool_degraded", self.pool_degraded().into()),
+            ("serial_wall_seconds", Fixed(self.serial_wall_seconds, 6)),
+            (
+                "parallel_wall_seconds",
+                Fixed(self.parallel_wall_seconds, 6),
+            ),
+            ("sweep_speedup", Fixed(self.speedup(), 3)),
+            ("aggregate_sim_kcps", Fixed(self.aggregate_kcps(), 1)),
+            ("compute_sim_kcps", Fixed(self.compute_kcps(), 1)),
+            (
+                "baseline_aggregate_sim_kcps",
+                Fixed(BASELINE_AGGREGATE_KCPS, 1),
+            ),
+            ("baseline_compute_sim_kcps", Fixed(BASELINE_COMPUTE_KCPS, 1)),
+            (
+                "aggregate_speedup_vs_baseline",
+                Fixed(self.aggregate_kcps() / BASELINE_AGGREGATE_KCPS, 3),
+            ),
+            (
+                "compute_speedup_vs_baseline",
+                Fixed(self.compute_kcps() / BASELINE_COMPUTE_KCPS, 3),
+            ),
+            ("aggregate_skip_rate", Fixed(self.aggregate_skip_rate(), 4)),
+            ("commit", self.commit.as_str().into()),
+            ("written_epoch_seconds", self.written_epoch_seconds.into()),
+            ("history", Json::Arr(history.collect())),
+            ("configs", Json::Arr(configs.collect())),
+        ]))
     }
 }
 
@@ -498,72 +454,34 @@ pub fn measure(jobs: usize) -> SimPerf {
 /// covering the recent past without growing the artifact unboundedly.
 pub const HISTORY_CAP: usize = 16;
 
-/// The raw value of a top-level `"key": value` line of a simperf document.
-/// Anchored on the two-space top-level indent, so per-config rows (four
-/// spaces) and `baseline_`-prefixed keys cannot shadow it.
-fn top_level_raw<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\n  \"{key}\": ");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = &doc[start..];
-    let end = rest.find('\n')?;
-    Some(rest[..end].trim().trim_end_matches(','))
-}
-
-/// Prior `history` entry lines of an existing document, verbatim (no
-/// reserialization — the trajectory must survive format drift in newer
-/// fields).
-fn prior_history(doc: &str) -> Vec<String> {
-    let needle = "\n  \"history\": [";
-    let Some(start) = doc.find(needle) else {
-        return Vec::new();
-    };
-    let rest = &doc[start + needle.len()..];
-    let Some(end) = rest.find("\n  ]") else {
-        return Vec::new();
-    };
-    rest[..end]
-        .lines()
-        .filter_map(|l| {
-            let t = l.trim().trim_end_matches(',');
-            (t.starts_with('{') && t.ends_with('}')).then(|| t.to_string())
-        })
-        .collect()
-}
-
-/// The `"commit"` value of a history entry line (with its quotes), used to
-/// dedupe re-runs on the same commit.
-fn entry_commit(entry: &str) -> Option<&str> {
-    let needle = "\"commit\": ";
-    let start = entry.find(needle)? + needle.len();
-    let rest = &entry[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
 /// Rolls the report being replaced into the new report's `history`: the
 /// old document's own aggregates become the newest entry, its prior
-/// entries follow, and the list is truncated to [`HISTORY_CAP`]. Entries
-/// are deduplicated by commit hash (newest wins), so re-running simperf on
-/// the same commit does not stack duplicate aggregates; entries with an
-/// unknown commit are kept as-is (they cannot be told apart). A missing or
-/// unreadable old document yields an empty history.
+/// entries follow verbatim (no reserialization — the trajectory must
+/// survive format drift in newer fields), and the list is truncated to
+/// [`HISTORY_CAP`]. Entries are deduplicated by commit hash (newest wins),
+/// so re-running simperf on the same commit does not stack duplicate
+/// aggregates; entries with an unknown commit are kept as-is (they cannot
+/// be told apart). A missing or unreadable old document yields an empty
+/// history.
 pub fn roll_history(existing: Option<&str>) -> Vec<String> {
     let Some(doc) = existing else {
         return Vec::new();
     };
     let mut v = Vec::new();
-    if let Some(agg) = top_level_raw(doc, "aggregate_sim_kcps") {
-        let commit = top_level_raw(doc, "commit").unwrap_or("\"unknown\"");
-        let when = top_level_raw(doc, "written_epoch_seconds").unwrap_or("0");
-        let compute = top_level_raw(doc, "compute_sim_kcps").unwrap_or("0.0");
-        v.push(format!(
-            "{{\"commit\": {commit}, \"written_epoch_seconds\": {when}, \
-             \"aggregate_sim_kcps\": {agg}, \"compute_sim_kcps\": {compute}}}"
-        ));
+    if let Some(agg) = json::get(doc, "aggregate_sim_kcps") {
+        let raw = |key, default: &str| Json::Raw(json::get(doc, key).unwrap_or(default).into());
+        let entry = Json::obj([
+            ("commit", raw("commit", "\"unknown\"")),
+            ("written_epoch_seconds", raw("written_epoch_seconds", "0")),
+            ("aggregate_sim_kcps", Json::Raw(agg.into())),
+            ("compute_sim_kcps", raw("compute_sim_kcps", "0.0")),
+        ]);
+        v.push(entry.to_string());
     }
-    v.extend(prior_history(doc));
+    let prior = json::get(doc, "history").map_or(Vec::new(), json::elements);
+    v.extend(prior.into_iter().map(str::to_string));
     let mut seen = std::collections::HashSet::new();
-    v.retain(|e| match entry_commit(e) {
+    v.retain(|e| match json::get(e, "commit") {
         Some(c) if c != "\"unknown\"" => seen.insert(c.to_string()),
         _ => true,
     });
@@ -677,7 +595,7 @@ pub fn report(jobs: usize, path: &str) {
 fn overwrite_allowed(existing: Option<&str>, degraded_now: bool, force: Option<&str>) -> bool {
     !degraded_now
         || matches!(force, Some(s) if !s.is_empty())
-        || !existing.is_some_and(|doc| doc.contains("\"pool_degraded\": false"))
+        || existing.is_none_or(|doc| json::get(doc, "pool_degraded") != Some("false"))
 }
 
 #[cfg(test)]
@@ -692,77 +610,16 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let perf = SimPerf {
-            jobs: 4,
-            jobs_explicit: true,
-            reps: 2,
-            host_parallelism: 8,
-            serial_wall_seconds: 2.0,
-            parallel_wall_seconds: 0.5,
-            commit: "abc1234".to_string(),
-            written_epoch_seconds: 1_754_700_000,
-            history: vec!["{\"commit\": \"0ld0000\", \"written_epoch_seconds\": 1, \
-                 \"aggregate_sim_kcps\": 2228.2, \"compute_sim_kcps\": 4107.8}"
-                .to_string()],
-            records: vec![Record {
-                config: Config {
-                    bench: "adpcm",
-                    mode: "1Th+Comp",
-                    run: RunKind::Comp(CompBench::ALL[0], CompMode::Spl),
-                },
-                cycles: 1000,
-                skipped_cycles: 250,
-                committed: 500,
-                wall_seconds: 0.002,
-                sim_wall_seconds: 0.001,
-            }],
-        };
-        assert!((perf.speedup() - 4.0).abs() < 1e-12);
-        assert!(!perf.pool_degraded());
-        assert!((perf.aggregate_skip_rate() - 0.25).abs() < 1e-12);
-        // 1000 cycles over 0.002 s best wall → 500 kc/s; the single record
-        // is compute-bound ("1Th+Comp") so the subset uses sim_wall.
-        assert!((perf.aggregate_kcps() - 500.0).abs() < 1e-9);
-        assert!((perf.compute_kcps() - 1000.0).abs() < 1e-9);
-        let j = perf.to_json();
-        assert!(j.contains("\"sweep_speedup\": 4.000"));
-        assert!(j.contains("\"bench\": \"adpcm\""));
-        assert!(j.contains("\"host_parallelism\": 8"));
-        assert!(j.contains("\"jobs_explicit\": true"));
-        assert!(j.contains("\"reps\": 2"));
-        assert!(j.contains("\"skipped_cycles\": 250"));
-        assert!(j.contains("\"skip_rate\": 0.2500"));
-        assert!(j.contains("\"sim_wall_seconds\": 0.001000"));
-        assert!(j.contains("\"effective_kcps\": 750.0"));
-        assert!(j.contains("\"compute_sim_kcps\": 1000.0"));
-        assert!(j.contains("\"baseline_compute_sim_kcps\": 4107.8"));
-        assert!(j.contains("\"baseline_aggregate_sim_kcps\": 2228.2"));
-        assert!(j.contains("\"compute_speedup_vs_baseline\""));
-        assert!(j.contains("\"commit\": \"abc1234\""));
-        assert!(j.contains("\"written_epoch_seconds\": 1754700000"));
-        assert!(j.contains("\"history\": [\n    {\"commit\": \"0ld0000\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
     fn degraded_pool_is_flagged() {
         let perf = SimPerf {
             jobs: 1,
             jobs_explicit: false,
-            reps: 1,
-            host_parallelism: 1,
-            serial_wall_seconds: 1.0,
-            parallel_wall_seconds: 1.0,
-            commit: "unknown".to_string(),
-            written_epoch_seconds: 0,
-            history: Vec::new(),
-            records: Vec::new(),
+            ..golden_perf()
         };
         assert!(perf.pool_degraded());
         let j = perf.to_json();
-        assert!(j.contains("\"pool_degraded\": true"));
-        assert!(j.contains("\"jobs_explicit\": false"));
+        assert_eq!(json::get(&j, "pool_degraded"), Some("true"));
+        assert_eq!(json::get(&j, "jobs_explicit"), Some("false"));
     }
 
     #[test]
@@ -773,23 +630,6 @@ mod tests {
         if std::env::var("REMAP_SIMPERF_REPS").is_err() {
             assert_eq!(reps(), 2);
         }
-    }
-
-    #[test]
-    fn invalid_reps_value_warns_and_falls_back() {
-        assert_eq!(reps_from(None), (2, None));
-        assert_eq!(reps_from(Some("5")), (5, None));
-        assert_eq!(reps_from(Some(" 3 ")), (3, None));
-        let (n, warning) = reps_from(Some("zero"));
-        assert_eq!(n, 2);
-        let w = warning.expect("set-but-invalid value warns");
-        assert!(
-            w.contains("REMAP_SIMPERF_REPS") && w.contains("zero"),
-            "{w}"
-        );
-        let (n, warning) = reps_from(Some("0"));
-        assert_eq!(n, 2);
-        assert!(warning.is_some());
     }
 
     #[test]
@@ -869,16 +709,25 @@ mod tests {
         assert!(!overwrite_allowed(Some(healthy), true, Some("")));
     }
 
-    /// A fixed report with a two-entry history and two config rows.
+    /// A fixed report with a two-entry history and two config rows; the
+    /// golden bytes below pin every derived column (speedups, kcps, skip
+    /// rates) along with the layout.
     fn golden_perf() -> SimPerf {
-        let row = |bench, mode, run, cycles, skipped_cycles, committed, walls: (f64, f64)| Record {
-            config: Config { bench, mode, run },
-            cycles,
-            skipped_cycles,
-            committed,
-            wall_seconds: walls.0,
-            sim_wall_seconds: walls.1,
-        };
+        let run = RunKind::Comp(CompBench::ALL[0], CompMode::Spl);
+        let rows = [
+            ("adpcm", "1Th+Comp", 1000, 250, 500, 0.002, 0.001),
+            ("wc", "2Th+Comm", 123_456, 0, 99_999, 0.0375, 0.031_234_5),
+        ];
+        let records = rows.map(
+            |(bench, mode, cycles, skipped, committed, wall, sim)| Record {
+                config: Config { bench, mode, run },
+                cycles,
+                skipped_cycles: skipped,
+                committed,
+                wall_seconds: wall,
+                sim_wall_seconds: sim,
+            },
+        );
         SimPerf {
             jobs: 4,
             jobs_explicit: true,
@@ -896,26 +745,7 @@ mod tests {
                  \"aggregate_sim_kcps\": 2228.2, \"compute_sim_kcps\": 4107.8}"
                     .to_string(),
             ],
-            records: vec![
-                row(
-                    "adpcm",
-                    "1Th+Comp",
-                    RunKind::Comp(CompBench::ALL[0], CompMode::Spl),
-                    1000,
-                    250,
-                    500,
-                    (0.002, 0.001),
-                ),
-                row(
-                    "wc",
-                    "2Th+Comm",
-                    RunKind::Comm(CommBench::ALL[0], CommMode::Comm2T),
-                    123_456,
-                    0,
-                    99_999,
-                    (0.0375, 0.031_234_5),
-                ),
-            ],
+            records: records.to_vec(),
         }
     }
 

@@ -8,6 +8,7 @@
 //! remap table1                       # Table I
 //! ```
 
+use remap_bench::json::{self, Json};
 use remap_power::{table1, EnergyParams};
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use remap_workloads::comm::CommBench;
@@ -472,7 +473,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     let mut errors = 0usize;
     let mut warnings = 0usize;
     let mut dirty = 0usize;
-    let mut json_items: Vec<String> = Vec::new();
+    let mut json_items: Vec<Json> = Vec::new();
     for (label, sys) in &targets {
         let diags = sys.verify();
         for d in &diags {
@@ -483,7 +484,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
         match parsed.format {
             VerifyFormat::Json => {
-                json_items.extend(diags.iter().map(|d| d.to_json_with(&[("config", label)])));
+                json_items.extend(diags.iter().map(|d| diag_json(label, d)));
             }
             VerifyFormat::Text => {
                 if diags.is_empty() {
@@ -499,11 +500,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
     }
     if parsed.format == VerifyFormat::Json {
-        if json_items.is_empty() {
-            println!("[]");
-        } else {
-            println!("[\n  {}\n]", json_items.join(",\n  "));
-        }
+        print!("{}", json::render(&Json::Arr(json_items)));
     }
     let fail = errors > 0 || (parsed.deny_warnings && warnings > 0);
     if fail {
@@ -525,6 +522,20 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
         ExitCode::SUCCESS
     }
+}
+
+/// One `remap verify --format json` finding, led by the workload config
+/// it was found in.
+fn diag_json(config: &str, d: &remap_verify::Diagnostic) -> Json {
+    Json::obj([
+        ("config", config.into()),
+        ("code", d.code.id().into()),
+        ("severity", Json::Str(d.severity.to_string())),
+        ("core", d.core.into()),
+        ("program", d.program.as_str().into()),
+        ("pc", d.pc.into()),
+        ("message", d.message.as_str().into()),
+    ])
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
@@ -621,6 +632,23 @@ mod tests {
         assert!(err(&["--format", "yaml"]).contains("yaml"));
         assert!(err(&["--nope"]).contains("--nope"));
         assert!(err(&["a", "b"]).contains("at most one"));
+    }
+
+    #[test]
+    fn verify_json_escapes_and_keeps_field_order() {
+        let d = remap_verify::Diagnostic {
+            code: remap_verify::Code::Rv016QueueOverflow,
+            severity: remap_verify::Severity::Warning,
+            core: Some(0),
+            program: "p\"q".into(),
+            pc: None,
+            message: "line1\nline2".into(),
+        };
+        assert_eq!(
+            diag_json("wc [2Th+Comm]", &d).to_string(),
+            "{\"config\": \"wc [2Th+Comm]\", \"code\": \"RV016\", \"severity\": \"warning\", \
+             \"core\": 0, \"program\": \"p\\\"q\", \"pc\": null, \"message\": \"line1\\nline2\"}"
+        );
     }
 
     #[test]

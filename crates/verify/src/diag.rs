@@ -159,51 +159,6 @@ impl Diagnostic {
     pub fn sort_key(&self) -> (Option<usize>, String, Option<u32>, Code) {
         (self.core, self.program.clone(), self.pc, self.code)
     }
-
-    /// Serializes this finding as one JSON object, with `extra` leading
-    /// string fields (e.g. the workload config a CLI sweep is checking).
-    pub fn to_json_with(&self, extra: &[(&str, &str)]) -> String {
-        let mut s = String::from("{");
-        for (k, v) in extra {
-            s.push_str(&format!("{}:{},", json_str(k), json_str(v)));
-        }
-        s.push_str(&format!("\"code\":{},", json_str(self.code.id())));
-        s.push_str(&format!(
-            "\"severity\":{},",
-            json_str(&self.severity.to_string())
-        ));
-        match self.core {
-            Some(c) => s.push_str(&format!("\"core\":{c},")),
-            None => s.push_str("\"core\":null,"),
-        }
-        s.push_str(&format!("\"program\":{},", json_str(&self.program)));
-        match self.pc {
-            Some(pc) => s.push_str(&format!("\"pc\":{pc},")),
-            None => s.push_str("\"pc\":null,"),
-        }
-        s.push_str(&format!("\"message\":{}", json_str(&self.message)));
-        s.push('}');
-        s
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl fmt::Display for Diagnostic {
@@ -242,14 +197,6 @@ pub fn render(diags: &[Diagnostic]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Renders diagnostics as one JSON array in canonical order.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut sorted: Vec<&Diagnostic> = diags.iter().collect();
-    sorted.sort_by_key(|d| d.sort_key());
-    let body: Vec<String> = sorted.iter().map(|d| d.to_json_with(&[])).collect();
-    format!("[{}]", body.join(","))
 }
 
 #[cfg(test)]
@@ -332,26 +279,5 @@ mod tests {
         let no_prog = Diagnostic::new(Code::Rv018BarrierDivergence, Severity::Error, "", None, "m")
             .with_core(1);
         assert_eq!(no_prog.to_string(), "RV018 error [core 1]: m");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_orders() {
-        let d = Diagnostic::new(
-            Code::Rv016QueueOverflow,
-            Severity::Warning,
-            "p\"q",
-            None,
-            "line1\nline2",
-        )
-        .with_core(0);
-        let j = d.to_json_with(&[("config", "wc [2Th+Comm]")]);
-        assert_eq!(
-            j,
-            "{\"config\":\"wc [2Th+Comm]\",\"code\":\"RV016\",\"severity\":\"warning\",\
-             \"core\":0,\"program\":\"p\\\"q\",\"pc\":null,\"message\":\"line1\\nline2\"}"
-        );
-        assert_eq!(render_json(&[]), "[]");
-        let arr = render_json(&[d]);
-        assert!(arr.starts_with("[{") && arr.ends_with("}]"));
     }
 }

@@ -29,6 +29,6 @@ pub mod program;
 
 pub use bundle::{verify_bundle, virtualization_ii, Bundle, ClusterSpec, ThreadSpec};
 pub use cfg::{Block, Cfg};
-pub use diag::{render, render_json, Code, Diagnostic, Severity};
+pub use diag::{render, Code, Diagnostic, Severity};
 pub use flow::{summarize, Bound, Count, EventKind, FlowSummary};
 pub use program::{verify_program, ProgramContext};
