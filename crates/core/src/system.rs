@@ -215,145 +215,77 @@ impl CorePorts for Env {
         self.hier.load_blocked_by_dir(core, addr, self.cycle)
     }
 
-    fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) -> PortPush {
+    fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) {
         // No epoch bump: staging only touches the caller's own input queue,
         // and the caller is mid-step (its window is already dead).
-        let Some((ci, local)) = self.core_cluster[core] else {
-            record(
+        match self.core_cluster[core] {
+            Some((ci, local)) => self.clusters[ci].spl.stage(local, offset, nbytes, value),
+            // The run aborts after this step.
+            None => record(
                 &mut self.run_error,
                 RunError::BadConfig {
                     core,
                     config: 0,
                     reason: "spl_load on a core outside any SPL cluster".into(),
                 },
-            );
-            return PortPush::Accepted; // the run aborts after this step
-        };
-        self.clusters[ci].spl.stage(local, offset, nbytes, value);
-        PortPush::Accepted
+            ),
+        }
     }
 
     fn spl_init(&mut self, core: usize, cfg: u16) -> PortPush {
-        let Some((ci, local)) = self.core_cluster[core] else {
-            record(
-                &mut self.run_error,
-                RunError::BadConfig {
-                    core,
-                    config: cfg,
-                    reason: "spl_init on a core outside any SPL cluster".into(),
-                },
-            );
-            return PortPush::Accepted;
-        };
-        let is_barrier;
-        let dest_thread;
-        {
-            let Some(func) = self.clusters[ci].spl.function(cfg) else {
+        let route = match self.spl_route(core, cfg) {
+            Ok(Some(route)) => route,
+            Ok(None) => return PortPush::Stall,
+            Err(reason) => {
                 record(
                     &mut self.run_error,
                     RunError::BadConfig {
                         core,
                         config: cfg,
-                        reason: "spl_init of an unregistered SPL configuration".into(),
+                        reason,
                     },
                 );
-                return PortPush::Accepted;
-            };
-            is_barrier = func.is_barrier();
-            dest_thread = match func.kind() {
-                FunctionKind::Compute {
-                    dest: Dest::Thread(t),
-                    ..
-                } => Some(*t),
-                _ => None,
-            };
+                return PortPush::Accepted; // the run aborts after this step
+            }
+        };
+        // The route already checked the destination's in-flight budget.
+        if let Some((dest, _)) = route.dest {
+            self.t2c.inc_in_flight(dest);
         }
-        if is_barrier {
-            match self.clusters[ci].spl.request(local, cfg, usize::MAX) {
-                Ok(()) => {
+        let to = route.dest.map_or(usize::MAX, |(_, dlocal)| dlocal);
+        match self.clusters[route.cluster]
+            .spl
+            .request(route.local, cfg, to)
+        {
+            Ok(()) => {
+                match route.dest {
                     // No epoch bump: the seal touches only the caller's own
                     // queue, and a completing arrival becomes probe-visible
                     // through `process_releases` and the fabric's busy edges
                     // — so waiters parked on their barrier result stay
                     // parked through the whole arrival phase.
-                    self.barrier_arrive(cfg, ci, core);
-                    PortPush::Accepted
+                    None => self.barrier_arrive(cfg, route.cluster, core),
+                    Some(_) => self.epoch += 1,
                 }
-                Err(RequestError::QueueFull) => PortPush::Stall,
-                Err(RequestError::UnknownConfig(c)) => {
-                    record(
-                        &mut self.run_error,
-                        RunError::BadConfig {
-                            core,
-                            config: c,
-                            reason: "SPL rejected an unknown configuration".into(),
-                        },
-                    );
-                    PortPush::Accepted
-                }
+                PortPush::Accepted
             }
-        } else {
-            // Resolve the destination core. A missing consumer thread stalls
-            // issue (§II-B.1: "instructions will not issue to the fabric if
-            // the destination thread is not available").
-            let dest_global = match dest_thread {
-                None => core,
-                Some(t) => match self.t2c.lookup(t) {
-                    Some(c) => c,
-                    None => return PortPush::Stall,
-                },
-            };
-            let Some((dci, dlocal)) = self.core_cluster[dest_global] else {
-                record(
-                    &mut self.run_error,
-                    RunError::BadConfig {
-                        core,
-                        config: cfg,
-                        reason: format!(
-                            "destination core {dest_global} is outside any SPL cluster"
-                        ),
-                    },
-                );
-                return PortPush::Accepted;
-            };
-            if dci != ci {
-                record(
-                    &mut self.run_error,
-                    RunError::BadConfig {
-                        core,
-                        config: cfg,
-                        reason: format!(
-                            "producer and consumer must share an SPL cluster \
-                             (cores {core} -> {dest_global})"
-                        ),
-                    },
-                );
-                return PortPush::Accepted;
-            }
-            // In-flight limit toward the destination core (max 24).
-            if !self.t2c.inc_in_flight(dest_global) {
-                return PortPush::Stall;
-            }
-            match self.clusters[ci].spl.request(local, cfg, dlocal) {
-                Ok(()) => {
-                    self.epoch += 1;
-                    PortPush::Accepted
+            Err(e) => {
+                if let Some((dest, _)) = route.dest {
+                    self.t2c.dec_in_flight(dest);
                 }
-                Err(RequestError::QueueFull) => {
-                    self.t2c.dec_in_flight(dest_global);
-                    PortPush::Stall
-                }
-                Err(RequestError::UnknownConfig(c)) => {
-                    self.t2c.dec_in_flight(dest_global);
-                    record(
-                        &mut self.run_error,
-                        RunError::BadConfig {
-                            core,
-                            config: c,
-                            reason: "SPL rejected an unknown configuration".into(),
-                        },
-                    );
-                    PortPush::Accepted
+                match e {
+                    RequestError::QueueFull => PortPush::Stall,
+                    RequestError::UnknownConfig(c) => {
+                        record(
+                            &mut self.run_error,
+                            RunError::BadConfig {
+                                core,
+                                config: c,
+                                reason: "SPL rejected an unknown configuration".into(),
+                            },
+                        );
+                        PortPush::Accepted
+                    }
                 }
             }
         }
@@ -380,18 +312,15 @@ impl CorePorts for Env {
 
     fn hwq_send(&mut self, core: usize, q: u8, value: u64) -> PortPush {
         let qi = q as usize;
+        if !self.hwq_open(qi) {
+            return PortPush::Stall;
+        }
         let mut extra_copy = false;
         if let Some(f) = self.fault.as_deref_mut() {
             // Fault rolls are indexed by *would-succeed* sends only: a
             // stalled retry consumes no event, so the ticked path (which
             // re-attempts every cycle) and the skip path (which jumps
             // straight to the ready cycle) draw identical streams.
-            if f.hwq.blocked_until[qi] > self.cycle {
-                return PortPush::Stall;
-            }
-            if self.hwq.is_full(qi) {
-                return PortPush::Stall;
-            }
             let d = f.hwq.roller.draw();
             match d.select(&[f.hwq.drop, f.hwq.dup, f.hwq.delay]) {
                 Some(0) => {
@@ -481,7 +410,7 @@ impl CorePorts for Env {
             return true; // release the core; the run aborts after this step
         }
         // Only a `true` poll is probe-visible: a non-final arrival changes
-        // nothing any `hwbar_ready` probe reads (waiters stay unreleased),
+        // nothing any `ready` probe reads (waiters stay unreleased),
         // while the completing poll bumps the generation every waiter checks.
         let released = self.hwbar.poll(core, id);
         if released {
@@ -490,67 +419,101 @@ impl CorePorts for Env {
         released
     }
 
-    // Quiescence probes: pure mirrors of the mutating operations above, used
-    // by `Core::next_event`. Each must answer exactly "would the mutating
-    // call make progress right now?" — an over-approximation merely prevents
-    // skipping, an under-approximation would break bit-parity.
-
-    fn spl_store_ready(&self, core: usize) -> bool {
-        let Some((ci, local)) = self.core_cluster[core] else {
-            return true; // the mutating call records the error; force the tick
-        };
-        self.clusters[ci].spl.output_ready(local) > 0
-    }
-
-    fn spl_init_ready(&self, core: usize, cfg: u16) -> bool {
-        let Some((ci, local)) = self.core_cluster[core] else {
-            return true; // the mutating call records the error; force the tick
-        };
-        let spl = &self.clusters[ci].spl;
-        let Some(func) = spl.function(cfg) else {
-            return true; // the mutating call records the error; force the tick
-        };
-        if func.is_barrier() {
-            spl.can_seal(local)
-        } else {
-            let dest_global = match func.kind() {
-                FunctionKind::Compute {
-                    dest: Dest::Thread(t),
-                    ..
-                } => match self.t2c.lookup(*t) {
-                    Some(c) => c,
-                    None => return false, // stalls until the consumer binds
-                },
-                _ => core,
-            };
-            self.t2c.has_capacity(dest_global) && spl.can_seal(local)
-        }
-    }
-
-    fn hwq_send_ready(&self, _core: usize, q: u8) -> bool {
-        // Pure mirror of `hwq_send`'s pre-draw checks: a backing-off sender
-        // is not ready (the expiry re-arms probes via `FaultCtl::next_wake`).
-        if let Some(f) = self.fault.as_deref() {
-            if f.hwq.blocked_until[q as usize] > self.cycle {
-                return false;
+    // Quiescence probe: a pure mirror of the mutating operations above, used
+    // by `Core::next_event`. It must answer exactly "would the mutating call
+    // make progress right now?" — an over-approximation merely prevents
+    // skipping, an under-approximation would break bit-parity. A core
+    // outside any cluster or an unconfigured device answers `true`: the
+    // mutating call records the error, so the core must tick.
+    fn ready(&self, core: usize, cause: BlockedOn) -> bool {
+        match cause {
+            BlockedOn::SplResult => self.core_cluster[core]
+                .is_none_or(|(ci, local)| self.clusters[ci].spl.output_ready(local) > 0),
+            BlockedOn::SplIssue { cfg } => match self.spl_route(core, cfg) {
+                Ok(Some(route)) => self.clusters[route.cluster].spl.can_seal(route.local),
+                Ok(None) => false,
+                Err(_) => true,
+            },
+            BlockedOn::HwqSend { q } => self.hwq_open(q as usize),
+            BlockedOn::HwqRecv { q } => !self.hwq.is_empty(q as usize),
+            BlockedOn::HwBarrier { id } => {
+                !self.hwbar.is_configured(id) || self.hwbar.poll_ready(core, id)
             }
+            _ => false,
         }
-        !self.hwq.is_full(q as usize)
-    }
-
-    fn hwq_recv_ready(&self, _core: usize, q: u8) -> bool {
-        !self.hwq.is_empty(q as usize)
-    }
-
-    fn hwbar_ready(&self, core: usize, id: u8) -> bool {
-        if !self.hwbar.is_configured(id) {
-            return true; // the mutating call records the error; force the tick
-        }
-        self.hwbar.poll_ready(core, id)
     }
 }
 
+/// Where an `spl_init` goes: the caller's cluster and local input queue,
+/// and for a compute request its destination core (global, cluster-local);
+/// `None` for a barrier arrival.
+struct SplRoute {
+    cluster: usize,
+    local: usize,
+    dest: Option<(usize, usize)>,
+}
+
 impl Env {
+    /// Resolves where `core`'s `spl_init` of `cfg` goes, shared by the
+    /// operation and its readiness probe. `Ok(None)` means it must stall: a
+    /// compute request's consumer thread is not bound to a core (§II-B.1:
+    /// "instructions will not issue to the fabric if the destination thread
+    /// is not available") or has its in-flight budget exhausted (max 24).
+    /// `Err` carries the reason for a misconfiguration.
+    fn spl_route(&self, core: usize, cfg: u16) -> Result<Option<SplRoute>, String> {
+        let Some((cluster, local)) = self.core_cluster[core] else {
+            return Err("spl_init on a core outside any SPL cluster".into());
+        };
+        let Some(func) = self.clusters[cluster].spl.function(cfg) else {
+            return Err("spl_init of an unregistered SPL configuration".into());
+        };
+        let mut route = SplRoute {
+            cluster,
+            local,
+            dest: None,
+        };
+        if func.is_barrier() {
+            return Ok(Some(route));
+        }
+        let dest = match func.kind() {
+            FunctionKind::Compute {
+                dest: Dest::Thread(t),
+                ..
+            } => match self.t2c.lookup(*t) {
+                Some(c) => c,
+                None => return Ok(None),
+            },
+            _ => core,
+        };
+        let Some((dcluster, dlocal)) = self.core_cluster[dest] else {
+            return Err(format!(
+                "destination core {dest} is outside any SPL cluster"
+            ));
+        };
+        if dcluster != cluster {
+            return Err(format!(
+                "producer and consumer must share an SPL cluster \
+                 (cores {core} -> {dest})"
+            ));
+        }
+        if !self.t2c.has_capacity(dest) {
+            return Ok(None);
+        }
+        route.dest = Some((dest, dlocal));
+        Ok(Some(route))
+    }
+
+    /// Whether `hwq_send` on queue `q` would get past its flow control: the
+    /// queue has room and the sender is not backing off after an injected
+    /// fault (the expiry re-arms probes via `FaultCtl::next_wake`).
+    fn hwq_open(&self, q: usize) -> bool {
+        let backing_off = self
+            .fault
+            .as_deref()
+            .is_some_and(|f| f.hwq.blocked_until[q] > self.cycle);
+        !backing_off && !self.hwq.is_full(q)
+    }
+
     /// Handles a barrier arrival: updates the Barrier table and, on global
     /// completion, schedules per-cluster fabric releases (immediate locally,
     /// after the dedicated-bus latency for remote clusters).
@@ -1493,7 +1456,7 @@ impl System {
             .map(|&id| {
                 (
                     id,
-                    self.cores[id].blocked_on_with(&self.env),
+                    self.cores[id].blocked_on(&self.env),
                     self.last_commit_cycle[id],
                 )
             })
@@ -2039,6 +2002,55 @@ mod tests {
                 );
             }
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    /// A core parked for good on a device is named by the deadlock report,
+    /// and the whole stall window is bulk-skipped yet charged to the
+    /// device's wait counter, exactly as ticking would charge it.
+    #[test]
+    fn device_stalls_are_named_skipped_and_charged() {
+        let stuck = |cause| {
+            let mut a = Asm::new("stuck");
+            match cause {
+                BlockedOn::SplResult => a.spl_store(R1),
+                BlockedOn::HwqRecv { q } => a.hwq_recv(R1, q),
+                BlockedOn::HwBarrier { id } => a.hwbar(id),
+                other => unreachable!("no parking instruction for {other}"),
+            }
+            a.halt();
+            let mut b = SystemBuilder::new();
+            b.add_core(CoreKind::Ooo1, a.assemble().unwrap());
+            b.add_spl_cluster(SplConfig::paper(1), vec![0]);
+            b.hwbar(0, 2); // a second participant never arrives
+            b.build()
+        };
+        // Each cause, and whether it charges `spl_wait_cycles` rather than
+        // `hw_wait_cycles`.
+        for (cause, spl) in [
+            (BlockedOn::SplResult, true),
+            (BlockedOn::HwqRecv { q: 0 }, false),
+            (BlockedOn::HwBarrier { id: 0 }, false),
+        ] {
+            let mut sys = stuck(cause);
+            match sys.run(2_000_000) {
+                Err(RunError::Deadlock { blocked, .. }) => {
+                    assert_eq!(blocked, vec![(0, cause, 0)]);
+                }
+                other => panic!("{cause}: expected deadlock, got {other:?}"),
+            }
+            assert!(sys.skipped_cycles() > 190_000, "{cause}: no bulk skip");
+            let mut ticked = stuck(cause);
+            ticked.set_skip(false);
+            let _ = ticked.run(2_000_000);
+            assert_eq!(sys.core_stats(0), ticked.core_stats(0), "{cause}");
+            let s = sys.core_stats(0);
+            let waited = if spl {
+                s.spl_wait_cycles
+            } else {
+                s.hw_wait_cycles
+            };
+            assert!(waited > 190_000, "{cause}: wait not charged");
         }
     }
 

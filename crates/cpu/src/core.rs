@@ -16,10 +16,13 @@
 //!   mispredicted branches squash all younger work and redirect fetch.
 //! * **Commit** — up to `retire_width` per cycle, in order. Stores drain
 //!   through a post-commit store buffer. ReMAP queue operations take effect
-//!   at commit (`spl_load`/`spl_init` push with back-pressure) or execute
-//!   non-speculatively at the ROB head (`spl_store`, `hwq_recv`, atomics,
-//!   fences, hardware barriers), which models the paper's decoupled
-//!   queue-based SPL interface.
+//!   at commit (`spl_load` stages; `spl_init`/`hwq_send` push with
+//!   back-pressure) or execute non-speculatively at the ROB head
+//!   (`spl_store`, `hwq_recv`, atomics, fences, hardware barriers), which
+//!   models the paper's decoupled queue-based SPL interface. Whatever the
+//!   head is parked on is named once, by the stall classifier
+//!   (`Core::head_wait`), which commit, the skip engine and deadlock
+//!   diagnostics share.
 
 use crate::bpred::{Prediction, Predictor};
 use crate::config::CoreConfig;
@@ -104,15 +107,24 @@ struct RobEntry {
 /// Empty wakeup-chain link.
 const NO_WAITER: u64 = u64::MAX;
 
-/// What a core is waiting for, judged from its ROB head. Reported in
-/// deadlock and escalation diagnostics so a hung run names the resource
-/// (queue, barrier, SPL result) each core is parked on.
+impl RobEntry {
+    /// Whether both source operands have arrived.
+    #[inline]
+    fn operands_ready(&self) -> bool {
+        self.src.iter().all(|s| matches!(s, Src::Ready(_)))
+    }
+}
+
+/// What a core is waiting for, judged from its ROB head. The core's one
+/// stall classifier names it; commit and the skip engine charge the wait
+/// counters through it ([`CoreStats::charge`]), the skip engine asks the
+/// environment whether it is ready ([`CorePorts::ready`]), and deadlock
+/// diagnostics report it so a hung run names the resource (queue, barrier,
+/// SPL result) each core is parked on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockedOn {
     /// `spl_store` waiting for a result in the SPL output queue.
     SplResult,
-    /// `spl_load` staging stalled on a full input entry/queue.
-    SplStage,
     /// `spl_init` waiting to seal into the SPL input queue.
     SplIssue {
         /// SPL configuration being requested.
@@ -163,7 +175,6 @@ impl std::fmt::Display for BlockedOn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BlockedOn::SplResult => write!(f, "spl_store (awaiting SPL result)"),
-            BlockedOn::SplStage => write!(f, "spl_load (input queue full)"),
             BlockedOn::SplIssue { cfg } => write!(f, "spl_init cfg {cfg} (input queue full)"),
             BlockedOn::HwqSend { q } => write!(f, "hwq_send queue {q} (full)"),
             BlockedOn::HwqRecv { q } => write!(f, "hwq_recv queue {q} (empty)"),
@@ -181,6 +192,16 @@ impl std::fmt::Display for BlockedOn {
             BlockedOn::Halted => write!(f, "halted"),
         }
     }
+}
+
+/// A front-end stall: the fetch-buffer head cannot enter the ROB this
+/// cycle. Each kind has its own stall counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatchStall {
+    /// The ROB is full.
+    RobFull,
+    /// The issue queue the instruction needs is full.
+    IqFull,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -382,9 +403,9 @@ impl Core {
     /// * `Some(u64::MAX)` — purely reactive: only an external device event
     ///   (SPL delivery, queue/barrier activity on another core) can wake it.
     ///
-    /// Port readiness is judged through the pure `*_ready` probes of
-    /// [`CorePorts`]; their conservative defaults make unknown environments
-    /// unskippable rather than incorrect.
+    /// The ROB head's readiness is the stall classifier's cause put to
+    /// [`CorePorts::ready`], whose conservative default makes unknown
+    /// environments unskippable rather than incorrect.
     pub fn next_event<P: CorePorts + ?Sized>(&self, ports: &P) -> Option<u64> {
         if self.halted {
             return Some(u64::MAX);
@@ -401,72 +422,21 @@ impl Core {
             wake = wake.min(self.store_drain_done);
         }
 
-        // Commit: what the ROB head would do next cycle.
+        // Commit: an at-head operation in its busy window completes at
+        // `head_busy_until`; a head at commit (done, or an at-head operation)
+        // retires or acts next cycle unless it is parked on a cause that is
+        // not ready.
         if let Some(e) = self.rob.front() {
-            match e.status {
-                Status::Executing(_) => {} // covered by the ROB scan below
-                Status::Waiting if e.inst.is_at_head_only() => {
-                    if e.head_done {
-                        if next >= e.head_busy_until {
-                            return None;
-                        }
-                        wake = wake.min(e.head_busy_until);
-                    } else {
-                        match e.inst {
-                            Inst::SplStore { .. } => {
-                                if ports.spl_store_ready(self.id) {
-                                    return None;
-                                }
-                            }
-                            Inst::HwqRecv { q, .. } => {
-                                if ports.hwq_recv_ready(self.id, q) {
-                                    return None;
-                                }
-                            }
-                            Inst::HwBar { id } => {
-                                if ports.hwbar_ready(self.id, id) {
-                                    return None;
-                                }
-                            }
-                            Inst::Fence => {
-                                if self.store_buf.is_empty() {
-                                    return None;
-                                }
-                            }
-                            Inst::AmoAdd { .. } => {
-                                let ready = e.src.iter().all(|s| matches!(s, Src::Ready(_)));
-                                if ready && self.store_buf.is_empty() {
-                                    return None;
-                                }
-                            }
-                            _ => return None,
-                        }
-                    }
+            if e.head_done {
+                if next >= e.head_busy_until {
+                    return None;
                 }
-                Status::Waiting => {} // waiting to issue; the ROB scan decides
-                Status::Done => match e.inst {
-                    Inst::Halt => {
-                        if self.store_buf.is_empty() {
-                            return None;
-                        }
-                    }
-                    Inst::SplInit { cfg } => {
-                        if ports.spl_init_ready(self.id, cfg) {
-                            return None;
-                        }
-                    }
-                    Inst::HwqSend { q, .. } => {
-                        if ports.hwq_send_ready(self.id, q) {
-                            return None;
-                        }
-                    }
-                    Inst::Sw { .. } | Inst::Sb { .. } => {
-                        if self.store_buf.len() < self.cfg.store_buffer {
-                            return None;
-                        }
-                    }
-                    _ => return None, // would retire
-                },
+                wake = wake.min(e.head_busy_until);
+            } else if e.status == Status::Done || e.inst.is_at_head_only() {
+                match self.head_wait() {
+                    Some(cause) if !ports.ready(self.id, cause) => {}
+                    _ => return None,
+                }
             }
         }
 
@@ -481,73 +451,35 @@ impl Core {
                     }
                     wake = wake.min(t);
                 }
-                Status::Waiting if e.in_iq && !e.inst.is_at_head_only() => {
-                    if !e.src.iter().all(|s| matches!(s, Src::Ready(_))) {
-                        continue;
-                    }
-                    match e.inst.class() {
-                        InstClass::IntDiv => {
-                            if self.int_div_free_at <= next {
-                                return None;
+                Status::Waiting if e.in_iq && !e.inst.is_at_head_only() && e.operands_ready() => {
+                    let free = if e.inst.class() == InstClass::Load {
+                        match self.load_check(i) {
+                            LoadPath::Blocked => continue,
+                            LoadPath::Forward(..) => return None,
+                            // A miss the hierarchy would refuse (MSHR file
+                            // full) is not progress; the file's earliest fill
+                            // completion is the wake.
+                            LoadPath::Memory(addr) if ports.load_ready(self.id, addr) => {
+                                return None
                             }
-                            wake = wake.min(self.int_div_free_at);
+                            LoadPath::Memory(_) => ports.load_wake(self.id),
                         }
-                        InstClass::Fp
-                            if matches!(
-                                e.inst,
-                                Inst::Fp {
-                                    op: remap_isa::FpOp::Div,
-                                    ..
-                                }
-                            ) =>
-                        {
-                            if self.fp_div_free_at <= next {
-                                return None;
-                            }
-                            wake = wake.min(self.fp_div_free_at);
-                        }
-                        InstClass::Load => match self.load_check(i) {
-                            LoadPath::Blocked => {}
-                            LoadPath::Memory(addr) => {
-                                // A miss the hierarchy would refuse (MSHR
-                                // file full) is not progress; the file's
-                                // earliest fill completion is the wake.
-                                if ports.load_ready(self.id, addr) {
-                                    return None;
-                                }
-                                let w = ports.load_wake(self.id);
-                                if w <= next {
-                                    return None;
-                                }
-                                wake = wake.min(w);
-                            }
-                            LoadPath::Forward(_) => return None,
-                        },
-                        _ => return None,
+                    } else {
+                        self.divider_free_at(e.inst)
+                    };
+                    if free <= next {
+                        return None;
                     }
+                    wake = wake.min(free);
                 }
                 _ => {}
             }
         }
 
         // Dispatch: the head of the fetch buffer enters the ROB unless the
-        // ROB or its issue queue is full (those stall cycles are counted by
-        // `skip_cycles`).
-        if !self.fetch_buf.is_empty() && self.rob.len() < self.cfg.rob {
-            let f = &self.fetch_buf[0];
-            if Self::needs_iq(f.inst) {
-                let (int_occ, fp_occ) = self.iq_occupancy();
-                let full = if f.inst.class() == InstClass::Fp {
-                    fp_occ >= self.cfg.fp_iq
-                } else {
-                    int_occ >= self.cfg.int_iq
-                };
-                if !full {
-                    return None;
-                }
-            } else {
-                return None;
-            }
+        // front end is stalled (those cycles are counted by `skip_cycles`).
+        if !self.fetch_buf.is_empty() && self.dispatch_stall().is_none() {
+            return None;
         }
 
         // Fetch: an in-flight I-cache access lands at its timestamp (once
@@ -576,113 +508,83 @@ impl Core {
         Some(wake)
     }
 
-    /// Diagnoses what this core is currently parked on, from its ROB head.
-    /// Pure (no ports needed): it reports the *kind* of resource, not
-    /// whether the resource would be ready this cycle.
-    pub fn blocked_on(&self) -> BlockedOn {
+    /// The stall classifier: the resource the ROB head is parked on, judged
+    /// from core-internal state only (whether a device is ready is the
+    /// environment's call, [`CorePorts::ready`]). `None` when the head is
+    /// not at commit, sits in an at-head operation's busy window, or would
+    /// act next cycle regardless of any device.
+    #[inline]
+    fn head_wait(&self) -> Option<BlockedOn> {
+        let e = self.rob.front()?;
+        let stores = !self.store_buf.is_empty();
+        let cause = match (e.status, e.inst) {
+            (Status::Waiting, _) if e.head_done => return None,
+            (Status::Waiting, Inst::SplStore { .. }) => BlockedOn::SplResult,
+            (Status::Waiting, Inst::HwqRecv { q, .. }) => BlockedOn::HwqRecv { q },
+            (Status::Waiting, Inst::HwBar { id }) => BlockedOn::HwBarrier { id },
+            (Status::Waiting, Inst::Fence) if stores => BlockedOn::Fence,
+            (Status::Waiting, Inst::AmoAdd { .. }) if stores || !e.operands_ready() => {
+                BlockedOn::Atomic
+            }
+            // Halt is an implicit fence: it retires once its stores drain.
+            (Status::Done, Inst::Halt) if stores => BlockedOn::Fence,
+            (Status::Done, Inst::SplInit { cfg }) => BlockedOn::SplIssue { cfg },
+            (Status::Done, Inst::HwqSend { q, .. }) => BlockedOn::HwqSend { q },
+            (Status::Done, Inst::Sw { .. } | Inst::Sb { .. })
+                if self.store_buf.len() >= self.cfg.store_buffer =>
+            {
+                BlockedOn::StoreBuffer
+            }
+            _ => return None,
+        };
+        Some(cause)
+    }
+
+    /// Diagnoses what this core is parked on: the stall classifier's cause,
+    /// or, for a head load the memory hierarchy refuses,
+    /// [`BlockedOn::DirectoryWait`] (no free directory-bank port) or
+    /// [`BlockedOn::MshrFull`] (full MSHR file). It names the *kind* of
+    /// resource, not whether the resource would be ready this cycle.
+    pub fn blocked_on<P: CorePorts + ?Sized>(&self, ports: &P) -> BlockedOn {
         if self.halted {
             return BlockedOn::Halted;
         }
-        let Some(e) = self.rob.front() else {
-            return BlockedOn::Pipeline;
-        };
-        match (e.inst, e.status) {
-            // At-head operations stuck waiting for their port action.
-            (Inst::SplStore { .. }, Status::Waiting) if !e.head_done => BlockedOn::SplResult,
-            (Inst::HwqRecv { q, .. }, Status::Waiting) if !e.head_done => BlockedOn::HwqRecv { q },
-            (Inst::HwBar { id }, Status::Waiting) => BlockedOn::HwBarrier { id },
-            (Inst::Fence, Status::Waiting) => BlockedOn::Fence,
-            (Inst::AmoAdd { .. }, Status::Waiting) => BlockedOn::Atomic,
-            // Commit-time pushes stuck on device back-pressure.
-            (Inst::SplLoad { .. }, Status::Done) => BlockedOn::SplStage,
-            (Inst::SplInit { cfg }, Status::Done) => BlockedOn::SplIssue { cfg },
-            (Inst::HwqSend { q, .. }, Status::Done) => BlockedOn::HwqSend { q },
-            (Inst::Sw { .. } | Inst::Sb { .. }, Status::Done) => BlockedOn::StoreBuffer,
+        if let Some(cause) = self.head_wait() {
+            return cause;
+        }
+        match self.rob.front() {
+            Some(e) if e.status == Status::Waiting && e.inst.class() == InstClass::Load => {
+                match self.load_check(0) {
+                    LoadPath::Memory(line) if !ports.load_ready(self.id, line) => {
+                        if ports.load_blocked_by_dir(self.id, line) {
+                            BlockedOn::DirectoryWait { line }
+                        } else {
+                            BlockedOn::MshrFull { cache: "L1D", line }
+                        }
+                    }
+                    _ => BlockedOn::Pipeline,
+                }
+            }
             _ => BlockedOn::Pipeline,
         }
     }
 
-    /// Like [`Core::blocked_on`], but additionally consults the environment
-    /// so memory-system holds get named: a head load the hierarchy refuses
-    /// reports [`BlockedOn::DirectoryWait`] (no free directory-bank port)
-    /// or [`BlockedOn::MshrFull`] (full MSHR file) instead of the generic
-    /// pipeline bucket.
-    pub fn blocked_on_with<P: CorePorts + ?Sized>(&self, ports: &P) -> BlockedOn {
-        let b = self.blocked_on();
-        if b == BlockedOn::Pipeline {
-            if let Some(e) = self.rob.front() {
-                if e.status == Status::Waiting && e.inst.class() == InstClass::Load {
-                    if let LoadPath::Memory(addr) = self.load_check(0) {
-                        if !ports.load_ready(self.id, addr) {
-                            if ports.load_blocked_by_dir(self.id, addr) {
-                                return BlockedOn::DirectoryWait { line: addr };
-                            }
-                            return BlockedOn::MshrFull {
-                                cache: "L1D",
-                                line: addr,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        b
-    }
-
     /// Bulk-advances the core over `delta` cycles that [`Core::next_event`]
     /// proved inert, replicating exactly the per-cycle counters a ticked run
-    /// would have accumulated: `cycle`/`stats.cycles`, the commit-side wait
-    /// counter of a stalled ROB head, and the dispatch-side ROB/IQ-full
-    /// stall counters. Calling this for cycles `next_event` did not clear
-    /// breaks bit-parity with the ticked path.
+    /// would have accumulated: `cycle`/`stats.cycles`, the wait counter of
+    /// the head's stall cause, and the dispatch-side ROB/IQ-full stall
+    /// counters. Calling this for cycles `next_event` did not clear breaks
+    /// bit-parity with the ticked path.
     pub fn skip_cycles(&mut self, delta: u64) {
         self.cycle += delta;
         self.stats.cycles += delta;
-        // Commit-side wait counter: mirrors the stat a stalled head charges
-        // once per cycle. In a quiescent state the port-dependent branches
-        // are fully determined (a ready port would have been a wake).
-        if let Some(e) = self.rob.front() {
-            match e.status {
-                Status::Waiting if e.inst.is_at_head_only() && !e.head_done => match e.inst {
-                    Inst::SplStore { .. } => self.stats.spl_wait_cycles += delta,
-                    Inst::HwqRecv { .. } => self.stats.hw_wait_cycles += delta,
-                    Inst::HwBar { .. } => self.stats.hw_wait_cycles += delta,
-                    Inst::Fence if !self.store_buf.is_empty() => {
-                        self.stats.fence_wait_cycles += delta
-                    }
-                    _ => {}
-                },
-                Status::Done => match e.inst {
-                    Inst::Halt if !self.store_buf.is_empty() => {
-                        self.stats.fence_wait_cycles += delta
-                    }
-                    Inst::SplInit { .. } => self.stats.spl_wait_cycles += delta,
-                    Inst::HwqSend { .. } => self.stats.hw_wait_cycles += delta,
-                    _ => {}
-                },
-                _ => {}
-            }
+        // In a quiescent state the head's cause is fixed (a ready device
+        // would have been a wake), so the ticked commit charges it every
+        // cycle.
+        if let Some(cause) = self.head_wait() {
+            self.stats.charge(cause, delta);
         }
-        // Dispatch-side stall counters: one per cycle while the fetch-buffer
-        // head cannot enter the ROB.
-        if !self.fetch_buf.is_empty() {
-            if self.rob.len() >= self.cfg.rob {
-                self.stats.rob_full_stalls += delta;
-            } else {
-                let f = &self.fetch_buf[0];
-                if Self::needs_iq(f.inst) {
-                    let (int_occ, fp_occ) = self.iq_occupancy();
-                    let full = if f.inst.class() == InstClass::Fp {
-                        fp_occ >= self.cfg.fp_iq
-                    } else {
-                        int_occ >= self.cfg.int_iq
-                    };
-                    if full {
-                        self.stats.iq_full_stalls += delta;
-                    }
-                }
-            }
-        }
+        self.charge_dispatch_stall(delta);
     }
 
     /// Whether `inst` occupies an issue-queue slot (shared by dispatch and
@@ -940,31 +842,44 @@ impl Core {
         }
     }
 
+    /// The front-end stall the fetch-buffer head is in, if it cannot enter
+    /// the ROB this cycle (`None` when it can, or the buffer is empty).
+    #[inline]
+    fn dispatch_stall(&self) -> Option<DispatchStall> {
+        let f = self.fetch_buf.first()?;
+        if self.rob.len() >= self.cfg.rob {
+            return Some(DispatchStall::RobFull);
+        }
+        if !Self::needs_iq(f.inst) {
+            return None;
+        }
+        let (int_occ, fp_occ) = self.iq_occupancy();
+        let full = if f.inst.class() == InstClass::Fp {
+            fp_occ >= self.cfg.fp_iq
+        } else {
+            int_occ >= self.cfg.int_iq
+        };
+        full.then_some(DispatchStall::IqFull)
+    }
+
+    /// Charges `n` cycles of the current front-end stall, if any, to its
+    /// counter; returns whether the front end is stalled.
+    fn charge_dispatch_stall(&mut self, n: u64) -> bool {
+        match self.dispatch_stall() {
+            Some(DispatchStall::RobFull) => self.stats.rob_full_stalls += n,
+            Some(DispatchStall::IqFull) => self.stats.iq_full_stalls += n,
+            None => return false,
+        }
+        true
+    }
+
     fn dispatch(&mut self) {
-        let (mut int_occ, mut fp_occ) = self.iq_occupancy();
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_buf.is_empty() {
+            if self.fetch_buf.is_empty() || self.charge_dispatch_stall(1) {
                 break;
             }
-            if self.rob.len() >= self.cfg.rob {
-                self.stats.rob_full_stalls += 1;
-                break;
-            }
-            let f = self.fetch_buf[0];
-            let class = f.inst.class();
+            let f = self.fetch_buf.remove(0);
             let needs_iq = Self::needs_iq(f.inst);
-            if needs_iq {
-                if class == InstClass::Fp {
-                    if fp_occ >= self.cfg.fp_iq {
-                        self.stats.iq_full_stalls += 1;
-                        break;
-                    }
-                } else if int_occ >= self.cfg.int_iq {
-                    self.stats.iq_full_stalls += 1;
-                    break;
-                }
-            }
-            self.fetch_buf.remove(0);
             let srcs = f.inst.sources();
             let src = [
                 srcs[0].map_or(Src::Ready(0), |r| self.resolve_src(r)),
@@ -1017,10 +932,10 @@ impl Core {
                 }
             }
             if needs_iq {
-                if class == InstClass::Fp {
-                    fp_occ += 1;
+                if f.inst.class() == InstClass::Fp {
+                    self.iq_occ.1 += 1;
                 } else {
-                    int_occ += 1;
+                    self.iq_occ.0 += 1;
                 }
             }
             if Self::orders_memory(entry.inst) {
@@ -1030,7 +945,6 @@ impl Core {
             self.rob.push_back(entry);
             self.stats.dispatched += 1;
         }
-        self.iq_occ = (int_occ, fp_occ);
     }
 
     // --- issue / execute ------------------------------------------------------
@@ -1041,7 +955,6 @@ impl Core {
         let mut fp_alus = self.cfg.fp_alus;
         let mut branch_units = self.cfg.branch_units;
         let mut ldst_units = self.cfg.ldst_units;
-        let lat = self.cfg.lat;
         let cycle = self.cycle;
 
         // Walk the compact tags; only waiting entries that hold an IQ slot
@@ -1057,200 +970,163 @@ impl Core {
             }
             let e = &self.rob[i];
             debug_assert!(e.in_iq && e.status == Status::Waiting);
-            if e.inst.is_at_head_only() {
-                continue; // handled at commit
-            }
-            let ready = e.src.iter().all(|s| matches!(s, Src::Ready(_)));
-            if !ready {
+            // At-head operations are handled at commit.
+            if e.inst.is_at_head_only() || !e.operands_ready() {
                 continue;
             }
-            let class = e.inst.class();
-            // Functional-unit availability.
-            let fu_ok = match class {
-                InstClass::IntAlu | InstClass::IntMul | InstClass::Spl | InstClass::Hwq => {
-                    int_alus > 0
-                }
-                InstClass::IntDiv => int_alus > 0 && self.int_div_free_at <= cycle,
-                InstClass::Fp => {
-                    if matches!(
-                        e.inst,
-                        Inst::Fp {
-                            op: remap_isa::FpOp::Div,
-                            ..
-                        }
-                    ) {
-                        fp_alus > 0 && self.fp_div_free_at <= cycle
-                    } else {
-                        fp_alus > 0
-                    }
-                }
-                InstClass::Branch => branch_units > 0,
-                InstClass::Load | InstClass::Store => ldst_units > 0,
-                _ => true,
+            let inst = e.inst;
+            let class = inst.class();
+            // The functional-unit pool it issues to; queue pushes read their
+            // operand on an integer ALU.
+            let units = match class {
+                InstClass::Fp => &mut fp_alus,
+                InstClass::Branch => &mut branch_units,
+                InstClass::Load | InstClass::Store => &mut ldst_units,
+                _ => &mut int_alus,
             };
-            if !fu_ok {
+            if *units == 0 || self.divider_free_at(inst) > cycle {
                 continue;
             }
-            // Memory ordering rules for loads.
-            if class == InstClass::Load {
-                match self.load_check(i) {
+            let latency = if class == InstClass::Load {
+                // Memory ordering rules decide where the value comes from.
+                let (_, size, signed) = Self::load_format(inst);
+                let (addr, raw, mem_lat) = match self.load_check(i) {
                     LoadPath::Blocked => continue,
-                    LoadPath::Forward(raw) => {
-                        let a = self.src_val(i, 0);
-                        let (offset, size, sign) = match self.rob[i].inst {
-                            Inst::Lw { offset, .. } => (offset, 4u8, true),
-                            Inst::Lb { offset, .. } => (offset, 1u8, true),
-                            Inst::Lbu { offset, .. } => (offset, 1u8, false),
-                            _ => unreachable!("load class"),
-                        };
-                        let addr = (a + offset as i64) as u64;
-                        let v = match (size, sign) {
-                            (1, true) => raw as u8 as i8 as i64,
-                            (1, false) => raw as u8 as i64,
-                            (4, true) => raw as u32 as i32 as i64,
-                            _ => raw,
-                        };
-                        let e = &mut self.rob[i];
-                        e.mem_addr = Some(addr);
-                        e.mem_size = size;
-                        e.value = v;
-                        let done_at = cycle + lat.agu as u64 + 1;
-                        e.status = Status::Executing(done_at);
-                        *t = tag::EXECUTING | tag::IQ;
-                        self.exec_seqs.push(e.seq);
-                        self.exec_next_done = self.exec_next_done.min(done_at);
-                        ldst_units -= 1;
-                        issued += 1;
-                        self.stats.issued += 1;
-                        continue;
-                    }
+                    LoadPath::Forward(addr, raw) => (addr, raw as u64, 1),
+                    // The hierarchy cannot start another fill (MSHR file
+                    // full): hold the load without consuming a load/store
+                    // unit and retry next cycle.
+                    LoadPath::Memory(addr) if !ports.load_ready(self.id, addr) => continue,
                     LoadPath::Memory(addr) => {
-                        if !ports.load_ready(self.id, addr) {
-                            // The hierarchy cannot start another fill (MSHR
-                            // file full): hold the load without consuming a
-                            // load/store unit and retry next cycle.
-                            continue;
-                        }
-                        let (size, sign) = match self.rob[i].inst {
-                            Inst::Lw { .. } => (4u8, true),
-                            Inst::Lb { .. } => (1u8, true),
-                            Inst::Lbu { .. } => (1u8, false),
-                            _ => unreachable!("load class"),
-                        };
-                        let pc = self.rob[i].pc;
-                        let (raw, mlat) = ports.load(self.id, addr, size, pc);
-                        let v = match (size, sign) {
-                            (1, true) => raw as u8 as i8 as i64,
-                            (1, false) => raw as u8 as i64,
-                            (4, true) => raw as u32 as i32 as i64,
-                            _ => raw as i64,
-                        };
-                        let e = &mut self.rob[i];
-                        e.mem_addr = Some(addr);
-                        e.mem_size = size;
-                        e.value = v;
-                        let done_at = cycle + (lat.agu + mlat) as u64;
-                        e.status = Status::Executing(done_at);
-                        *t = tag::EXECUTING | tag::IQ;
-                        self.exec_seqs.push(e.seq);
-                        self.exec_next_done = self.exec_next_done.min(done_at);
-                        ldst_units -= 1;
-                        issued += 1;
-                        self.stats.issued += 1;
-                        continue;
+                        let (raw, mem_lat) = ports.load(self.id, addr, size, e.pc);
+                        (addr, raw, mem_lat)
                     }
-                }
-            }
-
-            // Non-load execution.
-            let a = self.src_val(i, 0);
-            let b = self.src_val(i, 1);
+                };
+                let e = &mut self.rob[i];
+                e.mem_addr = Some(addr);
+                e.mem_size = size;
+                e.value = match (size, signed) {
+                    (1, true) => raw as u8 as i8 as i64,
+                    (1, false) => raw as u8 as i64,
+                    (4, true) => raw as u32 as i32 as i64,
+                    _ => raw as i64,
+                };
+                self.cfg.lat.agu + mem_lat
+            } else {
+                self.execute(i)
+            };
+            let done_at = cycle + latency as u64;
+            *units -= 1;
             let e = &mut self.rob[i];
-            let done_at;
-            match e.inst {
-                Inst::Alu { op, .. } => {
-                    e.value = op.apply(a, b);
-                    let l = match e.inst.class() {
-                        InstClass::IntMul => lat.int_mul,
-                        InstClass::IntDiv => lat.int_div,
-                        _ => lat.int_alu,
-                    };
-                    done_at = cycle + l as u64;
-                    if e.inst.class() == InstClass::IntDiv {
-                        self.int_div_free_at = done_at;
-                    }
-                    int_alus -= 1;
-                }
-                Inst::AluImm { op, imm, .. } => {
-                    e.value = op.apply(a, imm as i64);
-                    let l = match e.inst.class() {
-                        InstClass::IntMul => lat.int_mul,
-                        InstClass::IntDiv => lat.int_div,
-                        _ => lat.int_alu,
-                    };
-                    done_at = cycle + l as u64;
-                    if e.inst.class() == InstClass::IntDiv {
-                        self.int_div_free_at = done_at;
-                    }
-                    int_alus -= 1;
-                }
-                Inst::Fp { op, .. } => {
-                    e.value = op.apply(a, b);
-                    let l = if op == remap_isa::FpOp::Div {
-                        lat.fp_div
-                    } else {
-                        lat.fp_op
-                    };
-                    done_at = cycle + l as u64;
-                    if op == remap_isa::FpOp::Div {
-                        self.fp_div_free_at = done_at;
-                    }
-                    fp_alus -= 1;
-                }
-                Inst::Branch { cond, target, .. } => {
-                    let taken = cond.eval(a, b);
-                    e.actual_next = if taken { target } else { e.pc + 1 };
-                    e.mispredicted = e.actual_next != e.pred_next;
-                    done_at = cycle + 1;
-                    branch_units -= 1;
-                }
-                Inst::Jalr { .. } => {
-                    e.value = e.pc as i64 + 1;
-                    e.actual_next = a as u32;
-                    e.mispredicted = e.actual_next != e.pred_next;
-                    done_at = cycle + 1;
-                    branch_units -= 1;
-                }
-                Inst::Sw { offset, .. } | Inst::Sb { offset, .. } => {
-                    // AGU: compute the effective address; data (src 1) rides
-                    // along. The cache access happens post-commit.
-                    let addr = (a + offset as i64) as u64;
-                    e.mem_addr = Some(addr);
-                    e.mem_size = if matches!(e.inst, Inst::Sw { .. }) {
-                        4
-                    } else {
-                        1
-                    };
-                    e.value = b;
-                    done_at = cycle + lat.agu as u64;
-                    ldst_units -= 1;
-                }
-                Inst::SplLoad { .. } | Inst::HwqSend { .. } => {
-                    // Reads its operand; the queue push happens at commit.
-                    e.value = a;
-                    done_at = cycle + lat.int_alu as u64;
-                    int_alus -= 1;
-                }
-                other => unreachable!("unexpected instruction in issue: {other}"),
-            }
-            self.rob[i].status = Status::Executing(done_at);
+            e.status = Status::Executing(done_at);
             *t = tag::EXECUTING | tag::IQ;
-            self.exec_seqs.push(self.rob[i].seq);
+            self.exec_seqs.push(e.seq);
             self.exec_next_done = self.exec_next_done.min(done_at);
             issued += 1;
             self.stats.issued += 1;
         }
         self.rob_tags = tags;
+    }
+
+    /// The cycle the unpipelined divider `inst` needs is next free (`0` for
+    /// instructions on pipelined units).
+    #[inline]
+    fn divider_free_at(&self, inst: Inst) -> u64 {
+        if inst.class() == InstClass::IntDiv {
+            self.int_div_free_at
+        } else if matches!(
+            inst,
+            Inst::Fp {
+                op: remap_isa::FpOp::Div,
+                ..
+            }
+        ) {
+            self.fp_div_free_at
+        } else {
+            0
+        }
+    }
+
+    /// Executes the non-load instruction at ROB index `i` (operands ready):
+    /// computes its result, resolves its control transfer or its store
+    /// address, books the divider it occupies, and returns its latency.
+    ///
+    /// Like the other helpers of the generic pipeline stages, it is
+    /// `#[inline]`: the stages are instantiated in the system crate, and
+    /// without LTO a non-inline helper is a cross-crate call in the hot loop.
+    #[inline]
+    fn execute(&mut self, i: usize) -> u32 {
+        let lat = self.cfg.lat;
+        let a = self.src_val(i, 0);
+        let b = self.src_val(i, 1);
+        let e = &mut self.rob[i];
+        match e.inst {
+            Inst::Alu { op, .. } | Inst::AluImm { op, .. } => {
+                let b = match e.inst {
+                    Inst::AluImm { imm, .. } => imm as i64,
+                    _ => b,
+                };
+                e.value = op.apply(a, b);
+                match e.inst.class() {
+                    InstClass::IntMul => lat.int_mul,
+                    InstClass::IntDiv => {
+                        self.int_div_free_at = self.cycle + lat.int_div as u64;
+                        lat.int_div
+                    }
+                    _ => lat.int_alu,
+                }
+            }
+            Inst::Fp { op, .. } => {
+                e.value = op.apply(a, b);
+                if op == remap_isa::FpOp::Div {
+                    self.fp_div_free_at = self.cycle + lat.fp_div as u64;
+                    lat.fp_div
+                } else {
+                    lat.fp_op
+                }
+            }
+            Inst::Branch { cond, target, .. } => {
+                let taken = cond.eval(a, b);
+                e.actual_next = if taken { target } else { e.pc + 1 };
+                e.mispredicted = e.actual_next != e.pred_next;
+                1
+            }
+            Inst::Jalr { .. } => {
+                e.value = e.pc as i64 + 1;
+                e.actual_next = a as u32;
+                e.mispredicted = e.actual_next != e.pred_next;
+                1
+            }
+            Inst::Sw { offset, .. } | Inst::Sb { offset, .. } => {
+                // AGU: compute the effective address; data (src 1) rides
+                // along. The cache access happens post-commit.
+                e.mem_addr = Some((a + offset as i64) as u64);
+                e.mem_size = if matches!(e.inst, Inst::Sw { .. }) {
+                    4
+                } else {
+                    1
+                };
+                e.value = b;
+                lat.agu
+            }
+            Inst::SplLoad { .. } | Inst::HwqSend { .. } => {
+                // Reads its operand; the queue push happens at commit.
+                e.value = a;
+                lat.int_alu
+            }
+            other => unreachable!("unexpected instruction in issue: {other}"),
+        }
+    }
+
+    /// Offset, access size and signedness of a load.
+    #[inline]
+    fn load_format(inst: Inst) -> (i32, u8, bool) {
+        match inst {
+            Inst::Lw { offset, .. } => (offset, 4, true),
+            Inst::Lb { offset, .. } => (offset, 1, true),
+            Inst::Lbu { offset, .. } => (offset, 1, false),
+            other => unreachable!("not a load: {other}"),
+        }
     }
 
     fn src_val(&self, i: usize, s: usize) -> i64 {
@@ -1267,11 +1143,7 @@ impl Core {
             Src::Ready(v) => v,
             Src::Wait(_) => return LoadPath::Blocked,
         };
-        let (offset, size) = match self.rob[i].inst {
-            Inst::Lw { offset, .. } => (offset, 4u8),
-            Inst::Lb { offset, .. } | Inst::Lbu { offset, .. } => (offset, 1u8),
-            _ => unreachable!(),
-        };
+        let (offset, size, _) = Self::load_format(self.rob[i].inst);
         let addr = (base + offset as i64) as u64;
         let end = addr + size as u64;
         // Older in-ROB stores and ordering points: `mem_seqs` holds exactly
@@ -1313,7 +1185,7 @@ impl Core {
             }
         }
         if let Some(v) = forward {
-            return LoadPath::Forward(v); // raw; sign handling at issue
+            return LoadPath::Forward(addr, v); // raw; sign handling at issue
         }
         // Post-commit store buffer: scan youngest-first so the most recent
         // matching store forwards its value.
@@ -1321,7 +1193,7 @@ impl Core {
             let send = s.addr + s.size as u64;
             if s.addr < end && addr < send {
                 if s.addr == addr && s.size == size {
-                    return LoadPath::Forward(s.value as i64);
+                    return LoadPath::Forward(addr, s.value as i64);
                 }
                 return LoadPath::Blocked;
             }
@@ -1501,57 +1373,12 @@ impl Core {
     fn commit<P: CorePorts + ?Sized>(&mut self, ports: &mut P) {
         let mut retired = 0;
         while retired < self.cfg.retire_width && !self.rob.is_empty() {
-            // At-head operations are executed here, non-speculatively.
-            if self.rob[0].status == Status::Waiting
-                && self.rob[0].inst.is_at_head_only()
-                && !self.try_head_op(ports)
-            {
+            if !self.head_commits(ports) {
+                // A stall cycle, charged to what the head is parked on.
+                if let Some(cause) = self.head_wait() {
+                    self.stats.charge(cause, 1);
+                }
                 break;
-            }
-            let e = &self.rob[0];
-            if e.status != Status::Done {
-                break;
-            }
-            // Halt behaves like an implicit fence: all stores must be
-            // globally visible before the thread terminates.
-            if e.inst == Inst::Halt && !self.store_buf.is_empty() {
-                self.stats.fence_wait_cycles += 1;
-                break;
-            }
-            // Queue pushes take effect now, with back-pressure.
-            match e.inst {
-                Inst::SplLoad { offset, nbytes, .. } => {
-                    if ports.spl_load(self.id, offset, nbytes, e.value as u64) == PortPush::Stall {
-                        self.stats.spl_wait_cycles += 1;
-                        break;
-                    }
-                    self.stats.spl_ops += 1;
-                }
-                Inst::SplInit { cfg } => {
-                    if ports.spl_init(self.id, cfg) == PortPush::Stall {
-                        self.stats.spl_wait_cycles += 1;
-                        break;
-                    }
-                    self.stats.spl_ops += 1;
-                }
-                Inst::HwqSend { q, .. }
-                    if ports.hwq_send(self.id, q, e.value as u64) == PortPush::Stall =>
-                {
-                    self.stats.hw_wait_cycles += 1;
-                    break;
-                }
-                Inst::Sw { .. } | Inst::Sb { .. } => {
-                    if self.store_buf.len() >= self.cfg.store_buffer {
-                        break; // store buffer full
-                    }
-                    let e = &self.rob[0];
-                    self.store_buf.push(StoreBufEntry {
-                        addr: e.mem_addr.expect("store executed"),
-                        size: e.mem_size,
-                        value: e.value as u64,
-                    });
-                }
-                _ => {}
             }
             self.rob_tags.pop_front();
             let e = self.rob.pop_front().expect("non-empty ROB");
@@ -1574,11 +1401,8 @@ impl Core {
                     self.stats.mispredicts += 1;
                 }
             }
-            if matches!(e.inst.class(), InstClass::Spl) {
-                // spl_store retirement counted here; loads/inits above.
-                if matches!(e.inst, Inst::SplStore { .. }) {
-                    self.stats.spl_ops += 1;
-                }
+            if e.inst.class() == InstClass::Spl {
+                self.stats.spl_ops += 1;
             }
             if e.inst == Inst::Halt {
                 self.halted = true;
@@ -1591,88 +1415,91 @@ impl Core {
         }
     }
 
-    /// Attempts to execute the at-head operation at ROB index 0. Returns
-    /// `false` if commit must stall this cycle.
-    fn try_head_op<P: CorePorts + ?Sized>(&mut self, ports: &mut P) -> bool {
-        let lat = self.cfg.lat;
-        let cycle = self.cycle;
-        let e = &mut self.rob[0];
-        // Wait out a previously started multi-cycle head operation.
-        if e.head_done {
-            if cycle >= e.head_busy_until {
-                e.status = Status::Done;
-                self.rob_tags[0] = tag::DONE;
-                self.wake_waiters(0);
-                return true;
-            }
+    /// Performs the ROB head's commit-time action: runs an at-head
+    /// operation, or pushes a done queue operation or store onward. Returns
+    /// whether the head retires this cycle.
+    fn head_commits<P: CorePorts + ?Sized>(&mut self, ports: &mut P) -> bool {
+        let e = &self.rob[0];
+        if e.status == Status::Waiting && e.inst.is_at_head_only() && !self.try_head_op(ports) {
+            return false;
+        }
+        let e = &self.rob[0];
+        if e.status != Status::Done {
             return false;
         }
         match e.inst {
-            Inst::SplStore { .. } => match ports.spl_store(self.id) {
-                Some(v) => {
-                    e.value = v as i64;
-                    e.head_done = true;
-                    e.head_busy_until = cycle + lat.spl_queue as u64;
-                    false
-                }
-                None => {
-                    self.stats.spl_wait_cycles += 1;
-                    false
-                }
-            },
-            Inst::HwqRecv { q, .. } => match ports.hwq_recv(self.id, q) {
-                Some(v) => {
-                    e.value = v as i64;
-                    e.head_done = true;
-                    e.head_busy_until = cycle + lat.hwq as u64;
-                    false
-                }
-                None => {
-                    self.stats.hw_wait_cycles += 1;
-                    false
-                }
-            },
-            Inst::HwBar { id } => {
-                if ports.hwbar(self.id, id) {
-                    e.status = Status::Done;
-                    self.rob_tags[0] = tag::DONE;
-                    true
-                } else {
-                    self.stats.hw_wait_cycles += 1;
-                    false
-                }
+            // Halt behaves like an implicit fence: all stores must be
+            // globally visible before the thread terminates.
+            Inst::Halt => self.store_buf.is_empty(),
+            // Queue operations take effect now; pushes see back-pressure.
+            Inst::SplLoad { offset, nbytes, .. } => {
+                ports.spl_load(self.id, offset, nbytes, e.value as u64);
+                true
             }
-            Inst::Fence => {
-                if self.store_buf.is_empty() {
-                    e.status = Status::Done;
-                    self.rob_tags[0] = tag::DONE;
-                    true
-                } else {
-                    self.stats.fence_wait_cycles += 1;
-                    false
-                }
+            Inst::SplInit { cfg } => ports.spl_init(self.id, cfg) == PortPush::Accepted,
+            Inst::HwqSend { q, .. } => {
+                ports.hwq_send(self.id, q, e.value as u64) == PortPush::Accepted
             }
-            Inst::AmoAdd { .. } => {
-                let base = match e.src[0] {
-                    Src::Ready(v) => v,
-                    Src::Wait(_) => return false,
-                };
-                let delta = match e.src[1] {
-                    Src::Ready(v) => v,
-                    Src::Wait(_) => return false,
-                };
-                if !self.store_buf.is_empty() {
-                    return false; // atomics drain older stores first
+            Inst::Sw { .. } | Inst::Sb { .. } => {
+                if self.store_buf.len() >= self.cfg.store_buffer {
+                    return false;
                 }
-                let (old, mlat) = ports.amo_add(self.id, base as u64, delta);
-                let e = &mut self.rob[0];
-                e.value = old;
-                e.head_done = true;
-                e.head_busy_until = cycle + mlat as u64;
+                self.store_buf.push(StoreBufEntry {
+                    addr: e.mem_addr.expect("store executed"),
+                    size: e.mem_size,
+                    value: e.value as u64,
+                });
+                true
+            }
+            _ => true,
+        }
+    }
+
+    /// Attempts the at-head operation at ROB index 0. Returns whether it
+    /// completed (and may retire this cycle).
+    fn try_head_op<P: CorePorts + ?Sized>(&mut self, ports: &mut P) -> bool {
+        let lat = self.cfg.lat;
+        let cycle = self.cycle;
+        let e = &self.rob[0];
+        let complete = match e.inst {
+            // Wait out a previously started multi-cycle head operation.
+            _ if e.head_done => cycle >= e.head_busy_until,
+            // Ordering points complete in place once satisfied.
+            Inst::HwBar { id } => ports.hwbar(self.id, id),
+            Inst::Fence => self.store_buf.is_empty(),
+            // Value-producing operations start a busy window on success.
+            _ => {
+                let started = match e.inst {
+                    Inst::SplStore { .. } => {
+                        ports.spl_store(self.id).map(|v| (v as i64, lat.spl_queue))
+                    }
+                    Inst::HwqRecv { q, .. } => {
+                        ports.hwq_recv(self.id, q).map(|v| (v as i64, lat.hwq))
+                    }
+                    // Atomics wait for their operands and drain older stores
+                    // first.
+                    Inst::AmoAdd { .. } => {
+                        (e.operands_ready() && self.store_buf.is_empty()).then(|| {
+                            ports.amo_add(self.id, self.src_val(0, 0) as u64, self.src_val(0, 1))
+                        })
+                    }
+                    other => unreachable!("not an at-head op: {other}"),
+                };
+                if let Some((value, busy)) = started {
+                    let e = &mut self.rob[0];
+                    e.value = value;
+                    e.head_done = true;
+                    e.head_busy_until = cycle + busy as u64;
+                }
                 false
             }
-            other => unreachable!("not an at-head op: {other}"),
+        };
+        if complete {
+            self.rob[0].status = Status::Done;
+            self.rob_tags[0] = tag::DONE;
+            self.wake_waiters(0);
         }
+        complete
     }
 }
 
@@ -1798,7 +1625,8 @@ impl remap_snap::State for Status {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoadPath {
     Blocked,
-    Forward(i64),
+    /// Take the (raw) value of an older store to this effective address.
+    Forward(u64, i64),
     /// Go to the memory hierarchy at this effective address.
     Memory(u64),
 }
@@ -1824,10 +1652,78 @@ mod tests {
         (core, ports)
     }
 
-    /// Soundness of the quiescence probe: whenever `next_event` claims the
-    /// next cycle is inert (a wake strictly beyond `cycle + 1`), stepping
-    /// must neither fetch, dispatch, issue, nor commit — i.e. the probe
-    /// returns `None` on every cycle where the core could make progress.
+    /// Steps `core` until it halts or reaches cycle `budget`, calling `feed`
+    /// before every cycle, and checks the quiescence probe on each one:
+    /// whenever `next_event` claims the next cycle is inert (a wake strictly
+    /// beyond `cycle + 1`), a clone advanced with `skip_cycles(1)` must
+    /// match the stepped core's statistics exactly — so the stepped cycle
+    /// neither fetched, dispatched, issued, committed nor squashed, and the
+    /// skip engine charged the same stall counters. Returns, per inert
+    /// cycle, the ROB head, its stall cause and the front-end stall.
+    fn probe_inert_cycles(
+        core: &mut Core,
+        ports: &mut NullPorts,
+        budget: u64,
+        feed: impl Fn(&Core, &mut NullPorts),
+    ) -> Vec<(Option<Inst>, Option<BlockedOn>, Option<DispatchStall>)> {
+        let mut inert = Vec::new();
+        while !core.halted() && core.cycle() < budget {
+            feed(core, ports);
+            let claim_inert = core.next_event(ports).is_some_and(|w| w > core.cycle() + 1);
+            let mut skipped = core.clone();
+            skipped.skip_cycles(1);
+            let seen = (
+                core.rob.front().map(|e| e.inst),
+                core.head_wait(),
+                core.dispatch_stall(),
+            );
+            core.step(ports);
+            if claim_inert {
+                assert_eq!(
+                    core.stats(),
+                    skipped.stats(),
+                    "cycle {}: an inert step diverged from skip_cycles(1) at {seen:?}",
+                    core.cycle()
+                );
+                inert.push(seen);
+            }
+        }
+        inert
+    }
+
+    /// A program whose ROB head parks on each kind of stall in turn: the ROB
+    /// and then the IQ fill behind a slow load, a fence drains stores, the
+    /// store buffer fills, an atomic waits for stores, `spl_store` waits on
+    /// an empty SPL output queue, and the halt drains the last store. With
+    /// `recv`, a never-ready `hwq_recv` parks the core before the halt.
+    fn parking_program(recv: bool) -> Program {
+        let mut a = Asm::new("park");
+        a.li(R1, 0x800);
+        a.lw(R2, R1, 0);
+        for _ in 0..70 {
+            a.addi(R4, R0, 1); // completes, but cannot retire past the load
+        }
+        a.lw(R5, R1, 4);
+        for _ in 0..40 {
+            a.addi(R6, R5, 1); // waits in the IQ for the load
+        }
+        for k in 0..4 {
+            a.sw(R2, R1, 8 + 4 * k);
+        }
+        a.fence();
+        for k in 0..12 {
+            a.sw(R4, R1, 16 + 4 * k);
+        }
+        a.amoadd(R9, R1, R4);
+        a.spl_store(R7);
+        a.sw(R7, R1, 8);
+        if recv {
+            a.hwq_recv(R8, 0);
+        }
+        a.halt();
+        a.assemble().unwrap()
+    }
+
     #[test]
     fn next_event_none_whenever_core_could_progress() {
         let mut a = Asm::new("t");
@@ -1845,34 +1741,85 @@ mod tests {
             mem_latency: 25,
             ..NullPorts::default()
         };
-        let mut quiet_cycles = 0u64;
-        for _ in 0..200_000 {
-            if core.halted() {
-                break;
-            }
-            let claim_inert = match core.next_event(&ports) {
-                Some(w) => w > core.cycle() + 1,
-                None => false,
-            };
-            let before = core.stats().clone();
-            core.step(&mut ports);
-            if claim_inert {
-                quiet_cycles += 1;
-                let after = core.stats();
-                assert_eq!(after.fetched, before.fetched, "fetched while inert");
-                assert_eq!(
-                    after.dispatched, before.dispatched,
-                    "dispatched while inert"
-                );
-                assert_eq!(after.issued, before.issued, "issued while inert");
-                assert_eq!(after.committed, before.committed, "committed while inert");
-                assert_eq!(after.squashed, before.squashed, "squashed while inert");
-            }
-        }
+        let inert = probe_inert_cycles(&mut core, &mut ports, 200_000, |_, _| {});
         assert!(core.halted(), "program did not halt");
         // The probe must actually have found idle cycles, or this test is
         // vacuous.
-        assert!(quiet_cycles > 0, "probe never reported an inert cycle");
+        assert!(!inert.is_empty(), "probe never reported an inert cycle");
+
+        // Slow loads (and store address generation) behind a fast front end,
+        // so the ROB and the IQ fill while a load is outstanding.
+        let mut cfg = CoreConfig::ooo1();
+        cfg.lat.agu = 300;
+        // The SPL result arrives only after `spl_store` has parked a while.
+        let feed = |core: &Core, ports: &mut NullPorts| {
+            if core.head_wait() == Some(BlockedOn::SplResult)
+                && core.cycle().is_multiple_of(64)
+                && ports.spl_results.is_empty()
+            {
+                ports.spl_results.push_back(7);
+            }
+        };
+        for recv in [false, true] {
+            let mut core = Core::new(0, cfg, parking_program(recv));
+            let mut ports = NullPorts {
+                mem_latency: 4,
+                ..NullPorts::default()
+            };
+            let inert = probe_inert_cycles(&mut core, &mut ports, 20_000, feed);
+            assert_eq!(core.halted(), !recv, "recv {recv}");
+            let parked = |head: fn(Inst) -> bool, cause: BlockedOn| {
+                inert
+                    .iter()
+                    .any(|&(i, c, _)| i.is_some_and(head) && c == Some(cause))
+            };
+            let stalled = |s| inert.iter().any(|&(_, _, d)| d == Some(s));
+            assert!(stalled(DispatchStall::RobFull), "no inert ROB-full cycle");
+            assert!(stalled(DispatchStall::IqFull), "no inert IQ-full cycle");
+            assert!(parked(|i| i == Inst::Fence, BlockedOn::Fence));
+            assert!(parked(
+                |i| matches!(i, Inst::Sw { .. }),
+                BlockedOn::StoreBuffer
+            ));
+            assert!(parked(
+                |i| matches!(i, Inst::AmoAdd { .. }),
+                BlockedOn::Atomic
+            ));
+            assert!(parked(
+                |i| matches!(i, Inst::SplStore { .. }),
+                BlockedOn::SplResult
+            ));
+            if recv {
+                assert!(parked(
+                    |i| matches!(i, Inst::HwqRecv { .. }),
+                    BlockedOn::HwqRecv { q: 0 }
+                ));
+            } else {
+                assert!(parked(|i| i == Inst::Halt, BlockedOn::Fence));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_on_names_a_halt_draining_stores_fence() {
+        let mut a = Asm::new("t");
+        a.li(R1, 0x100);
+        a.sw(R1, R1, 0);
+        a.halt();
+        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+        let mut ports = NullPorts {
+            mem_latency: 25,
+            ..NullPorts::default()
+        };
+        let mut seen = false;
+        while core.step(&mut ports) {
+            if core.rob.front().is_some_and(|e| e.inst == Inst::Halt) && !core.store_buf.is_empty()
+            {
+                assert_eq!(core.blocked_on(&ports), BlockedOn::Fence);
+                seen = true;
+            }
+        }
+        assert!(seen, "the halt never waited for its store");
     }
 
     #[test]

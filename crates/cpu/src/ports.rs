@@ -1,6 +1,8 @@
 //! The core's view of the outside world: memory, the SPL queue interface,
 //! and the baseline communication devices.
 
+use crate::core::BlockedOn;
+
 /// Result of a non-blocking push-style port operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortPush {
@@ -31,8 +33,9 @@ pub trait CorePorts {
     fn amo_add(&mut self, core: usize, addr: u64, delta: i64) -> (i64, u32);
 
     /// Stage `nbytes` of `value` at byte `offset` of the core's SPL
-    /// input-queue entry under construction.
-    fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) -> PortPush;
+    /// input-queue entry under construction (staging never back-pressures;
+    /// only the sealing `spl_init` can stall).
+    fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64);
     /// Seal the entry and request SPL configuration `cfg`.
     fn spl_init(&mut self, core: usize, cfg: u16) -> PortPush;
     /// Pop the core's SPL output queue, if a result is ready.
@@ -50,34 +53,21 @@ pub trait CorePorts {
 
     // --- quiescence probes --------------------------------------------------
     //
-    // Pure (non-mutating) mirrors of the queue operations above, used by
+    // Pure (non-mutating) mirrors of the operations above, used by
     // [`Core::next_event`](crate::Core::next_event) to decide whether the
-    // core's next retry could succeed. Every default conservatively answers
-    // "yes, it would make progress", which forces the core to keep ticking —
-    // always correct, merely unskippable.
+    // core's next cycle could make progress.
 
-    /// Would [`CorePorts::spl_store`] return a result right now?
-    fn spl_store_ready(&self, _core: usize) -> bool {
-        true
-    }
-    /// Would [`CorePorts::spl_init`] be accepted right now?
-    fn spl_init_ready(&self, _core: usize, _cfg: u16) -> bool {
-        true
-    }
-    /// Would [`CorePorts::hwq_send`] be accepted right now?
-    fn hwq_send_ready(&self, _core: usize, _q: u8) -> bool {
-        true
-    }
-    /// Would [`CorePorts::hwq_recv`] return a value right now?
-    fn hwq_recv_ready(&self, _core: usize, _q: u8) -> bool {
-        true
-    }
-    /// Would [`CorePorts::hwbar`] mutate barrier state or release this core
-    /// right now? (An un-arrived core's next poll always counts as progress:
-    /// it registers the arrival.)
-    fn hwbar_ready(&self, _core: usize, _id: u8) -> bool {
-        true
-    }
+    /// Would the ROB head parked on `cause` make progress if retried right
+    /// now? `cause` comes from the core's own stall classifier. Device
+    /// causes ask the matching operation: would [`CorePorts::spl_store`] or
+    /// [`CorePorts::hwq_recv`] return a value, would [`CorePorts::spl_init`]
+    /// or [`CorePorts::hwq_send`] be accepted, would [`CorePorts::hwbar`]
+    /// change barrier state or release the core (an un-arrived core's poll
+    /// registers its arrival, which counts)? Core-internal causes (fence,
+    /// atomic, store buffer) answer `false`: their wake comes from the store
+    /// drain or an operand's producer, which the core tracks itself.
+    /// Answering `true` for a device is always correct, merely unskippable.
+    fn ready(&self, core: usize, cause: BlockedOn) -> bool;
     /// Would a demand load of `addr` be accepted right now? A non-blocking
     /// memory hierarchy refuses a load whose miss can neither merge with an
     /// outstanding fill nor allocate an MSHR; the core holds the load and
@@ -139,9 +129,8 @@ impl CorePorts for NullPorts {
         self.mem.write_u32(addr, old.wrapping_add(delta) as u32);
         (old, self.mem_latency.max(1))
     }
-    fn spl_load(&mut self, _core: usize, offset: u8, nbytes: u8, value: u64) -> PortPush {
+    fn spl_load(&mut self, _core: usize, offset: u8, nbytes: u8, value: u64) {
         self.spl_staged.push((offset, nbytes, value));
-        PortPush::Accepted
     }
     fn spl_init(&mut self, _core: usize, cfg: u16) -> PortPush {
         self.spl_inits.push(cfg);
@@ -159,10 +148,15 @@ impl CorePorts for NullPorts {
     fn hwbar(&mut self, _core: usize, _id: u8) -> bool {
         true
     }
-    fn spl_store_ready(&self, _core: usize) -> bool {
-        !self.spl_results.is_empty()
-    }
-    fn hwq_recv_ready(&self, _core: usize, _q: u8) -> bool {
-        false
+    fn ready(&self, _core: usize, cause: BlockedOn) -> bool {
+        match cause {
+            BlockedOn::SplResult => !self.spl_results.is_empty(),
+            BlockedOn::HwqRecv { .. } => false,
+            // Pushes are always accepted and barriers release at once.
+            BlockedOn::SplIssue { .. }
+            | BlockedOn::HwqSend { .. }
+            | BlockedOn::HwBarrier { .. } => true,
+            _ => false,
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Per-core activity statistics, consumed by reports and the power model.
 
+use crate::core::BlockedOn;
 use remap_isa::InstClass;
 
 /// Counters accumulated by a [`Core`](crate::Core) as it executes.
@@ -33,7 +34,8 @@ pub struct CoreStats {
     pub spl_wait_cycles: u64,
     /// Cycles commit was blocked waiting on a hardware queue or barrier.
     pub hw_wait_cycles: u64,
-    /// Cycles commit was blocked on a memory fence draining stores.
+    /// Cycles commit was blocked on a memory fence (or a halt) draining
+    /// stores.
     pub fence_wait_cycles: u64,
     /// Architectural register-file reads (for power).
     pub regfile_reads: u64,
@@ -85,6 +87,22 @@ pub fn class_index(c: InstClass) -> usize {
 }
 
 impl CoreStats {
+    /// Charges `n` commit-stall cycles spent parked on `cause` to its wait
+    /// counter. The one cause-to-counter mapping: the ticked commit charges
+    /// one cycle per stall, the skip engine a whole inert stretch at once.
+    /// Causes without a wait counter charge nothing.
+    #[inline]
+    pub fn charge(&mut self, cause: BlockedOn, n: u64) {
+        match cause {
+            BlockedOn::SplResult | BlockedOn::SplIssue { .. } => self.spl_wait_cycles += n,
+            BlockedOn::HwqSend { .. } | BlockedOn::HwqRecv { .. } | BlockedOn::HwBarrier { .. } => {
+                self.hw_wait_cycles += n
+            }
+            BlockedOn::Fence => self.fence_wait_cycles += n,
+            _ => {}
+        }
+    }
+
     /// Retired instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -127,6 +145,33 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for c in all {
             assert!(seen.insert(class_index(c)), "duplicate index for {c:?}");
+        }
+    }
+
+    #[test]
+    fn charge_maps_each_cause_to_its_wait_counter() {
+        let cases = [
+            (BlockedOn::SplResult, (3, 0, 0)),
+            (BlockedOn::SplIssue { cfg: 1 }, (3, 0, 0)),
+            (BlockedOn::HwqSend { q: 1 }, (0, 3, 0)),
+            (BlockedOn::HwqRecv { q: 1 }, (0, 3, 0)),
+            (BlockedOn::HwBarrier { id: 1 }, (0, 3, 0)),
+            (BlockedOn::Fence, (0, 0, 3)),
+            (BlockedOn::Atomic, (0, 0, 0)),
+            (BlockedOn::StoreBuffer, (0, 0, 0)),
+            (BlockedOn::DirectoryWait { line: 0 }, (0, 0, 0)),
+            (BlockedOn::Pipeline, (0, 0, 0)),
+        ];
+        for (cause, (spl, hw, fence)) in cases {
+            let mut s = CoreStats::default();
+            s.charge(cause, 3);
+            let want = CoreStats {
+                spl_wait_cycles: spl,
+                hw_wait_cycles: hw,
+                fence_wait_cycles: fence,
+                ..Default::default()
+            };
+            assert_eq!(s, want, "{cause:?}");
         }
     }
 
