@@ -390,11 +390,33 @@ fn bench_sweep_marshaller(c: &mut Criterion) {
     });
 }
 
+/// Snapshot I/O in memory: `snapshot()` → `Snapshot::from_bytes` (frame
+/// checks) → `restore` of a halted 16-core LL2 Barrier-p16 grid, whose
+/// 1 MB private L2s hold few resident lines.
+fn bench_snapshot_round_trip(c: &mut Criterion) {
+    use remap::Snapshot;
+    use remap_workloads::barriers::{BarrierBench, BarrierMode};
+
+    let build = || BarrierBench::Ll2.build(BarrierMode::Remap(16), 512);
+    let mut halted = build();
+    halted.run(50_000_000).unwrap();
+    let mut target = build();
+    c.bench_function("snapshot_round_trip_grid16", |b| {
+        b.iter(|| {
+            let snap = halted.snapshot();
+            let back = Snapshot::from_bytes(snap.as_bytes().to_vec()).unwrap();
+            target.restore(&back).unwrap();
+            black_box(target.cycle())
+        })
+    });
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(10);
     targets = bench_core_step, bench_cache, bench_mshr_churn, bench_prefetch_stride,
         bench_flatmem, bench_cache_tag_array, bench_spl, bench_assembler,
-        bench_sim_throughput, bench_spl_tick_into, bench_sweep_marshaller
+        bench_sim_throughput, bench_spl_tick_into, bench_sweep_marshaller,
+        bench_snapshot_round_trip
 );
 criterion_main!(micro);

@@ -98,14 +98,22 @@ impl Snapshot {
     }
 
     /// Writes the snapshot crash-safely: the image lands in `<path>.tmp`
-    /// first, any existing `path` is rotated to `<path>.prev`, and the new
-    /// file is renamed into place. A kill at any point leaves at least one
-    /// decodable snapshot behind ([`Snapshot::read_with_fallback`]).
+    /// first, any existing `path` is linked to `<path>.prev.tmp` and that
+    /// link renamed over `<path>.prev`, and the new file is renamed over
+    /// `path`. Every step that replaces a name is a rename, so once
+    /// written, `path` never goes missing: a kill at any point leaves a
+    /// complete `path` (old or new) and, from the second write on, an
+    /// older generation in `.prev` for [`Snapshot::read_with_fallback`]
+    /// to fall back on if `path` is later torn.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = sibling(path, ".tmp");
         std::fs::write(&tmp, &self.bytes)?;
         if path.exists() {
-            std::fs::rename(path, sibling(path, ".prev"))?;
+            let prev_tmp = sibling(path, ".prev.tmp");
+            // A link left by a kill between the two steps below.
+            let _ = std::fs::remove_file(&prev_tmp);
+            std::fs::hard_link(path, &prev_tmp)?;
+            std::fs::rename(&prev_tmp, sibling(path, ".prev"))?;
         }
         std::fs::rename(&tmp, path)
     }
@@ -141,7 +149,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.snap");
         mk(10).write_to(&path).unwrap();
+        // A link left behind by a kill mid-rotation does not stop the next.
+        std::fs::write(sibling(&path, ".prev.tmp"), b"stale").unwrap();
         mk(20).write_to(&path).unwrap();
+        assert!(!sibling(&path, ".prev.tmp").exists());
         assert_eq!(Snapshot::read_from(&path).unwrap().fingerprint(), Some(20));
         assert_eq!(
             Snapshot::read_from(&sibling(&path, ".prev"))

@@ -323,15 +323,60 @@ impl Cache {
     }
 }
 
-// Geometry is not written — it is part of the config fingerprint.
-remap_snap::state!(Cache |c| {
-    exact c.tags,
-    fixed c.states,
-    fixed c.lru,
-    exact c.mru_way,
-    c.tick,
-    c.stats,
-} check Cache::check_restored);
+/// Resident lines only: a count, then `index, tag, state, lru` for each
+/// non-Invalid line in index order, then the way predictions, the tick
+/// and the statistics. Geometry is not written — it is part of the config
+/// fingerprint. Invalid lines need not travel: `find_way` never matches
+/// one, `insert` fills the first Invalid way whatever its tag or stamp,
+/// and LRU victims are chosen only in full sets. Load works on any target:
+/// every line not listed ends Invalid with tag 0 and stamp 0, the form
+/// `invalidate` leaves.
+impl remap_snap::State for Cache {
+    fn save(&self, w: &mut remap_snap::Writer) {
+        w.put_len(self.resident_lines());
+        for (i, &st) in self.states.iter().enumerate() {
+            if st != Mesi::Invalid {
+                i.save(w);
+                self.tags[i].save(w);
+                st.save(w);
+                self.lru[i].save(w);
+            }
+        }
+        remap_snap::save_all(w, &self.mru_way, true);
+        self.tick.save(w);
+        self.stats.save(w);
+    }
+
+    fn load(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
+        use remap_snap::SnapError::Corrupt;
+        // Charged at its in-memory size (32 bytes), above its encoded 25.
+        let n = r.get_len::<(usize, u64, Mesi, u64)>()?;
+        self.tags.fill(0);
+        self.states.fill(Mesi::Invalid);
+        self.lru.fill(0);
+        let mut next = 0;
+        for _ in 0..n {
+            let i = usize::read(r)?;
+            if i < next || i >= self.states.len() {
+                return Err(Corrupt(format!(
+                    "resident line {i} out of order or past {} lines",
+                    self.states.len()
+                )));
+            }
+            next = i + 1;
+            self.tags[i].load(r)?;
+            self.states[i].load(r)?;
+            if self.states[i] == Mesi::Invalid {
+                return Err(Corrupt(format!("resident line {i} is Invalid")));
+            }
+            self.lru[i].load(r)?;
+        }
+        remap_snap::load_all(r, &mut self.mru_way, true)?;
+        self.tick.load(r)?;
+        self.stats.load(r)?;
+        self.check_restored()
+    }
+}
 
 remap_snap::state!(CacheStats |s| { s.hits, s.misses, s.writebacks, s.invalidations });
 
@@ -367,6 +412,7 @@ impl remap_snap::State for Mesi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remap_snap::{Reader, SnapError, State, Writer};
 
     fn tiny() -> Cache {
         // 2 sets, 2 ways, 16-byte lines.
@@ -473,6 +519,119 @@ mod tests {
     fn line_addr_masks_low_bits() {
         let c = tiny();
         assert_eq!(c.line_addr(0x10f), 0x100);
+    }
+
+    fn saved(c: &Cache) -> Vec<u8> {
+        let mut w = Writer::new();
+        c.save(&mut w);
+        w.into_vec()
+    }
+
+    fn restored(target: &mut Cache, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = Reader::new(bytes);
+        target.load(&mut r)?;
+        r.finish()
+    }
+
+    /// A fixed probe/access/insert/invalidate sequence over both sets,
+    /// including fills into sets that hold Invalid ways with stale tags.
+    fn replay(c: &mut Cache) -> Vec<String> {
+        let mut out = Vec::new();
+        for addr in [0x000, 0x020, 0x040, 0x110, 0x130, 0x150] {
+            out.push(format!("{}", c.probe(addr)));
+        }
+        out.push(format!("{:?}", c.access(0x020)));
+        out.push(format!("{:?}", c.insert(0x150, Mesi::Exclusive)));
+        out.push(format!("{:?}", c.insert(0x170, Mesi::Modified)));
+        out.push(format!("{:?}", c.insert(0x060, Mesi::Shared)));
+        out.push(format!("{:?}", c.access(0x110)));
+        out.push(format!("{}", c.invalidate(0x150)));
+        out.push(format!("{:?}", c.insert(0x190, Mesi::Shared)));
+        out.push(format!("{:?}", c.insert(0x1b0, Mesi::Shared)));
+        out.push(format!("{:?}", c.stats()));
+        out
+    }
+
+    #[test]
+    fn snapshot_restores_into_a_dirty_target() {
+        let mut a = tiny();
+        a.insert(0x000, Mesi::Modified);
+        a.insert(0x020, Mesi::Exclusive);
+        a.access(0x000);
+        a.insert(0x110, Mesi::Shared);
+        a.insert(0x130, Mesi::Exclusive);
+        // Invalid, but with its tag and stamp left behind.
+        a.set_state(0x110, Mesi::Invalid);
+        let bytes = saved(&a);
+
+        let mut b = tiny();
+        b.insert(0x040, Mesi::Shared);
+        b.insert(0x150, Mesi::Modified);
+        b.insert(0x170, Mesi::Exclusive);
+        b.access(0x150);
+        restored(&mut b, &bytes).unwrap();
+        assert_eq!(b.resident_lines(), 3);
+        assert_eq!(saved(&b), bytes);
+        // Down to the tags and stamps of Invalid ways, a dirty target ends
+        // as a fresh one does.
+        let mut fresh = tiny();
+        restored(&mut fresh, &bytes).unwrap();
+        assert_eq!(format!("{b:?}"), format!("{fresh:?}"));
+        assert_eq!(replay(&mut a), replay(&mut b));
+        assert_eq!(saved(&a), saved(&b));
+    }
+
+    /// A cache encoding with the given `(index, tag, MESI byte, lru)`
+    /// list and `tail`'s way predictions, tick and statistics.
+    fn encode_lines(lines: &[(u64, u64, u8, u64)], tail: &Cache) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(lines.len());
+        for &(i, tag, st, lru) in lines {
+            (i, tag).save(&mut w);
+            (st, lru).save(&mut w);
+        }
+        remap_snap::save_all(&mut w, &tail.mru_way, true);
+        (tail.tick, tail.stats).save(&mut w);
+        w.into_vec()
+    }
+
+    #[test]
+    fn corrupt_resident_lists_are_refused() {
+        let tail = tiny();
+        let good = encode_lines(&[(0, 7, 0, 1), (3, 9, 2, 2)], &tail);
+        restored(&mut tiny(), &good).unwrap();
+        for (what, lines) in [
+            ("duplicate index", vec![(1, 7, 0, 1), (1, 9, 2, 2)]),
+            ("out-of-order index", vec![(2, 7, 0, 1), (1, 9, 2, 2)]),
+            ("index past the geometry", vec![(0, 7, 0, 1), (4, 9, 2, 2)]),
+            ("Invalid state", vec![(0, 7, 3, 1)]),
+            ("bad MESI byte", vec![(0, 7, 9, 1)]),
+        ] {
+            let bytes = encode_lines(&lines, &tail);
+            assert!(
+                matches!(restored(&mut tiny(), &bytes), Err(SnapError::Corrupt(_))),
+                "{what}"
+            );
+        }
+        // A count beyond what the bytes left can hold, and every cut.
+        let mut huge = good.clone();
+        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(restored(&mut tiny(), &huge), Err(SnapError::Truncated));
+        for cut in 0..good.len() {
+            assert_eq!(
+                restored(&mut tiny(), &good[..cut]),
+                Err(SnapError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // No single-byte corruption panics.
+        for pos in 0..good.len() {
+            for v in [0, 1, 3, 4, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[pos] = v;
+                let _ = restored(&mut tiny(), &bad);
+            }
+        }
     }
 
     #[test]

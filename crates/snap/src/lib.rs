@@ -7,21 +7,25 @@
 //! the macro expands that one list into both [`State::save`] and
 //! [`State::load`], so the two directions cannot drift apart. Types whose
 //! encoding is not a plain field sequence — payload enums, hash maps kept
-//! in sorted order, the functional memory's page arena, a fault stream's
-//! position — implement [`State`] by hand, once.
+//! in sorted order, the functional memory's page arena, a cache's resident
+//! lines, a fault stream's position — implement [`State`] by hand, once.
 //!
 //! The encoding is deliberately dumb: fixed-width little-endian integers,
 //! `usize` as `u64`, `bool` and `Option` tags as one byte, no schema, no
-//! varints, no serde. Sequences come in three shapes:
+//! varints, no serde. Sequences come in four shapes:
 //!
 //! * a plain `Vec`/`VecDeque`/`HashMap` field is **bounded**: a `u64`
 //!   length prefix, then the elements, replacing the current contents;
 //! * `exact` marks a **fixed-geometry** sequence (per-core arrays, cache
-//!   ways, bank tables): the length prefix must equal the restoring
-//!   system's length and elements load in place;
+//!   way predictions, bank tables): the length prefix must equal the
+//!   restoring system's length and elements load in place;
 //! * `fixed` (and `sized`) sequences carry **no prefix**: their length is
-//!   implied by the geometry or by an earlier field — cache `states`/`lru`,
-//!   core `regs`/`map`/`rob_tags`, and the like.
+//!   implied by the geometry or by an earlier field — core
+//!   `regs`/`map`/`rob_tags`, and the like;
+//! * a **resident** sequence (a cache's lines, by hand) writes only the
+//!   occupied entries of a fixed-geometry array: a count, then each entry
+//!   with its index, in strictly increasing index order; load resets the
+//!   array first, so the entries not listed end empty.
 //!
 //! Checks live in the codec once. [`Reader`] enforces a single allocation
 //! rule ([`Reader::get_len`]): a length whose elements would not fit, at
@@ -37,13 +41,14 @@
 //!
 //! Robustness against torn or foreign files comes from the outer frame
 //! ([`encode_file`] / [`decode_file`]): magic, format version, a
-//! configuration fingerprint, a payload length, and a trailing FNV-1a
-//! checksum over everything before it. Torn tails, foreign files, and
-//! fingerprint mismatches are all refused with a typed [`SnapError`]
-//! before a single payload byte is interpreted. The format is at version 2
-//! ([`FORMAT_VERSION`]): version 2 added each SPL function's state word —
-//! the fabric-owned `u64` a stateful function keeps across operations —
-//! so version-1 files are refused as [`SnapError::BadVersion`].
+//! configuration fingerprint, a payload length, and a trailing
+//! word-parallel checksum over everything before it. Torn tails, foreign
+//! files, and fingerprint mismatches are all refused with a typed
+//! [`SnapError`] before a single payload byte is interpreted. The format
+//! is at version 3 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! function's state word, and version 3 writes only the resident lines of
+//! each cache and frames with the word-parallel checksum, so files of
+//! older versions are refused as [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -53,8 +58,9 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 
 /// Current snapshot format version. Bump on any payload layout change:
 /// old files must be refused, never misread. Version 2 added the SPL
-/// functions' state words.
-pub const FORMAT_VERSION: u32 = 2;
+/// functions' state words; version 3 encodes caches by resident line and
+/// changed the frame checksum.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
@@ -107,7 +113,7 @@ impl std::error::Error for SnapError {}
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming 64-bit FNV-1a hasher (fingerprints and frame checksums).
+/// Streaming 64-bit FNV-1a hasher (configuration fingerprints).
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -139,13 +145,6 @@ impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
     }
-}
-
-/// One-shot FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
 }
 
 // --- Writer / Reader --------------------------------------------------------
@@ -596,8 +595,49 @@ macro_rules! state {
 
 // --- file frame -------------------------------------------------------------
 
+/// Seeds of the checksum's four lanes (the first is the FNV offset basis).
+const SUM_SEEDS: [u64; 4] = [
+    FNV_OFFSET,
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+];
+
+/// One checksum step. It is a bijection in `lane` for a fixed `word` and
+/// in `word` for a fixed `lane` (xor, odd multiply and rotate each are),
+/// so a change confined to one word always changes the lane it feeds. The
+/// rotate moves the top bit down, where the next multiply spreads it, so
+/// two top-bit flips in one lane do not cancel as they do in plain FNV.
+#[inline]
+fn sum_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(FNV_PRIME).rotate_left(29)
+}
+
+/// The frame checksum: four independent lanes over consecutive
+/// little-endian `u64` words (lane `k` takes words `k`, `k + 4`, ...),
+/// folded together with the byte length and the zero-padded tail of
+/// under 32 bytes. Every fold is again a bijection in what it folds in,
+/// so any change confined to one word of `bytes` changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = SUM_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = sum_step(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    }
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    let mut sum = bytes.len() as u64;
+    for (lane, word) in lanes.iter().zip(tail.chunks_exact(8)) {
+        sum = sum_step(sum, *lane);
+        sum = sum_step(sum, u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    sum
+}
+
 /// Frames `payload` into a self-validating snapshot file image:
-/// `MAGIC | version | fingerprint | payload_len | payload | fnv1a(all prior)`.
+/// `MAGIC | version | fingerprint | payload_len | payload | checksum(all prior)`.
 pub fn encode_file(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
     out.extend_from_slice(MAGIC);
@@ -605,7 +645,7 @@ pub fn encode_file(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a(&out);
+    let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -635,7 +675,7 @@ pub fn decode_file(bytes: &[u8], expected_fingerprint: u64) -> Result<&[u8], Sna
     if bytes.len() != body_end.saturating_add(8) {
         return Err(SnapError::Truncated);
     }
-    let sum = fnv1a(&bytes[..body_end]);
+    let sum = checksum(&bytes[..body_end]);
     if sum.to_le_bytes() != bytes[body_end..] {
         return Err(SnapError::BadChecksum);
     }
@@ -835,6 +875,13 @@ mod tests {
             decode_file(&v1, 0x1234),
             Err(SnapError::BadVersion { found: 1 })
         );
+        // Version 2 wrote dense cache arrays under an FNV-1a checksum.
+        let mut v2 = img.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_file(&v2, 0x1234),
+            Err(SnapError::BadVersion { found: 2 })
+        );
         // A payload length near u64::MAX is torn, not an overflow.
         let mut huge = img.clone();
         huge[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -847,9 +894,66 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_of_a_frame_is_refused() {
+        // 1 KiB + 5 bytes of payload: whole 32-byte blocks plus a tail.
+        let payload: Vec<u8> = (0..1029u32).map(|i| (i * 7 + 3) as u8).collect();
+        let img = encode_file(0x1234, &payload);
+        assert_eq!(decode_file(&img, 0x1234).unwrap(), &payload[..]);
+        for bit in 0..img.len() * 8 {
+            let mut bad = img.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let e = decode_file(&bad, 0x1234).unwrap_err();
+            // Magic, version and payload length have their own refusals;
+            // the fingerprint, payload and sum are the checksum's.
+            let summed = matches!(bit / 8, 12..20) || bit / 8 >= HEADER_LEN;
+            assert!(
+                !summed || e == SnapError::BadChecksum,
+                "flip of bit {} in byte {}: {e:?}",
+                bit % 8,
+                bit / 8
+            );
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_one_lane_do_not_cancel() {
+        let img = encode_file(0x1234, &[0x5a; 256]);
+        let flip_top = |img: &[u8], words: [usize; 2]| {
+            let mut bad = img.to_vec();
+            for w in words {
+                bad[8 * w + 7] ^= 0x80;
+            }
+            bad
+        };
+        // Word-wise FNV, the naive widening of the byte-serial hash: an
+        // odd multiply never carries the top bit down, so the second flip
+        // cancels the first.
+        let fnv_words = |bytes: &[u8]| {
+            bytes.chunks_exact(8).fold(FNV_OFFSET, |h, w| {
+                (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME)
+            })
+        };
+        // Payload words 4, 8, 12, ... all feed lane 0.
+        for words in [[4, 8], [4, 32], [5, 9], [7, 31]] {
+            let bad = flip_top(&img, words);
+            assert_eq!(fnv_words(&bad), fnv_words(&img), "{words:?}");
+            assert_eq!(
+                decode_file(&bad, 0x1234),
+                Err(SnapError::BadChecksum),
+                "top bits of words {words:?}"
+            );
+        }
+    }
+
+    #[test]
     fn fnv_matches_reference_vector() {
         // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let fnv = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.update(bytes);
+            h.finish()
+        };
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }
