@@ -98,25 +98,39 @@ impl Snapshot {
     }
 
     /// Writes the snapshot crash-safely: the image lands in `<path>.tmp`
-    /// first, any existing `path` is linked to `<path>.prev.tmp` and that
-    /// link renamed over `<path>.prev`, and the new file is renamed over
-    /// `path`. Every step that replaces a name is a rename, so once
-    /// written, `path` never goes missing: a kill at any point leaves a
-    /// complete `path` (old or new) and, from the second write on, an
-    /// older generation in `.prev` for [`Snapshot::read_with_fallback`]
-    /// to fall back on if `path` is later torn.
+    /// first, any existing `path` is linked (or, on a filesystem without
+    /// hard links, copied) to `<path>.prev.tmp` and that renamed over
+    /// `<path>.prev`, and the new file is renamed over `path`. Every step
+    /// that replaces a name is a rename, so once written, `path` never
+    /// goes missing: a kill at any point leaves a complete `path` (old or
+    /// new) and, from the second write on, an older generation in `.prev`
+    /// for [`Snapshot::read_with_fallback`] to fall back on if `path` is
+    /// later torn.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = sibling(path, ".tmp");
         std::fs::write(&tmp, &self.bytes)?;
         if path.exists() {
             let prev_tmp = sibling(path, ".prev.tmp");
-            // A link left by a kill between the two steps below.
-            let _ = std::fs::remove_file(&prev_tmp);
-            std::fs::hard_link(path, &prev_tmp)?;
+            // A link left by a kill between the two steps below. It must go
+            // first: copying onto a link to `path` would truncate `path`.
+            match std::fs::remove_file(&prev_tmp) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+            link_or_copy(path, &prev_tmp)?;
             std::fs::rename(&prev_tmp, sibling(path, ".prev"))?;
         }
         std::fs::rename(&tmp, path)
     }
+}
+
+/// Hard-links `from` to `to`, copying instead where the link is refused
+/// (filesystems without hard links: vfat, exFAT, some network mounts).
+fn link_or_copy(from: &Path, to: &Path) -> std::io::Result<()> {
+    if std::fs::hard_link(from, to).is_err() {
+        std::fs::copy(from, to)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -167,6 +181,23 @@ mod tests {
             Snapshot::read_with_fallback(&path).unwrap().fingerprint(),
             Some(10)
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refused_link_falls_back_to_a_copy() {
+        let dir = std::env::temp_dir().join(format!("remap-snap-link-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (from, to) = (dir.join("from"), dir.join("to"));
+        std::fs::write(&from, b"new").unwrap();
+        // An existing target refuses the link, as a filesystem without
+        // hard links does.
+        std::fs::write(&to, b"old").unwrap();
+        assert!(std::fs::hard_link(&from, &to).is_err());
+        link_or_copy(&from, &to).unwrap();
+        assert_eq!(std::fs::read(&to).unwrap(), b"new");
+        std::fs::write(&to, b"apart").unwrap();
+        assert_eq!(std::fs::read(&from).unwrap(), b"new", "a copy, not a link");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

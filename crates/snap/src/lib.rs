@@ -24,8 +24,8 @@
 //!   `regs`/`map`/`rob_tags`, and the like;
 //! * a **resident** sequence (a cache's lines, by hand) writes only the
 //!   occupied entries of a fixed-geometry array: a count, then each entry
-//!   with its index, in strictly increasing index order; load resets the
-//!   array first, so the entries not listed end empty.
+//!   with its index, in strictly increasing index order; load marks every
+//!   entry empty first, so the entries not listed end empty.
 //!
 //! Checks live in the codec once. [`Reader`] enforces a single allocation
 //! rule ([`Reader::get_len`]): a length whose elements would not fit, at
