@@ -125,7 +125,9 @@ pub struct RunReport {
     /// Of those, cycles bulk-advanced by the quiescence skip engine rather
     /// than simulated one at a time (zero under [`System::set_skip`]`(false)`).
     /// Skipping is bit-identical to ticking, so this is a pure performance
-    /// statistic.
+    /// statistic. It is a function of the simulated state: a run resumed
+    /// from a snapshot, parked with `run_until` or driven by `step_or_skip`
+    /// reports the uninterrupted run's value.
     ///
     /// [`System::set_skip`]: crate::System::set_skip
     pub skipped_cycles: u64,

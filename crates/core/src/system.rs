@@ -799,10 +799,7 @@ impl SystemBuilder {
             spl_events: Vec::new(),
             skip_enabled: true,
             skipped_cycles: 0,
-            probe_hint: 0,
             core_quiet: vec![(0, 0); cores.len()],
-            core_streak: vec![0; cores.len()],
-            core_next_probe: vec![0; cores.len()],
             cores,
             kinds,
             init_regs: self.init_regs,
@@ -861,20 +858,13 @@ pub struct System {
     skip_enabled: bool,
     /// Cycles bulk-advanced by the skip engine (subset of `env.cycle`).
     skipped_cycles: u64,
-    /// Core that defeated the most recent quiescence probe. Probed first on
-    /// the next attempt so failed probes cost one core scan, not `n`.
-    probe_hint: usize,
-    /// Per-core cached quiescence window `(epoch, wake)`: while `env.epoch`
-    /// still equals `epoch` and `env.cycle < wake`, the core's step is
-    /// provably inert and is replaced by `Core::skip_cycles(1)`. `wake == 0`
-    /// marks the window invalid.
+    /// The wake cache: each core's quiescence window `(epoch, wake)`, set
+    /// by the one probe after an inert real step. While `env.epoch` still
+    /// equals `epoch` and `env.cycle < wake`, the core's step is provably
+    /// inert and is replaced by `Core::skip_cycles(1)`, and
+    /// [`System::quiescent_wake`] reads `wake` instead of probing the core.
+    /// `wake == 0` marks the window invalid.
     core_quiet: Vec<(u64, u64)>,
-    /// Consecutive real steps of each core that committed nothing; a window
-    /// probe is only attempted once this passes a small threshold.
-    core_streak: Vec<u32>,
-    /// Earliest cycle at which each core may be window-probed again after a
-    /// failed probe.
-    core_next_probe: Vec<u64>,
     env: Env,
 }
 
@@ -997,15 +987,16 @@ impl System {
         // folding each core's newly committed instructions into the
         // incrementally maintained total.
         //
-        // A core holding a valid quiescence window takes the arithmetic
-        // idle-tick fast path instead of a full pipeline step. Windows are
-        // established lazily (after a few commit-less real steps) and die on
-        // the core's next real step or on any probe-visible communication
-        // mutation (`env.epoch`). Because cores step in list order and every
-        // such mutation bumps the epoch before later slots run, a fast-pathed
-        // core can never miss state it would have observed when ticked.
-        const CORE_PROBE_STREAK: u32 = 3;
-        const CORE_PROBE_BACKOFF: u64 = 12;
+        // A core holding a live window in the wake cache takes the
+        // arithmetic idle-tick fast path instead of a full pipeline step.
+        // The one probe that fills the cache runs right after a real step
+        // that was inert (fetched, dispatched, issued and committed
+        // nothing); the window dies on the core's next real step or on any
+        // probe-visible communication mutation (`env.epoch`). Because cores
+        // step in list order and every such mutation bumps the epoch before
+        // later slots run, a fast-pathed core can never miss state it would
+        // have observed when ticked.
+        let work = |s: &remap_cpu::CoreStats| s.fetched + s.dispatched + s.issued + s.committed;
         let mut any = false;
         let mut w = 0;
         for r in 0..self.running.len() {
@@ -1019,8 +1010,11 @@ impl System {
                 continue;
             }
             self.core_quiet[id].1 = 0;
+            let work_before = work(self.cores[id].stats());
             let still_running = self.cores[id].step(&mut self.env);
-            let committed = self.cores[id].stats().committed;
+            let stats = self.cores[id].stats();
+            let inert = work(stats) == work_before;
+            let committed = stats.committed;
             let progressed = committed != self.last_committed[id];
             self.committed_total += committed - self.last_committed[id];
             self.last_committed[id] = committed;
@@ -1031,23 +1025,12 @@ impl System {
                 self.running[w] = id;
                 w += 1;
                 any = true;
-                if self.skip_enabled {
-                    if progressed {
-                        self.core_streak[id] = 0;
-                    } else {
-                        self.core_streak[id] += 1;
-                        if self.core_streak[id] >= CORE_PROBE_STREAK
-                            && self.env.cycle >= self.core_next_probe[id]
-                        {
-                            match self.cores[id].next_event(&self.env) {
-                                Some(wk) if wk > self.env.cycle + 1 => {
-                                    self.core_quiet[id] = (self.env.epoch, wk);
-                                }
-                                _ => {
-                                    self.core_next_probe[id] = self.env.cycle + CORE_PROBE_BACKOFF;
-                                }
-                            }
+                if self.skip_enabled && inert {
+                    match self.cores[id].next_event(&self.env) {
+                        Some(wk) if wk > self.env.cycle + 1 => {
+                            self.core_quiet[id] = (self.env.epoch, wk);
                         }
+                        _ => {}
                     }
                 }
             }
@@ -1080,21 +1063,18 @@ impl System {
     /// round-robin pointer — is replicated arithmetically by
     /// [`System::skip_to`], which is what makes bulk advancement
     /// bit-identical to ticking (see DESIGN.md §11).
-    fn quiescent_wake(&mut self) -> Option<u64> {
+    ///
+    /// Cores are not probed here: each running core must hold a live
+    /// window in the wake cache (`core_quiet`), and its cached wake stands
+    /// in for a probe. So the answer is a function of the system's state
+    /// alone, never of when it was last asked.
+    fn quiescent_wake(&self) -> Option<u64> {
         let now = self.env.cycle;
-        // Fast-fail: the core that defeated the previous probe is usually
-        // still the busy one, so checking it first turns the common failed
-        // probe into a single core scan instead of `n`. (A halted hint core
-        // reports `Some(u64::MAX)` and falls through to the full scan.)
-        self.cores[self.probe_hint].next_event(&self.env)?;
         let mut wake = u64::MAX;
         for &id in &self.running {
-            match self.cores[id].next_event(&self.env) {
-                Some(w) => wake = wake.min(w),
-                None => {
-                    self.probe_hint = id;
-                    return None;
-                }
+            match self.core_quiet[id] {
+                (ep, w) if w != 0 && ep == self.env.epoch => wake = wake.min(w),
+                _ => return None,
             }
         }
         // The SPL fabric, pending barrier releases, and the barrier bus are
@@ -1162,27 +1142,36 @@ impl System {
         self.skipped_cycles += delta;
     }
 
-    /// If the system is provably quiescent, bulk-advances it to one cycle
-    /// before the earliest wake point, clamped to `limit`. Returns `false`
-    /// when the probe found some component busy or an event due next cycle,
-    /// so there was nothing to skip.
+    /// The one skip step of [`System::drive`] and [`System::step_or_skip`]:
+    /// if skipping is enabled and the system is provably quiescent,
+    /// bulk-advances it to one cycle before the earliest wake point,
+    /// clamped to `limit`. Returns whether the cycle has reached `limit`,
+    /// in which case the caller must not step. A park at `limit` is then a
+    /// prefix of the uninterrupted jump, so where a run stops never changes
+    /// what it skips.
     fn skip_toward(&mut self, limit: u64) -> bool {
-        match self.quiescent_wake() {
-            Some(wake) if wake.min(limit) > self.env.cycle + 1 => {
-                self.skip_to(wake.min(limit) - 1);
-                true
+        if self.skip_enabled {
+            if let Some(wake) = self.quiescent_wake() {
+                let target = wake.saturating_sub(1).min(limit);
+                if target > self.env.cycle {
+                    self.skip_to(target);
+                }
             }
-            _ => false,
         }
+        self.env.cycle >= limit
     }
 
-    /// One iteration of a skipping loop: the driver's skip step, probing on
-    /// every call (no backoff), then one normal [`System::step`]. With
-    /// skipping disabled this is exactly `step`. The host-side step tracer
-    /// drives this to time each step and skip individually.
+    /// One iteration of a skipping loop: the run loop's skip step toward
+    /// `limit`, then one normal [`System::step`] unless the skip reached
+    /// `limit`. It never moves past `limit`, and `while cycle < t {
+    /// step_or_skip(t) }` skips exactly what [`System::run_until`]`(t)`
+    /// does. With skipping disabled and the cycle below `limit` this is
+    /// exactly `step`. The host-side step tracer drives this to time each
+    /// step and skip individually. Returns `false` once every core has
+    /// halted.
     pub fn step_or_skip(&mut self, limit: u64) -> bool {
-        if self.skip_enabled {
-            self.skip_toward(limit);
+        if self.skip_toward(limit) {
+            return !self.all_halted();
         }
         self.step()
     }
@@ -1236,8 +1225,8 @@ impl System {
     /// It stops early on any error a run would report (a port operation's
     /// structured error, or a deadlock) and leaves that error pending for
     /// the next [`System::run`]. So `run_until(t)` followed by `run(max)`
-    /// returns the same result as `run(max)` alone, for any `t` up to `max`;
-    /// only the report's `skipped_cycles` may differ.
+    /// returns the same result as `run(max)` alone, for any `t` up to `max`,
+    /// `skipped_cycles` included.
     pub fn run_until(&mut self, target: u64) -> bool {
         let stop = Stop {
             max_cycles: u64::MAX,
@@ -1299,21 +1288,12 @@ impl System {
     /// uninterrupted call.
     fn drive(&mut self, stop: Stop) -> Result<(), RunError> {
         const STALL_WINDOW: u64 = 200_000;
-        // After a probe finds some component busy, hold off re-probing for a
-        // few cycles: during a busy-but-not-committing stretch every probe
-        // fails, and a failed probe costs about as much as a step. The
-        // backoff trades at most `PROBE_BACKOFF - 1` skippable cycles at the
-        // start of each idle window for a ~4x cut in failed-probe overhead.
-        // Purely a scheduling heuristic: it decides *when* to look for a
-        // skip, never what a skip does, so bit-parity is unaffected.
-        const PROBE_BACKOFF: u64 = 4;
         // The stall window counts from the most recent commit anywhere, not
         // from this call's entry: a run resumed from a snapshot (or
         // continued after run_until) declares a deadlock at exactly the same
         // cycle an uninterrupted run would.
         let mut last_progress = self.last_commit_cycle.iter().copied().max().unwrap_or(0);
         let mut last_committed = self.committed_total;
-        let mut next_probe = self.env.cycle;
         let mut next_ckpt = stop
             .ckpt
             .map_or(u64::MAX, |(every, _)| self.env.cycle + every);
@@ -1357,21 +1337,20 @@ impl System {
                     running: self.running_cores(),
                 });
             }
-            // The jump is clamped so the deadlock window, the cycle limit
-            // and the parking cycle are reached by a normal step, which
-            // keeps error cycles identical to the ticked path. (A fully
-            // reactive system reports `wake == u64::MAX`; the clamp then
-            // jumps it straight to the deadlock detection point.)
-            if self.skip_enabled && self.env.cycle >= next_probe {
-                let limit = stop
-                    .max_cycles
-                    .min(stop.park_at)
-                    .min(last_progress + STALL_WINDOW + 1);
-                if !self.skip_toward(limit) {
-                    next_probe = self.env.cycle + PROBE_BACKOFF;
-                }
+            // The jump is clamped to the deadlock window, the cycle limit
+            // and the parking cycle. A jump that lands on one is not
+            // followed by a step: the checks above read the state between
+            // cycles, so errors fire at the same cycle as on the ticked
+            // path. (A fully reactive system reports `wake == u64::MAX`;
+            // the clamp then jumps it straight to the deadlock detection
+            // point.)
+            let limit = stop
+                .max_cycles
+                .min(stop.park_at)
+                .min(last_progress + STALL_WINDOW + 1);
+            if !self.skip_toward(limit) {
+                self.step();
             }
-            self.step();
         }
     }
 
@@ -1680,12 +1659,6 @@ impl System {
     /// before the checkpoint hook sees the state).
     fn restored(&mut self) -> Result<(), SnapError> {
         let n = self.cores.len();
-        if self.probe_hint >= n.max(1) {
-            return Err(SnapError::Corrupt(format!(
-                "probe hint {} out of range",
-                self.probe_hint
-            )));
-        }
         let mut seen = vec![false; n];
         for &id in &self.running {
             if id >= n || std::mem::replace(&mut seen[id], true) {
@@ -1723,13 +1696,10 @@ remap_snap::state!(System |s| {
     s.env.app_id,
     s.committed_total,
     s.skipped_cycles,
-    s.probe_hint,
     s.running,
     fixed s.last_committed,
     fixed s.last_commit_cycle,
     fixed s.core_quiet,
-    fixed s.core_streak,
-    fixed s.core_next_probe,
     fixed s.cores,
     fixed s.env.core_thread,
     s.env.t2c,
@@ -2093,6 +2063,11 @@ mod tests {
             parked.run_until(park);
             assert!(parked.cycle() <= park.min(200_001));
             assert_eq!(parked.run(2_000_000).unwrap_err(), es, "parked at {park}");
+            assert_eq!(
+                parked.skipped_cycles(),
+                skipped.skipped_cycles(),
+                "parked at {park}"
+            );
         }
     }
 
@@ -2140,11 +2115,13 @@ mod tests {
         assert_eq!(resumed.cycle(), 100);
         let resumed_report = resumed.run(200_000).unwrap();
         assert_eq!(ref_report.cycles, resumed_report.cycles);
+        assert_eq!(ref_report.skipped_cycles, resumed_report.skipped_cycles);
         assert_eq!(ref_report.core_stats, resumed_report.core_stats);
         assert_eq!(resumed.reg(1, R5), 100);
         // The donor continues identically too (snapshot() is non-mutating).
         let donor_report = first.run(200_000).unwrap();
         assert_eq!(ref_report.cycles, donor_report.cycles);
+        assert_eq!(ref_report.skipped_cycles, donor_report.skipped_cycles);
         assert_eq!(ref_report.core_stats, donor_report.core_stats);
     }
 

@@ -45,10 +45,12 @@
 //! word-parallel checksum over everything before it. Torn tails, foreign
 //! files, and fingerprint mismatches are all refused with a typed
 //! [`SnapError`] before a single payload byte is interpreted. The format
-//! is at version 3 ([`FORMAT_VERSION`]): version 2 added each SPL
-//! function's state word, and version 3 writes only the resident lines of
-//! each cache and frames with the word-parallel checksum, so files of
-//! older versions are refused as [`SnapError::BadVersion`].
+//! is at version 4 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! function's state word, version 3 writes only the resident lines of
+//! each cache and frames with the word-parallel checksum, and version 4
+//! drops the skip engine's probe hint, streaks and backoff deadlines from
+//! the system state, so files of older versions are refused as
+//! [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -59,8 +61,9 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 /// Current snapshot format version. Bump on any payload layout change:
 /// old files must be refused, never misread. Version 2 added the SPL
 /// functions' state words; version 3 encodes caches by resident line and
-/// changed the frame checksum.
-pub const FORMAT_VERSION: u32 = 3;
+/// changed the frame checksum; version 4 drops the skip engine's probe
+/// hint, streaks and backoff deadlines.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
@@ -881,6 +884,14 @@ mod tests {
         assert_eq!(
             decode_file(&v2, 0x1234),
             Err(SnapError::BadVersion { found: 2 })
+        );
+        // Version 3 still carried the skip engine's probe hint, streaks
+        // and backoff deadlines in the System payload.
+        let mut v3 = img.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            decode_file(&v3, 0x1234),
+            Err(SnapError::BadVersion { found: 3 })
         );
         // A payload length near u64::MAX is torn, not an overflow.
         let mut huge = img.clone();

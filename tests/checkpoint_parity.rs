@@ -11,9 +11,9 @@
 //! outside one — both must restore exactly.
 //!
 //! "Bit-identical" covers everything a run can report except
-//! `skipped_cycles` (a resumed run re-plans its bulk skips from the
-//! restore point, so skip *accounting* legitimately differs while every
-//! architectural statistic must not) and `wall_seconds` (host timing).
+//! `wall_seconds` (host timing), `skipped_cycles` included: what the skip
+//! engine jumps over is a function of the restored state, so a resumed
+//! run skips exactly what the uninterrupted one does.
 
 use remap_suite::system::{RunReport, System};
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
@@ -135,6 +135,10 @@ fn assert_checkpoint_parity(
         resumed_skipped += rf.skipped_cycles;
         assert_same_observables(&format!("{label} cut@{cut}"), &reference, &rr, &f, &rf);
         assert_eq!(
+            rf.skipped_cycles, rr.skipped_cycles,
+            "{label}: skipped cycles resumed from {cut}"
+        );
+        assert_eq!(
             check(&f),
             verdict,
             "{label}: oracle verdict resumed from {cut}"
@@ -144,6 +148,10 @@ fn assert_checkpoint_parity(
         .run(MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{label} (donor continue) failed: {e:?}"));
     assert_same_observables(&format!("{label} donor"), &reference, &rr, &donor, &rd);
+    assert_eq!(
+        rd.skipped_cycles, rr.skipped_cycles,
+        "{label}: skipped cycles of the donor"
+    );
     assert_eq!(
         check(&donor),
         verdict,

@@ -286,3 +286,39 @@ fn grid_skip_parity_broadcast_reference() {
         "faulted 36-core grid run injected nothing; the check is vacuous"
     );
 }
+
+/// Skip accounting is a function of state, not of the loop that asks: the
+/// host-side tracer's `while cycle < t { step_or_skip(t) }` must reach the
+/// same cycle and skip exactly the cycles `run_until(t)` does, on the
+/// barrier workloads where most cycles are skipped.
+#[test]
+fn traced_step_or_skip_loop_skips_like_run_until() {
+    for b in BarrierBench::ALL {
+        for m in [
+            BarrierMode::Remap(4),
+            BarrierMode::Remap(16),
+            BarrierMode::HwIdeal(4),
+            BarrierMode::Sw(4),
+        ] {
+            let label = format!("{b:?} {m:?}");
+            let t = b
+                .build(m, 32)
+                .run(MAX_CYCLES)
+                .unwrap_or_else(|e| panic!("{label} (reference) failed: {e:?}"))
+                .cycles;
+            let mut parked = b.build(m, 32);
+            parked.run_until(t);
+            let mut traced = b.build(m, 32);
+            while traced.cycle() < t {
+                traced.step_or_skip(t);
+            }
+            assert_eq!(traced.cycle(), parked.cycle(), "{label}: cycle");
+            assert_eq!(
+                traced.skipped_cycles(),
+                parked.skipped_cycles(),
+                "{label}: skipped cycles"
+            );
+            assert!(parked.skipped_cycles() > 0, "{label}: nothing skipped");
+        }
+    }
+}
