@@ -1,6 +1,6 @@
 //! The one JSON emitter and reader behind every report of the harness:
-//! the `BENCH_*.json` artifacts, the journaled faultsweep cell lines, the
-//! `+item` lines of `remap serve`, and `remap verify --format json`.
+//! the `BENCH_*.json` artifacts, the journaled faultsweep cell lines and
+//! `remap verify --format json`.
 //!
 //! The workspace carries no serialization dependency, so this module is
 //! deliberately small. [`Json`] is a value to *write*; reading goes through

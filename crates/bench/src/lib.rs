@@ -25,7 +25,6 @@ pub mod json;
 pub mod mlp;
 pub mod runner;
 pub mod scaling;
-pub mod serve;
 pub mod simperf;
 pub mod sweep;
 

@@ -259,7 +259,8 @@ pub struct JsonlOpts<'a> {
     /// journal written under a different fingerprint is ignored, so a
     /// stale or foreign journal can never splice wrong results in.
     pub fingerprint: &'a str,
-    /// Journal file. `None` disables checkpointing (e.g. served requests).
+    /// Journal file. `None` disables checkpointing: every item is computed
+    /// and nothing is written to disk.
     pub journal: Option<&'a Path>,
 }
 

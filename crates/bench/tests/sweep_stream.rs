@@ -1,7 +1,7 @@
 //! The streaming marshaller must be invisible in the results: any pool
 //! shape (jobs × window × reps) yields exactly the serial loop's values in
-//! exactly its order, and the `remap serve` request handlers stream the
-//! same ordered lines.
+//! exactly its order, and the JSON-lines layer emits the same ordered,
+//! byte-stable lines.
 
 use remap_bench::sweep::{stream, stream_jsonl, JsonlOpts, SweepOpts};
 use std::ops::ControlFlow;
@@ -90,68 +90,4 @@ fn jsonl_streaming_is_ordered_and_byte_stable() {
     let serial = collect(1);
     let pooled = collect(6);
     assert_eq!(serial, pooled, "pooled JSON-lines are byte-identical");
-}
-
-#[test]
-fn serve_streams_ordered_sweep_results() {
-    use std::io::{BufRead, BufReader, Write};
-
-    let server = remap_bench::serve::Server::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run(2));
-
-    // Two queued sweep requests on one connection, then shutdown: each
-    // response frame must carry every item in ascending index order.
-    let stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut w = stream.try_clone().expect("clone");
-    let mut r = BufReader::new(stream);
-    let mut frame = |req: &str| {
-        writeln!(w, "{req}").expect("send");
-        w.flush().expect("flush");
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            r.read_line(&mut line).expect("read");
-            let line = line.trim_end().to_string();
-            let done =
-                line.starts_with("+end") || line.starts_with("+ok") || line.starts_with("+err");
-            lines.push(line);
-            if done {
-                break;
-            }
-        }
-        lines
-    };
-
-    assert_eq!(frame("ping"), vec!["+ok pong"]);
-    for sizes in [vec![8, 16, 32], vec![16, 8]] {
-        let req = format!(
-            "sweep ll2 barrier:4 {}",
-            sizes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let lines = frame(&req);
-        assert_eq!(lines[0], format!("+begin sweep {}", sizes.len()));
-        assert_eq!(
-            *lines.last().unwrap(),
-            format!("+end sweep {}", sizes.len())
-        );
-        for (i, (line, n)) in lines[1..lines.len() - 1].iter().zip(&sizes).enumerate() {
-            assert!(
-                line.starts_with(&format!("+item {i} {{\"n\": {n},")),
-                "item {i} of {req}: {line}"
-            );
-        }
-    }
-    let err = frame("sweep nosuch barrier:4 8");
-    assert!(err[0].starts_with("+err"), "{err:?}");
-
-    assert_eq!(frame("shutdown"), vec!["+ok bye"]);
-    handle
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
 }

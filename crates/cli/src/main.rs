@@ -24,8 +24,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
         Some("verify") => return cmd_verify(&args[1..]),
         Some("help") | None => {
             print_usage();
@@ -54,10 +52,6 @@ fn print_usage() {
     println!("      --resume <file>      restore from a snapshot (or its .prev) first");
     println!("  remap sweep <bench> <mode> [sizes]  sweep a barrier workload");
     println!("  remap bench <target>                regenerate a paper figure (parallel sweep)");
-    println!("  remap serve <addr>                  run the sweep service on a local socket");
-    println!("  remap submit <addr> <request...>    send one request to a running service");
-    println!("      requests: ping | health | faultsweep |");
-    println!("                sweep <bench> <mode> <sizes...> [timeout=<secs>] | shutdown [now]");
     println!("  remap verify [bench] [options]      statically verify workload programs");
     println!("      --all             also check multi-cluster grids and faulted plans");
     println!("      --format <f>      output format: text (default) or json");
@@ -243,6 +237,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown computation mode `{other}`")),
         };
         let n = opts.n.unwrap_or(2048);
+        b.check_size(n)?;
         let meas = run_with_opts(b.build(m, n), CompBench::MAX_CYCLES, &opts, |s| {
             b.check(s, n)
         })
@@ -262,6 +257,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown communication mode `{other}`")),
         };
         let n = opts.n.unwrap_or(2048);
+        b.check_shape(m, n)?;
         let meas = run_with_opts(b.build(m, n), CommBench::MAX_CYCLES, &opts, |s| {
             b.check(s, n)
         })
@@ -278,6 +274,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             BarrierBench::Dijkstra => 120,
             _ => 128,
         });
+        b.check_shape(m, n)?;
         let meas = run_with_opts(b.build(m, n), BarrierBench::MAX_CYCLES, &opts, |s| {
             b.check(s, n)
         })
@@ -357,41 +354,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             }
             None => Err(format!("unknown bench target `{name}`\n{}", usage())),
         },
-    }
-}
-
-/// `remap serve <addr>`: the long-running sweep service. Blocks until a
-/// client sends `shutdown`.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let [addr] = args else {
-        return Err("usage: remap serve <addr>   (e.g. remap serve 127.0.0.1:47113)".into());
-    };
-    let jobs = remap_bench::runner::jobs();
-    let server = remap_bench::serve::Server::bind(addr)?;
-    println!(
-        "remap sweep service listening on {} ({jobs} jobs); requests: \
-         ping | health | faultsweep | sweep <bench> <mode> <sizes...> \
-         [timeout=<secs>] | shutdown [now]",
-        server.local_addr()
-    );
-    server.run(jobs)
-}
-
-/// `remap submit <addr> <request...>`: one-shot client of the service.
-/// Streams the framed response to stdout; exits nonzero on `+err`.
-fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let [addr, request @ ..] = args else {
-        return Err("usage: remap submit <addr> <request...>".into());
-    };
-    if request.is_empty() {
-        return Err("usage: remap submit <addr> <request...>".into());
-    }
-    let request = request.join(" ");
-    let mut stdout = std::io::stdout().lock();
-    match remap_bench::serve::submit(addr, &request, &mut stdout) {
-        Ok(true) => Ok(()),
-        Ok(false) => Err(format!("request `{request}` was rejected by the service")),
-        Err(e) => Err(e),
     }
 }
 
@@ -561,6 +523,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .map(|s| s.parse().map_err(|_| format!("bad size `{s}`")))
             .collect::<Result<_, _>>()?
     };
+    for &n in &sizes {
+        b.check_shape(m, n)?;
+    }
     println!("{} [{}]:", b.name(), mode);
     println!(
         "{:<10} {:>12} {:>14} {:>14}",

@@ -99,7 +99,7 @@ impl CacheStats {
 /// Storage is data-oriented: tags, states, and LRU stamps live in three
 /// parallel flat arrays indexed `set * ways + way` (empty ways carry
 /// `Mesi::Invalid`), and each set remembers its last-hit way (`mru_way`).
-/// Every lookup goes through [`find_way`](Cache::find_way), which checks
+/// Every lookup goes through `Cache::find_way`, which checks
 /// the predicted way before falling back to the linear scan — on hit-heavy
 /// traffic the common case touches a single tag. Way prediction is a pure
 /// search shortcut: tags of valid lines are unique within a set, so the

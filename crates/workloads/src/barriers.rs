@@ -184,45 +184,71 @@ impl BarrierBench {
         }
     }
 
+    /// Checks that `mode` and problem size `n` form a shape the kernels
+    /// support: 1-64 threads, SPL modes in power-of-two or whole-cluster
+    /// thread counts, Barrier+Comp only on LL3/Dijkstra with at most 16
+    /// threads, power-of-two LL2/LL3 sizes, and sizes at which every
+    /// thread's loop runs correctly (LL3 at least 4, LL6 at least 2,
+    /// Dijkstra at least 1).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first rule the shape breaks.
+    pub fn check_shape(self, mode: BarrierMode, n: usize) -> Result<(), String> {
+        let p = mode.threads();
+        if !(1..=64).contains(&p) {
+            return Err(format!("1-64 threads supported, got {p}"));
+        }
+        // SPL clusters come in power-of-two shapes, and the grid adds whole
+        // quad clusters (16/36/64 cores); software and ideal hardware
+        // barriers work for any count (e.g. the 6-core homogeneous cluster
+        // of §V-C.2).
+        let spl = matches!(mode, BarrierMode::Remap(_) | BarrierMode::RemapComp(_));
+        if spl && !(p.is_power_of_two() || p.is_multiple_of(4)) {
+            return Err(format!(
+                "SPL modes need power-of-two or whole-cluster threads, got {p}"
+            ));
+        }
+        if matches!(mode, BarrierMode::RemapComp(_)) {
+            if !self.supports_comp() {
+                return Err(format!("{} has no Barrier+Comp variant", self.name()));
+            }
+            // The integrated-computation combining tree is the paper's
+            // 3-stage regional scheme, which tops out at four clusters.
+            if p > 16 {
+                return Err("Barrier+Comp supports at most 16 threads".into());
+            }
+        }
+        if matches!(self, BarrierBench::Ll2 | BarrierBench::Ll3) && !n.is_power_of_two() {
+            return Err(format!("{} needs power-of-two sizes, got {n}", self.name()));
+        }
+        // LL3 slices its elements in units of four; LL6's row loop and
+        // Dijkstra's step loop test their bound only after the first pass.
+        let min = match self {
+            BarrierBench::Ll2 => 1,
+            BarrierBench::Ll3 => 4,
+            BarrierBench::Ll6 => 2,
+            BarrierBench::Dijkstra => 1,
+        };
+        if n < min {
+            return Err(format!(
+                "{} needs size at least {min}, got {n}",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the system for `mode` at problem size `n`.
     ///
     /// # Panics
     ///
-    /// Panics on unsupported shapes (non-power-of-two LL2/LL3 sizes,
-    /// `RemapComp` on LL2/LL6 or beyond 16 threads, more than 64 threads).
+    /// Panics on shapes [`check_shape`](Self::check_shape) refuses.
     pub fn build(self, mode: BarrierMode, n: usize) -> System {
+        if let Err(e) = self.check_shape(mode, n) {
+            panic!("{e}");
+        }
         let p = mode.threads();
-        assert!((1..=64).contains(&p), "1-64 threads supported, got {p}");
-        if matches!(mode, BarrierMode::Remap(_) | BarrierMode::RemapComp(_)) {
-            // SPL clusters come in power-of-two shapes, and the grid adds
-            // whole quad clusters (16/36/64 cores); software and ideal
-            // hardware barriers work for any count (e.g. the 6-core
-            // homogeneous cluster of §V-C.2).
-            assert!(
-                p.is_power_of_two() || p.is_multiple_of(4),
-                "SPL modes need power-of-two or whole-cluster threads, got {p}"
-            );
-        }
-        if matches!(mode, BarrierMode::RemapComp(_)) {
-            assert!(
-                self.supports_comp(),
-                "{} has no Barrier+Comp variant",
-                self.name()
-            );
-            // The integrated-computation combining tree is the paper's
-            // 3-stage regional scheme, which tops out at four clusters.
-            assert!(p <= 16, "Barrier+Comp supports at most 16 threads");
-        }
-        match self {
-            BarrierBench::Ll2 | BarrierBench::Ll3 => {
-                assert!(
-                    n.is_power_of_two(),
-                    "{} needs power-of-two sizes",
-                    self.name()
-                )
-            }
-            _ => {}
-        }
         let mut b = SystemBuilder::new();
         for t in 0..p {
             let prog = self.thread_program(mode, n, t);
@@ -1128,6 +1154,32 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn six_threads_rejected_for_spl_modes() {
         let _ = BarrierBench::Dijkstra.build(BarrierMode::Remap(6), 24);
+    }
+
+    #[test]
+    fn smallest_sizes_validate_and_smaller_are_refused() {
+        for (bench, min) in [
+            (BarrierBench::Ll2, 1),
+            (BarrierBench::Ll3, 4),
+            (BarrierBench::Ll6, 2),
+            (BarrierBench::Dijkstra, 1),
+        ] {
+            for mode in [BarrierMode::Seq, BarrierMode::Remap(4)] {
+                bench.run(mode, min).unwrap();
+                let e = bench.check_shape(mode, min - 1).unwrap_err();
+                assert!(e.contains(bench.name()), "{e}");
+            }
+        }
+        let bad_shapes = [
+            (BarrierMode::Sw(0), "1-64 threads"),
+            (BarrierMode::Remap(99), "1-64 threads"),
+            (BarrierMode::Remap(3), "power-of-two or whole-cluster"),
+            (BarrierMode::RemapComp(4), "no Barrier+Comp"),
+        ];
+        for (mode, why) in bad_shapes {
+            let e = BarrierBench::Ll2.check_shape(mode, 8).unwrap_err();
+            assert!(e.contains(why), "{mode:?}: {e}");
+        }
     }
 
     #[test]

@@ -85,8 +85,34 @@ impl CommBench {
         }
     }
 
+    /// Checks that `mode` supports `n` elements: every benchmark needs at
+    /// least one (the sequential and queue loops test their bound only
+    /// after the first pass), and wc's SPL modes process whole 8-byte
+    /// chunks.
+    ///
+    /// # Errors
+    ///
+    /// Describes the rule the size breaks.
+    pub fn check_shape(self, mode: CommMode, n: usize) -> Result<(), String> {
+        if n == 0 {
+            return Err(format!("{} needs size at least 1, got 0", self.name()));
+        }
+        let wc_spl = matches!(mode, CommMode::Comp1T | CommMode::CompComm2T);
+        if self == CommBench::Wc && wc_spl && !n.is_multiple_of(8) {
+            return Err(format!("wc SPL modes process 8-byte chunks, got size {n}"));
+        }
+        Ok(())
+    }
+
     /// Builds the system for `mode` over `n` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shapes [`check_shape`](Self::check_shape) refuses.
     pub fn build(self, mode: CommMode, n: usize) -> System {
+        if let Err(e) = self.check_shape(mode, n) {
+            panic!("{e}");
+        }
         let mut b = SystemBuilder::new();
         match mode {
             CommMode::SeqOoo1 | CommMode::SeqOoo2 => {
@@ -761,6 +787,20 @@ mod tests {
                 assert!(m.cycles > 0, "{} {:?}", bench.name(), mode);
             }
         }
+    }
+
+    #[test]
+    fn smallest_sizes_validate_and_smaller_are_refused() {
+        for bench in CommBench::ALL {
+            for mode in CommMode::ALL {
+                assert!(bench.check_shape(mode, 0).is_err());
+                let min = if bench == CommBench::Wc { 8 } else { 1 };
+                bench.run(mode, min).unwrap();
+            }
+        }
+        let e = CommBench::Wc.check_shape(CommMode::CompComm2T, 12);
+        assert!(e.unwrap_err().contains("8-byte chunks"));
+        CommBench::Wc.check_shape(CommMode::Comm2T, 12).unwrap();
     }
 
     #[test]

@@ -243,8 +243,8 @@ fn wc_seq(n: usize) -> Program {
     a.assemble().expect("wc seq")
 }
 
+/// `n` is a whole number of 8-byte chunks ([`CommBench::check_shape`]).
 fn wc_comp1t(n: usize) -> Program {
-    assert_eq!(n % 8, 0, "wc SPL modes process 8-byte chunks");
     let chunks = n / 8;
     let mut a = Asm::new("wc-comp1t");
     wc_prologue(&mut a, chunks);
@@ -304,8 +304,8 @@ fn wc_consumer(n: usize, t: Transport) -> Program {
     a.assemble().expect("wc consumer")
 }
 
+/// `n` is a whole number of 8-byte chunks ([`CommBench::check_shape`]).
 fn wc_cc_producer(n: usize) -> Program {
-    assert_eq!(n % 8, 0, "wc SPL modes process 8-byte chunks");
     let chunks = n / 8;
     let mut a = Asm::new("wc-cc-producer");
     a.li(R1, 0);

@@ -76,8 +76,38 @@ impl CompBench {
         }
     }
 
+    /// Checks that every mode's kernel loops correctly over `n` elements:
+    /// the sequential loops test their bound only after the first pass, so
+    /// each needs at least one output (mpeg2dec and gsmtoast produce
+    /// `n - 4` rounded down to four, mpeg2enc one per 16-element block).
+    ///
+    /// # Errors
+    ///
+    /// Names the smallest size the benchmark supports.
+    pub fn check_size(self, n: usize) -> Result<(), String> {
+        let min = match self {
+            CompBench::Mpeg2Dec | CompBench::GsmToast => 8,
+            CompBench::Mpeg2Enc => 16,
+            _ => 1,
+        };
+        if n < min {
+            return Err(format!(
+                "{} needs size at least {min}, got {n}",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the system for `mode` over `n` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics on sizes [`check_size`](Self::check_size) refuses.
     pub fn build(self, mode: CompMode, n: usize) -> System {
+        if let Err(e) = self.check_size(n) {
+            panic!("{e}");
+        }
         let program = match mode {
             CompMode::SeqOoo1 | CompMode::SeqOoo2 => self.seq_program(n),
             CompMode::Spl => self.spl_program(n),
@@ -949,6 +979,21 @@ mod tests {
             for mode in CompMode::ALL {
                 let m = bench.run(mode, N).unwrap_or_else(|e| panic!("{e}"));
                 assert!(m.cycles > 0 && m.energy_pj > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn smallest_sizes_validate_and_smaller_are_refused() {
+        for bench in CompBench::ALL {
+            let min = (0..).find(|&n| bench.check_size(n).is_ok()).unwrap();
+            assert!(min >= 1, "{}", bench.name());
+            for mode in CompMode::ALL {
+                // libquantum's fabric takes two elements per operation.
+                if bench == CompBench::Libquantum && mode == CompMode::Spl {
+                    continue;
+                }
+                bench.run(mode, min).unwrap();
             }
         }
     }
