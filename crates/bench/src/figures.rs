@@ -8,7 +8,7 @@
 //! print a wall-time footer.
 
 use crate::{
-    banner, barrier_point, improvement_pct, region_rows_jobs, rel_ed, runner, sweep_sizes,
+    banner, barrier_point, improvement_pct, region_rows_jobs, rel_ed, runner,
     whole_program_rows_jobs, REGION_N,
 };
 use remap::{CoreKind, SystemBuilder};
@@ -194,7 +194,7 @@ pub fn fig11(jobs: usize) {
 }
 
 /// The Figure 12/14 mode list for a barrier benchmark.
-fn barrier_modes(bench: BarrierBench, with_seq: bool) -> Vec<BarrierMode> {
+pub(crate) fn barrier_modes(bench: BarrierBench, with_seq: bool) -> Vec<BarrierMode> {
     let mut modes = Vec::new();
     if with_seq {
         modes.push(BarrierMode::Seq);
@@ -236,7 +236,7 @@ pub fn fig12(jobs: usize) {
             "Figure 12",
             &format!("{} per-iteration cycles vs problem size", bench.name()),
         );
-        let sizes = sweep_sizes(bench);
+        let sizes = bench.sweep_sizes();
         let modes = barrier_modes(bench, true);
         print!("{:<10}", "size");
         for m in &modes {
@@ -289,7 +289,7 @@ pub fn fig13(jobs: usize) {
                 bench.name()
             ),
         );
-        let sizes = sweep_sizes(bench);
+        let sizes = bench.sweep_sizes();
         let threads = [2usize, 4, 8, 16];
         print!("{:<10}", "size");
         for p in threads {
@@ -326,7 +326,7 @@ pub fn fig14(jobs: usize) {
             "Figure 14",
             &format!("{} energy×delay relative to sequential", bench.name()),
         );
-        let sizes = sweep_sizes(bench);
+        let sizes = bench.sweep_sizes();
         let modes = barrier_modes(bench, false);
         print!("{:<10}", "size");
         for m in &modes {

@@ -32,7 +32,7 @@ use remap::{CoreCalibration, RegionMeasurement, WholeProgram, WholeProgramResult
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use remap_workloads::comm::CommBench;
 use remap_workloads::comp::CompBench;
-use remap_workloads::{CommMode, CompMode, Measurement};
+use remap_workloads::{CommMode, CompMode, Measurement, Workload};
 
 /// Region problem size used for the Figure 8–11 experiments.
 pub const REGION_N: usize = 2048;
@@ -83,40 +83,34 @@ impl Bench {
         }
     }
 
+    /// Runs the region at [`REGION_N`]: computation-only benchmarks in
+    /// `comp` mode, communicating ones in `comm` mode.
+    fn region(&self, comp: CompMode, comm: CommMode) -> Measurement {
+        let w = match *self {
+            Bench::Comp(b) => Workload::Comp(b, comp),
+            Bench::Comm(b) => Workload::Comm(b, comm),
+        };
+        w.run(REGION_N).expect("region run validates")
+    }
+
     /// Sequential baseline on OOO1.
     pub fn seq_ooo1(&self) -> Measurement {
-        match self {
-            Bench::Comp(b) => b.run(CompMode::SeqOoo1, REGION_N),
-            Bench::Comm(b) => b.run(CommMode::SeqOoo1, REGION_N),
-        }
-        .expect("baseline run validates")
+        self.region(CompMode::SeqOoo1, CommMode::SeqOoo1)
     }
 
     /// Sequential baseline on OOO2.
     pub fn seq_ooo2(&self) -> Measurement {
-        match self {
-            Bench::Comp(b) => b.run(CompMode::SeqOoo2, REGION_N),
-            Bench::Comm(b) => b.run(CommMode::SeqOoo2, REGION_N),
-        }
-        .expect("OOO2 run validates")
+        self.region(CompMode::SeqOoo2, CommMode::SeqOoo2)
     }
 
     /// The region under the ReMAP configuration (SPL cluster).
     pub fn remap_region(&self) -> Measurement {
-        match self {
-            Bench::Comp(b) => b.run(CompMode::Spl, REGION_N),
-            Bench::Comm(b) => b.run(CommMode::CompComm2T, REGION_N),
-        }
-        .expect("ReMAP run validates")
+        self.region(CompMode::Spl, CommMode::CompComm2T)
     }
 
     /// The region under the OOO2+Comm configuration.
     pub fn ooo2comm_region(&self) -> Measurement {
-        match self {
-            Bench::Comp(b) => b.run(CompMode::SeqOoo2, REGION_N),
-            Bench::Comm(b) => b.run(CommMode::Ooo2Comm, REGION_N),
-        }
-        .expect("OOO2+Comm run validates")
+        self.region(CompMode::SeqOoo2, CommMode::Ooo2Comm)
     }
 }
 
@@ -185,23 +179,20 @@ pub struct RegionRow {
 /// fourteen independent benchmarks across `jobs` worker threads.
 pub fn region_rows_jobs(jobs: usize) -> Vec<RegionRow> {
     let benches = Bench::all();
-    runner::run_with_jobs(jobs, &benches, |_, bench| match *bench {
-        Bench::Comp(b) => RegionRow {
-            name: b.name(),
-            base: b.run(CompMode::SeqOoo1, REGION_N).expect("validates"),
-            comp1t: b.run(CompMode::Spl, REGION_N).expect("validates"),
-            comm2t: None,
-            compcomm: None,
-            ooo2comm: b.run(CompMode::SeqOoo2, REGION_N).expect("validates"),
-        },
-        Bench::Comm(b) => RegionRow {
-            name: b.name(),
-            base: b.run(CommMode::SeqOoo1, REGION_N).expect("validates"),
-            comp1t: b.run(CommMode::Comp1T, REGION_N).expect("validates"),
-            comm2t: Some(b.run(CommMode::Comm2T, REGION_N).expect("validates")),
-            compcomm: Some(b.run(CommMode::CompComm2T, REGION_N).expect("validates")),
-            ooo2comm: b.run(CommMode::Ooo2Comm, REGION_N).expect("validates"),
-        },
+    runner::run_with_jobs(jobs, &benches, |_, bench| {
+        // The two-thread modes exist only for communicating benchmarks.
+        let comm = |m| match *bench {
+            Bench::Comp(_) => None,
+            Bench::Comm(b) => Some(b.run(m, REGION_N).expect("validates")),
+        };
+        RegionRow {
+            name: bench.name(),
+            base: bench.seq_ooo1(),
+            comp1t: bench.region(CompMode::Spl, CommMode::Comp1T),
+            comm2t: comm(CommMode::Comm2T),
+            compcomm: comm(CommMode::CompComm2T),
+            ooo2comm: bench.ooo2comm_region(),
+        }
     })
 }
 
@@ -235,16 +226,6 @@ pub fn barrier_sweep_jobs(
     runner::run_with_jobs(jobs, sizes, |_, &n| barrier_point(bench, mode, n))
 }
 
-/// The paper's sweep sizes for each barrier benchmark (Figure 12 axes).
-pub fn sweep_sizes(bench: BarrierBench) -> Vec<usize> {
-    match bench {
-        BarrierBench::Ll2 => vec![8, 16, 32, 64, 128, 256, 512],
-        BarrierBench::Ll6 => vec![8, 16, 32, 64, 128, 256],
-        BarrierBench::Ll3 => vec![32, 64, 128, 256, 512, 1024],
-        BarrierBench::Dijkstra => vec![20, 40, 80, 120, 160, 200],
-    }
-}
-
 /// Prints an experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!();
@@ -266,12 +247,5 @@ mod tests {
     fn improvement_math() {
         assert_eq!(improvement_pct(200, 100), 100.0);
         assert_eq!(improvement_pct(100, 200), -50.0);
-    }
-
-    #[test]
-    fn sweep_sizes_match_figure_axes() {
-        assert_eq!(sweep_sizes(BarrierBench::Ll2).last(), Some(&512));
-        assert_eq!(sweep_sizes(BarrierBench::Ll3).last(), Some(&1024));
-        assert_eq!(sweep_sizes(BarrierBench::Dijkstra).last(), Some(&200));
     }
 }

@@ -23,31 +23,23 @@
 //!    aggregates into a bounded `history` array so the throughput
 //!    trajectory survives across PRs.
 
+use crate::figures::barrier_modes;
 use crate::json::{self, Json, Json::Fixed};
 use crate::sweep::{self, SweepOpts};
-use crate::{runner, sweep_sizes, REGION_N};
-use remap_workloads::barriers::{BarrierBench, BarrierMode};
-use remap_workloads::comm::CommBench;
-use remap_workloads::comp::CompBench;
-use remap_workloads::{CommMode, CompMode, Measurement};
+use crate::{runner, REGION_N};
+use remap_workloads::barriers::BarrierBench;
+use remap_workloads::{catalog, Measurement, Workload};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-/// One simulator-performance configuration: a benchmark in one mode.
+/// One simulator-performance configuration: a benchmark in one mode at
+/// its problem size.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Mode label.
-    pub mode: &'static str,
-    run: RunKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RunKind {
-    Comp(CompBench, CompMode),
-    Comm(CommBench, CommMode),
-    Barrier(BarrierBench, BarrierMode),
+    /// The benchmark and mode.
+    pub workload: Workload,
+    /// Problem size.
+    pub n: usize,
 }
 
 /// One timed result.
@@ -100,73 +92,34 @@ impl Record {
     }
 }
 
-/// Static label for a barrier mode of the Figure 12–14 grid (which fixes
-/// `p` at 8 and 16 threads, matching the paper's scaled configurations).
-fn barrier_mode_label(m: BarrierMode) -> &'static str {
-    match m {
-        BarrierMode::Seq => "Seq",
-        BarrierMode::Sw(8) => "SW-p8",
-        BarrierMode::Sw(16) => "SW-p16",
-        BarrierMode::Remap(8) => "Barrier-p8",
-        BarrierMode::Remap(16) => "Barrier-p16",
-        BarrierMode::RemapComp(8) => "Barrier+Comp-p8",
-        BarrierMode::RemapComp(16) => "Barrier+Comp-p16",
-        _ => unreachable!("mode outside the simperf barrier grid"),
-    }
-}
-
 /// Problem size for a barrier benchmark: the median point of its figure
 /// sweep. The largest point would overweight the slowest runs, the
 /// smallest finishes too fast to time reliably; the median is the
 /// representative cost of one sweep cell.
 fn barrier_n(b: BarrierBench) -> usize {
-    let sizes = sweep_sizes(b);
+    let sizes = b.sweep_sizes();
     sizes[(sizes.len() - 1) / 2]
 }
 
-/// The full Figure 8–14 configuration grid: every computation benchmark in
-/// every [`CompMode`], every communicating benchmark in every [`CommMode`],
-/// and every barrier benchmark in the Figure 12–14 [`BarrierMode`] set
-/// (8- and 16-thread configurations) at its median sweep size (94 configs).
+/// The full Figure 8–14 configuration grid: the computation and
+/// communication part of the [canonical matrix](catalog::canonical) at
+/// [`REGION_N`], and every barrier benchmark in the Figure 12/14 modes
+/// (8- and 16-thread configurations) at its median sweep size (94
+/// configs).
 pub fn configs() -> Vec<Config> {
-    let mut v = Vec::new();
-    for b in CompBench::ALL {
-        for m in CompMode::ALL {
-            v.push(Config {
-                bench: b.name(),
-                mode: m.label(),
-                run: RunKind::Comp(b, m),
-            });
-        }
-    }
-    for b in CommBench::ALL {
-        for m in CommMode::ALL {
-            v.push(Config {
-                bench: b.name(),
-                mode: m.label(),
-                run: RunKind::Comm(b, m),
-            });
-        }
-    }
+    let mut v: Vec<Config> = catalog::canonical()
+        .into_iter()
+        .filter(|(w, _)| !matches!(w, Workload::Barrier(..)))
+        .map(|(workload, _)| Config {
+            workload,
+            n: REGION_N,
+        })
+        .collect();
     for b in BarrierBench::ALL {
-        let mut modes = vec![
-            BarrierMode::Seq,
-            BarrierMode::Sw(8),
-            BarrierMode::Sw(16),
-            BarrierMode::Remap(8),
-            BarrierMode::Remap(16),
-        ];
-        if b.supports_comp() {
-            modes.push(BarrierMode::RemapComp(8));
-            modes.push(BarrierMode::RemapComp(16));
-        }
-        for m in modes {
-            v.push(Config {
-                bench: b.name(),
-                mode: barrier_mode_label(m),
-                run: RunKind::Barrier(b, m),
-            });
-        }
+        v.extend(barrier_modes(b, true).into_iter().map(|m| Config {
+            workload: Workload::Barrier(b, m),
+            n: barrier_n(b),
+        }));
     }
     v
 }
@@ -188,11 +141,7 @@ fn reps() -> usize {
 
 fn run_once(cfg: &Config) -> (Measurement, f64) {
     let start = Instant::now();
-    let m: Measurement = match cfg.run {
-        RunKind::Comp(b, mode) => b.run(mode, REGION_N).expect("config validates"),
-        RunKind::Comm(b, mode) => b.run(mode, REGION_N).expect("config validates"),
-        RunKind::Barrier(b, mode) => b.run(mode, barrier_n(b)).expect("config validates"),
-    };
+    let m = cfg.workload.run(cfg.n).expect("config validates");
     (m, start.elapsed().as_secs_f64())
 }
 
@@ -214,9 +163,8 @@ fn merge_reps(cfg: &Config, batch: Vec<(Measurement, f64)>) -> Record {
         assert_eq!(
             (m.cycles, m.committed),
             (best.cycles, best.committed),
-            "{}/{} is not deterministic across repetitions",
-            cfg.bench,
-            cfg.mode
+            "{} is not deterministic across repetitions",
+            cfg.workload
         );
         best.wall_seconds = best.wall_seconds.min(wall);
         best.sim_wall_seconds = best.sim_wall_seconds.min(m.sim_wall_seconds);
@@ -301,7 +249,7 @@ impl SimPerf {
         let sel = || {
             self.records
                 .iter()
-                .filter(|r| COMPUTE_MODES.contains(&r.config.mode))
+                .filter(|r| COMPUTE_MODES.contains(&r.config.workload.mode_label().as_str()))
         };
         let cycles: u64 = sel().map(|r| r.cycles).sum();
         let wall: f64 = sel().map(|r| r.sim_wall_seconds).sum();
@@ -335,8 +283,8 @@ impl SimPerf {
         let history = self.history.iter().map(|h| Json::Raw(h.clone()));
         let configs = self.records.iter().map(|r| {
             Json::obj([
-                ("bench", r.config.bench.into()),
-                ("mode", r.config.mode.into()),
+                ("bench", r.config.workload.bench_name().into()),
+                ("mode", Json::Str(r.config.workload.mode_label())),
                 ("cycles", r.cycles.into()),
                 ("skipped_cycles", r.skipped_cycles.into()),
                 ("skip_rate", Fixed(r.skip_rate(), 4)),
@@ -426,9 +374,8 @@ pub fn measure(jobs: usize) -> SimPerf {
         assert_eq!(
             (a.cycles, a.committed),
             (b.cycles, b.committed),
-            "parallel run of {}/{} diverged from serial",
-            a.config.bench,
-            a.config.mode
+            "parallel run of {} diverged from serial",
+            a.config.workload
         );
     }
     SimPerf {
@@ -509,8 +456,8 @@ pub fn report(jobs: usize, path: &str) {
     for r in &perf.records {
         println!(
             "{:<12} {:<16} {:>12} {:>12} {:>6.1}% {:>10.3} {:>10.3} {:>10.0} {:>10.0}",
-            r.config.bench,
-            r.config.mode,
+            r.config.workload.bench_name(),
+            r.config.workload.mode_label(),
             r.cycles,
             r.skipped_cycles,
             r.skip_rate() * 100.0,
@@ -601,6 +548,8 @@ fn overwrite_allowed(existing: Option<&str>, degraded_now: bool, force: Option<&
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remap_workloads::comm::CommBench;
+    use remap_workloads::CommMode;
 
     #[test]
     fn grid_is_ninety_four_configs() {
@@ -713,14 +662,18 @@ mod tests {
     /// golden bytes below pin every derived column (speedups, kcps, skip
     /// rates) along with the layout.
     fn golden_perf() -> SimPerf {
-        let run = RunKind::Comp(CompBench::ALL[0], CompMode::Spl);
+        use CommBench::{Adpcm, Wc};
+        use CommMode::{Comm2T, Comp1T};
         let rows = [
-            ("adpcm", "1Th+Comp", 1000, 250, 500, 0.002, 0.001),
-            ("wc", "2Th+Comm", 123_456, 0, 99_999, 0.0375, 0.031_234_5),
+            (Adpcm, Comp1T, 1000, 250, 500, 0.002, 0.001),
+            (Wc, Comm2T, 123_456, 0, 99_999, 0.0375, 0.031_234_5),
         ];
         let records = rows.map(
             |(bench, mode, cycles, skipped, committed, wall, sim)| Record {
-                config: Config { bench, mode, run },
+                config: Config {
+                    workload: Workload::Comm(bench, mode),
+                    n: REGION_N,
+                },
                 cycles,
                 skipped_cycles: skipped,
                 committed,

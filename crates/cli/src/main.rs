@@ -10,10 +10,11 @@
 
 use remap_bench::json::{self, Json};
 use remap_power::{table1, EnergyParams};
-use remap_workloads::barriers::{BarrierBench, BarrierMode};
+use remap_workloads::barriers::BarrierBench;
+use remap_workloads::catalog::{self, mode_spellings};
 use remap_workloads::comm::CommBench;
 use remap_workloads::comp::CompBench;
-use remap_workloads::{CommMode, CompMode, Measurement};
+use remap_workloads::{Measurement, Workload};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -57,29 +58,29 @@ fn print_usage() {
     println!("      --format <f>      output format: text (default) or json");
     println!("      --deny-warnings   exit nonzero on warnings, not just errors");
     println!();
-    println!("modes (computation benchmarks): seq, seq2, spl");
-    println!("modes (communication benchmarks): seq, seq2, comp, comm, compcomm, ooo2comm, swq");
-    println!("modes (barrier benchmarks): seq, sw:<p>, barrier:<p>, barrier+comp:<p>, hwnet:<p>");
+    let [comp, comm, barrier] = mode_spellings();
+    println!("modes (computation benchmarks): {}", comp.join(", "));
+    println!("modes (communication benchmarks): {}", comm.join(", "));
+    println!("modes (barrier benchmarks): {}", barrier.join(", "));
 }
 
 fn cmd_list() -> Result<(), String> {
-    println!("computation-only benchmarks (modes: seq seq2 spl):");
+    let [comp, comm, barrier] = mode_spellings();
+    let row = |name: &str, fraction: f64| {
+        println!(
+            "  {name:<12} ({:.0}% of program execution)",
+            fraction * 100.0
+        )
+    };
+    println!("computation-only benchmarks (modes: {}):", comp.join(" "));
     for b in CompBench::ALL {
-        println!(
-            "  {:<12} ({:.0}% of program execution)",
-            b.name(),
-            b.exec_fraction() * 100.0
-        );
+        row(b.name(), b.exec_fraction());
     }
-    println!("communication benchmarks (modes: seq seq2 comp comm compcomm ooo2comm swq):");
+    println!("communication benchmarks (modes: {}):", comm.join(" "));
     for b in CommBench::ALL {
-        println!(
-            "  {:<12} ({:.0}% of program execution)",
-            b.name(),
-            b.exec_fraction() * 100.0
-        );
+        row(b.name(), b.exec_fraction());
     }
-    println!("barrier benchmarks (modes: seq sw:<p> barrier:<p> barrier+comp:<p> hwnet:<p>):");
+    println!("barrier benchmarks (modes: {}):", barrier.join(" "));
     for b in BarrierBench::ALL {
         let comp = if b.supports_comp() {
             " (+comp variant)"
@@ -98,43 +99,6 @@ fn cmd_table1() -> Result<(), String> {
     println!("  peak dynamic  {:.2}", t.spl_rel_peak_dynamic);
     println!("  leakage       {:.2}", t.spl_rel_leakage);
     Ok(())
-}
-
-fn parse_threads(mode: &str, prefix: &str) -> Result<usize, String> {
-    let p = mode
-        .strip_prefix(prefix)
-        .and_then(|s| s.strip_prefix(':'))
-        .ok_or_else(|| format!("mode `{mode}` needs `:<threads>`"))?;
-    p.parse::<usize>()
-        .map_err(|_| format!("bad thread count in `{mode}`"))
-}
-
-fn parse_barrier_mode(mode: &str) -> Result<BarrierMode, String> {
-    if mode == "seq" {
-        return Ok(BarrierMode::Seq);
-    }
-    if mode.starts_with("sw") {
-        return Ok(BarrierMode::Sw(parse_threads(mode, "sw")?));
-    }
-    if mode.starts_with("barrier+comp") {
-        return Ok(BarrierMode::RemapComp(parse_threads(mode, "barrier+comp")?));
-    }
-    if mode.starts_with("barrier") {
-        return Ok(BarrierMode::Remap(parse_threads(mode, "barrier")?));
-    }
-    if mode.starts_with("hwnet") {
-        return Ok(BarrierMode::HwIdeal(parse_threads(mode, "hwnet")?));
-    }
-    Err(format!("unknown barrier mode `{mode}`"))
-}
-
-fn report(name: &str, mode: &str, n: usize, m: &Measurement) {
-    println!("{name} [{mode}] n={n}: validated OK");
-    println!("  cycles       {}", m.cycles);
-    println!("  instructions {}", m.committed);
-    println!("  IPC          {:.3}", m.committed as f64 / m.cycles as f64);
-    println!("  energy       {:.3} uJ", m.energy_pj / 1e6);
-    println!("  energy*delay {:.3e} pJ*cycles", m.ed());
 }
 
 /// Parsed `remap run` arguments beyond `<bench> <mode>`.
@@ -201,27 +165,23 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
     Ok(o)
 }
 
-/// Runs a built system under the `remap run` options and validates it:
+/// Runs `w` at size `n` under the `remap run` options and validates it:
 /// optional `--resume` restore, a run (checkpointed under
 /// `--checkpoint`), then the same validation and measurement every bench
 /// run goes through.
-fn run_with_opts(
-    mut sys: remap::System,
-    max_cycles: u64,
-    opts: &RunOpts,
-    check: impl FnOnce(&remap::System) -> Result<(), String>,
-) -> Result<Measurement, String> {
+fn run_with_opts(w: Workload, n: usize, opts: &RunOpts) -> Result<Measurement, String> {
+    let mut sys = w.build(n);
     if let Some(path) = &opts.resume {
         let snap = remap::Snapshot::read_with_fallback(path).map_err(|e| e.to_string())?;
         sys.restore(&snap).map_err(|e| e.to_string())?;
         println!("resumed from {} at cycle {}", path.display(), sys.cycle());
     }
     let report = match &opts.checkpoint {
-        Some(path) => sys.run_with_checkpoints(max_cycles, opts.every, path),
-        None => sys.run(max_cycles),
+        Some(path) => sys.run_with_checkpoints(w.max_cycles(), opts.every, path),
+        None => sys.run(w.max_cycles()),
     }
     .map_err(|e| e.to_string())?;
-    remap_workloads::measure_checked(&sys, &report, check)
+    remap_workloads::measure_checked(&sys, &report, |s| w.check(s, n))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -229,65 +189,32 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Err(RUN_USAGE.into());
     };
     let opts = parse_run_opts(rest)?;
-    if let Some(b) = CompBench::ALL.iter().find(|b| b.name() == bench) {
-        let m = match mode.as_str() {
-            "seq" => CompMode::SeqOoo1,
-            "seq2" => CompMode::SeqOoo2,
-            "spl" => CompMode::Spl,
-            other => return Err(format!("unknown computation mode `{other}`")),
-        };
-        let n = opts.n.unwrap_or(2048);
-        b.check_size(n)?;
-        let meas = run_with_opts(b.build(m, n), CompBench::MAX_CYCLES, &opts, |s| {
-            b.check(s, n)
-        })
-        .map_err(|e| format!("{} [{}]: {e}", b.name(), m.label()))?;
-        report(b.name(), mode, n, &meas);
-        return Ok(());
-    }
-    if let Some(b) = CommBench::ALL.iter().find(|b| b.name() == bench) {
-        let m = match mode.as_str() {
-            "seq" => CommMode::SeqOoo1,
-            "seq2" => CommMode::SeqOoo2,
-            "comp" => CommMode::Comp1T,
-            "comm" => CommMode::Comm2T,
-            "compcomm" => CommMode::CompComm2T,
-            "ooo2comm" => CommMode::Ooo2Comm,
-            "swq" => CommMode::SwQueue2T,
-            other => return Err(format!("unknown communication mode `{other}`")),
-        };
-        let n = opts.n.unwrap_or(2048);
-        b.check_shape(m, n)?;
-        let meas = run_with_opts(b.build(m, n), CommBench::MAX_CYCLES, &opts, |s| {
-            b.check(s, n)
-        })
-        .map_err(|e| format!("{} [{}]: {e}", b.name(), m.label()))?;
-        report(b.name(), mode, n, &meas);
-        return Ok(());
-    }
-    if let Some(b) = BarrierBench::ALL
-        .iter()
-        .find(|b| b.name().eq_ignore_ascii_case(bench))
-    {
-        let m = parse_barrier_mode(mode)?;
-        let n = opts.n.unwrap_or(match b {
-            BarrierBench::Dijkstra => 120,
-            _ => 128,
-        });
-        b.check_shape(m, n)?;
-        let meas = run_with_opts(b.build(m, n), BarrierBench::MAX_CYCLES, &opts, |s| {
-            b.check(s, n)
-        })
-        .map_err(|e| format!("{} [{}] n={n}: {e}", b.name(), m.label()))?;
-        report(b.name(), mode, n, &meas);
+    let w = Workload::parse(bench, mode)?;
+    let n = opts.n.unwrap_or(match w {
+        Workload::Barrier(BarrierBench::Dijkstra, _) => 120,
+        Workload::Barrier(..) => 128,
+        _ => 2048,
+    });
+    w.check_shape(n)?;
+    let meas = run_with_opts(w, n, &opts)
+        .map_err(|e| format!("{} [{}] n={n}: {e}", w.bench_name(), w.mode_label()))?;
+    println!("{} [{mode}] n={n}: validated OK", w.bench_name());
+    println!("  cycles       {}", meas.cycles);
+    println!("  instructions {}", meas.committed);
+    println!(
+        "  IPC          {:.3}",
+        meas.committed as f64 / meas.cycles as f64
+    );
+    println!("  energy       {:.3} uJ", meas.energy_pj / 1e6);
+    println!("  energy*delay {:.3e} pJ*cycles", meas.ed());
+    if let Workload::Barrier(b, _) = w {
         println!(
             "  per-iteration {:.0} cycles ({} iterations)",
             meas.cycles as f64 / b.iterations(n) as f64,
             b.iterations(n)
         );
-        return Ok(());
     }
-    Err(format!("unknown benchmark `{bench}` (try `remap list`)"))
+    Ok(())
 }
 
 /// A `remap bench` figure target: name and report function taking the job
@@ -419,9 +346,12 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut targets = remap_workloads::catalog::canonical();
+    let mut targets: Vec<(String, remap::System)> = catalog::canonical()
+        .into_iter()
+        .map(|(w, n)| (w.to_string(), w.build(n)))
+        .collect();
     if parsed.all {
-        targets.extend(remap_workloads::catalog::extended());
+        targets.extend(catalog::extended());
     }
     if let Some(f) = &parsed.filter {
         let prefix = format!("{} [", f.to_ascii_lowercase());
@@ -504,19 +434,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let [bench, mode, sizes @ ..] = args else {
         return Err("usage: remap sweep <barrier-bench> <mode> [sizes...]".into());
     };
-    let b = BarrierBench::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| format!("unknown barrier benchmark `{bench}`"))?;
-    let m = parse_barrier_mode(mode)?;
+    let w = Workload::parse(bench, mode)?;
+    let Workload::Barrier(b, _) = w else {
+        return Err(format!("unknown barrier benchmark `{bench}`"));
+    };
     let sizes: Vec<usize> = if sizes.is_empty() {
-        match b {
-            BarrierBench::Dijkstra => vec![20, 40, 80, 120, 160, 200],
-            BarrierBench::Ll6 => vec![8, 16, 32, 64, 128, 256],
-            BarrierBench::Ll3 => vec![32, 64, 128, 256, 512, 1024],
-            BarrierBench::Ll2 => vec![8, 16, 32, 64, 128, 256, 512],
-        }
+        b.sweep_sizes()
     } else {
         sizes
             .iter()
@@ -524,7 +447,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .collect::<Result<_, _>>()?
     };
     for &n in &sizes {
-        b.check_shape(m, n)?;
+        w.check_shape(n)?;
     }
     println!("{} [{}]:", b.name(), mode);
     println!(
@@ -532,7 +455,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         "size", "cycles", "cycles/iter", "ED (pJ*cyc)"
     );
     for n in sizes {
-        let meas = b.run(m, n)?;
+        let meas = w.run(n)?;
         println!(
             "{:<10} {:>12} {:>14.0} {:>14.3e}",
             n,
@@ -547,30 +470,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn barrier_mode_parsing() {
-        assert_eq!(parse_barrier_mode("seq").unwrap(), BarrierMode::Seq);
-        assert_eq!(parse_barrier_mode("sw:8").unwrap(), BarrierMode::Sw(8));
-        assert_eq!(
-            parse_barrier_mode("barrier:4").unwrap(),
-            BarrierMode::Remap(4)
-        );
-        assert_eq!(
-            parse_barrier_mode("barrier+comp:16").unwrap(),
-            BarrierMode::RemapComp(16)
-        );
-        assert_eq!(
-            parse_barrier_mode("hwnet:6").unwrap(),
-            BarrierMode::HwIdeal(6)
-        );
-        assert!(
-            parse_barrier_mode("barrier").is_err(),
-            "missing thread count"
-        );
-        assert!(parse_barrier_mode("sw:x").is_err(), "bad thread count");
-        assert!(parse_barrier_mode("bogus:2").is_err());
-    }
 
     #[test]
     fn verify_arg_parsing() {

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 /// Unsupported barrier shapes, sizes too small for a workload's loops to
 /// run correctly, and the retired service commands.
-const BAD: [&[&str]; 14] = [
+const BAD: [&[&str]; 15] = [
     &["run", "ll2", "sw:0", "8"],
     &["run", "ll2", "barrier:99", "8"],
     &["run", "ll2", "barrier:3", "8"],
@@ -19,6 +19,7 @@ const BAD: [&[&str]; 14] = [
     &["run", "ll6", "barrier:4", "1"],
     &["run", "dijkstra", "seq", "0"],
     &["run", "mpeg2enc", "seq", "15"],
+    &["run", "libquantum", "spl", "7"],
     &["run", "wc", "compcomm", "12"],
     &["serve", "x"],
     &["submit", "x", "ping"],

@@ -23,7 +23,8 @@
 //! cluster, a bus-synchronized intermediate barrier, and a final fabric
 //! stage where core *j* of each cluster injects regional result *j*.
 
-use crate::framework::{run_checked, sw_barrier, Measurement, ADDR_IN, ADDR_OUT, ADDR_SHARED};
+use crate::framework::{sw_barrier, Measurement, ADDR_IN, ADDR_OUT, ADDR_SHARED};
+use crate::Workload;
 use remap::{CoreKind, System, SystemBuilder};
 use remap_isa::{Asm, Program, Reg::*};
 use remap_spl::{Dest, SplConfig, SplFunction};
@@ -184,6 +185,16 @@ impl BarrierBench {
         }
     }
 
+    /// The paper's problem sizes for this benchmark (Figure 12 axes).
+    pub fn sweep_sizes(self) -> Vec<usize> {
+        match self {
+            BarrierBench::Ll2 => vec![8, 16, 32, 64, 128, 256, 512],
+            BarrierBench::Ll3 => vec![32, 64, 128, 256, 512, 1024],
+            BarrierBench::Ll6 => vec![8, 16, 32, 64, 128, 256],
+            BarrierBench::Dijkstra => vec![20, 40, 80, 120, 160, 200],
+        }
+    }
+
     /// Checks that `mode` and problem size `n` form a shape the kernels
     /// support: 1-64 threads, SPL modes in power-of-two or whole-cluster
     /// thread counts, Barrier+Comp only on LL3/Dijkstra with at most 16
@@ -287,15 +298,9 @@ impl BarrierBench {
         sys
     }
 
-    /// Builds, runs, and validates; returns the measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the run dies or the oracle check fails.
+    /// Builds, runs, and validates; see [`Workload::run`].
     pub fn run(self, mode: BarrierMode, n: usize) -> Result<Measurement, String> {
-        let sys = self.build(mode, n);
-        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
-            .map_err(|e| format!("{} [{}] n={n}: {e}", self.name(), mode.label()))
+        Workload::Barrier(self, mode).run(n)
     }
 
     /// Validates the result region against the oracle.
@@ -1154,6 +1159,13 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn six_threads_rejected_for_spl_modes() {
         let _ = BarrierBench::Dijkstra.build(BarrierMode::Remap(6), 24);
+    }
+
+    #[test]
+    fn sweep_sizes_match_figure_axes() {
+        assert_eq!(BarrierBench::Ll2.sweep_sizes().last(), Some(&512));
+        assert_eq!(BarrierBench::Ll3.sweep_sizes().last(), Some(&1024));
+        assert_eq!(BarrierBench::Dijkstra.sweep_sizes().last(), Some(&200));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Communicating SPL modes get **half the fabric** (12 of 24 rows), matching
 //! §V-A's assumption that another communicating pair owns the other half.
 
-use crate::framework::{run_checked, CommMode, Measurement, ADDR_IN, ADDR_OUT, ADDR_SHARED};
+use crate::framework::{CommMode, Measurement, ADDR_IN, ADDR_OUT, ADDR_SHARED};
+use crate::Workload;
 use remap::{CoreKind, System, SystemBuilder};
 use remap_isa::{Asm, Program, Reg, Reg::*};
 use remap_spl::{Dest, SplConfig, SplFunction};
@@ -154,15 +155,9 @@ impl CommBench {
         sys
     }
 
-    /// Builds, runs, and validates; returns the measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the run dies or the oracle check fails.
+    /// Builds, runs, and validates; see [`Workload::run`].
     pub fn run(self, mode: CommMode, n: usize) -> Result<Measurement, String> {
-        let sys = self.build(mode, n);
-        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
-            .map_err(|e| format!("{} [{}]: {e}", self.name(), mode.label()))
+        Workload::Comm(self, mode).run(n)
     }
 
     /// Validates simulated memory against the oracle.

@@ -6,7 +6,8 @@
 //! at [`ADDR_OUT`], and is validated against a host-Rust oracle that mirrors
 //! the assembly exactly.
 
-use crate::framework::{run_checked, CompMode, Measurement, ADDR_IN, ADDR_OUT};
+use crate::framework::{CompMode, Measurement, ADDR_IN, ADDR_OUT};
+use crate::Workload;
 use remap::{CoreKind, System, SystemBuilder};
 use remap_isa::{Asm, Program, Reg::*};
 use remap_spl::{Dest, SplConfig, SplFunction};
@@ -76,15 +77,16 @@ impl CompBench {
         }
     }
 
-    /// Checks that every mode's kernel loops correctly over `n` elements:
-    /// the sequential loops test their bound only after the first pass, so
+    /// Checks that `mode`'s kernel loops correctly over `n` elements: the
+    /// sequential loops test their bound only after the first pass, so
     /// each needs at least one output (mpeg2dec and gsmtoast produce
-    /// `n - 4` rounded down to four, mpeg2enc one per 16-element block).
+    /// `n - 4` rounded down to four, mpeg2enc one per 16-element block),
+    /// and libquantum's fabric takes two elements per operation.
     ///
     /// # Errors
     ///
-    /// Names the smallest size the benchmark supports.
-    pub fn check_size(self, n: usize) -> Result<(), String> {
+    /// Describes the rule the size breaks.
+    pub fn check_shape(self, mode: CompMode, n: usize) -> Result<(), String> {
         let min = match self {
             CompBench::Mpeg2Dec | CompBench::GsmToast => 8,
             CompBench::Mpeg2Enc => 16,
@@ -96,6 +98,9 @@ impl CompBench {
                 self.name()
             ));
         }
+        if self == CompBench::Libquantum && mode == CompMode::Spl && !n.is_multiple_of(2) {
+            return Err(format!("libquantum SPL needs an even size, got {n}"));
+        }
         Ok(())
     }
 
@@ -103,9 +108,9 @@ impl CompBench {
     ///
     /// # Panics
     ///
-    /// Panics on sizes [`check_size`](Self::check_size) refuses.
+    /// Panics on shapes [`check_shape`](Self::check_shape) refuses.
     pub fn build(self, mode: CompMode, n: usize) -> System {
-        if let Err(e) = self.check_size(n) {
+        if let Err(e) = self.check_shape(mode, n) {
             panic!("{e}");
         }
         let program = match mode {
@@ -127,15 +132,9 @@ impl CompBench {
         sys
     }
 
-    /// Builds, runs, and validates; returns the measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the run dies or the oracle check fails.
+    /// Builds, runs, and validates; see [`Workload::run`].
     pub fn run(self, mode: CompMode, n: usize) -> Result<Measurement, String> {
-        let sys = self.build(mode, n);
-        run_checked(sys, Self::MAX_CYCLES, |s| self.check(s, n))
-            .map_err(|e| format!("{} [{}]: {e}", self.name(), mode.label()))
+        Workload::Comp(self, mode).run(n)
     }
 
     /// Validates simulated memory against the oracle.
@@ -986,16 +985,16 @@ mod tests {
     #[test]
     fn smallest_sizes_validate_and_smaller_are_refused() {
         for bench in CompBench::ALL {
-            let min = (0..).find(|&n| bench.check_size(n).is_ok()).unwrap();
-            assert!(min >= 1, "{}", bench.name());
             for mode in CompMode::ALL {
-                // libquantum's fabric takes two elements per operation.
-                if bench == CompBench::Libquantum && mode == CompMode::Spl {
-                    continue;
-                }
+                let min = (0..).find(|&n| bench.check_shape(mode, n).is_ok()).unwrap();
+                assert!(min >= 1, "{}", bench.name());
                 bench.run(mode, min).unwrap();
             }
         }
+        assert!(CompBench::Libquantum.check_shape(CompMode::Spl, 7).is_err());
+        assert!(CompBench::Libquantum
+            .check_shape(CompMode::SeqOoo1, 7)
+            .is_ok());
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod comp;
 mod framework;
 mod pipeline;
 
+pub use catalog::Workload;
 pub use framework::{
     measure_checked, run_checked, sw_barrier, CommMode, CompMode, Measurement, ADDR_IN, ADDR_OUT,
     ADDR_SHARED,

@@ -15,37 +15,14 @@
 //! engine jumps over is a function of the restored state, so a resumed
 //! run skips exactly what the uninterrupted one does.
 
+mod common;
+
+use common::canonical_where;
 use remap_suite::system::{RunReport, System};
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
-use remap_suite::workloads::comm::CommBench;
-use remap_suite::workloads::comp::CompBench;
-use remap_suite::workloads::{CommMode, CompMode};
+use remap_suite::workloads::Workload;
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-const COMP_MODES: [CompMode; 3] = [CompMode::SeqOoo1, CompMode::SeqOoo2, CompMode::Spl];
-const COMM_MODES: [CommMode; 7] = [
-    CommMode::SeqOoo1,
-    CommMode::SeqOoo2,
-    CommMode::Comp1T,
-    CommMode::Comm2T,
-    CommMode::CompComm2T,
-    CommMode::Ooo2Comm,
-    CommMode::SwQueue2T,
-];
-
-fn barrier_modes(b: BarrierBench) -> Vec<BarrierMode> {
-    let mut m = vec![
-        BarrierMode::Seq,
-        BarrierMode::Sw(4),
-        BarrierMode::Remap(4),
-        BarrierMode::HwIdeal(4),
-    ];
-    if b.supports_comp() {
-        m.push(BarrierMode::RemapComp(4));
-    }
-    m
-}
 
 /// Asserts every architectural observable of two completed runs matches.
 fn assert_same_observables(label: &str, a: &System, ra: &RunReport, b: &System, rb: &RunReport) {
@@ -160,46 +137,39 @@ fn assert_checkpoint_parity(
     resumed_skipped
 }
 
+/// Checkpoint parity over the canonical configurations `pick` selects
+/// (`count` of them), two cuts each; returns the resumed runs' skipped
+/// cycles.
+fn canonical_parity(pick: fn(&Workload) -> bool, count: usize) -> u64 {
+    canonical_where(pick, count)
+        .into_iter()
+        .map(|(w, n)| {
+            let build = || w.build(n);
+            let check = |s: &System| w.check(s, n);
+            assert_checkpoint_parity(
+                &w.to_string(),
+                &check,
+                build(),
+                build(),
+                vec![build(), build()],
+            )
+        })
+        .sum()
+}
+
 #[test]
 fn computation_workloads_checkpoint_parity() {
-    for b in CompBench::ALL {
-        for m in COMP_MODES {
-            let label = format!("{} {m:?}", b.name());
-            let build = || b.build(m, 64);
-            let check = |s: &System| b.check(s, 64);
-            assert_checkpoint_parity(&label, &check, build(), build(), vec![build(), build()]);
-        }
-    }
+    canonical_parity(|w| matches!(w, Workload::Comp(..)), 21);
 }
 
 #[test]
 fn communication_workloads_checkpoint_parity() {
-    for b in CommBench::ALL {
-        for m in COMM_MODES {
-            let label = format!("{} {m:?}", b.name());
-            let build = || b.build(m, 64);
-            let check = |s: &System| b.check(s, 64);
-            assert_checkpoint_parity(&label, &check, build(), build(), vec![build(), build()]);
-        }
-    }
+    canonical_parity(|w| matches!(w, Workload::Comm(..)), 49);
 }
 
 #[test]
 fn barrier_workloads_checkpoint_parity_including_mid_skip_cuts() {
-    let mut resumed_skipped = 0;
-    for b in BarrierBench::ALL {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        for m in barrier_modes(b) {
-            let label = format!("{b:?} {m:?}");
-            let build = || b.build(m, n);
-            let check = |s: &System| b.check(s, n);
-            resumed_skipped +=
-                assert_checkpoint_parity(&label, &check, build(), build(), vec![build(), build()]);
-        }
-    }
+    let resumed_skipped = canonical_parity(|w| matches!(w, Workload::Barrier(..)), 18);
     // Barrier workloads spend most of their time quiescent; resumed runs
     // must keep bulk-skipping, or the mid-skip claim is vacuous.
     assert!(
@@ -229,51 +199,23 @@ fn faulted_workloads_checkpoint_parity() {
     plan.cache_corrupt = SiteCfg::rate(50_000);
 
     let mut total_injected = 0;
-    let mut run = |label: String, check: Oracle, build: &dyn Fn() -> System| {
+    for (w, n) in common::faulted() {
         let faulted = || {
-            let mut sys = build();
+            let mut sys = w.build(n);
             sys.set_fault_plan(&plan);
             sys
         };
-        let mut reference = faulted();
-        let rr = reference
+        let label = format!("{w} faulted");
+        let rr = faulted()
             .run(MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{label} failed: {e:?}"));
         total_injected += rr.faults.total_injected();
         assert_checkpoint_parity(
             &label,
-            check,
+            &|s| w.check(s, n),
             faulted(),
             faulted(),
             vec![faulted(), faulted()],
-        );
-    };
-    for b in [CompBench::ALL[0], CompBench::ALL[3]] {
-        run(
-            format!("{} Spl faulted", b.name()),
-            &|s| b.check(s, 64),
-            &|| b.build(CompMode::Spl, 64),
-        );
-    }
-    for (b, m) in [
-        (CommBench::ALL[0], CommMode::CompComm2T),
-        (CommBench::ALL[2], CommMode::Ooo2Comm),
-    ] {
-        run(
-            format!("{} {m:?} faulted", b.name()),
-            &|s| b.check(s, 64),
-            &|| b.build(m, 64),
-        );
-    }
-    for b in [BarrierBench::Ll2, BarrierBench::Dijkstra] {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        run(
-            format!("{b:?} Remap(4) faulted"),
-            &|s| b.check(s, n),
-            &|| b.build(BarrierMode::Remap(4), n),
         );
     }
     assert!(

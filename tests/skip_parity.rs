@@ -8,37 +8,14 @@
 //! cache levels per core, the coherence-bus counters, and per-cluster SPL
 //! fabric statistics.
 
+mod common;
+
+use common::canonical_where;
 use remap_suite::system::System;
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
-use remap_suite::workloads::comm::CommBench;
-use remap_suite::workloads::comp::CompBench;
-use remap_suite::workloads::{CommMode, CompMode};
+use remap_suite::workloads::Workload;
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-const COMP_MODES: [CompMode; 3] = [CompMode::SeqOoo1, CompMode::SeqOoo2, CompMode::Spl];
-const COMM_MODES: [CommMode; 7] = [
-    CommMode::SeqOoo1,
-    CommMode::SeqOoo2,
-    CommMode::Comp1T,
-    CommMode::Comm2T,
-    CommMode::CompComm2T,
-    CommMode::Ooo2Comm,
-    CommMode::SwQueue2T,
-];
-
-fn barrier_modes(b: BarrierBench) -> Vec<BarrierMode> {
-    let mut m = vec![
-        BarrierMode::Seq,
-        BarrierMode::Sw(4),
-        BarrierMode::Remap(4),
-        BarrierMode::HwIdeal(4),
-    ];
-    if b.supports_comp() {
-        m.push(BarrierMode::RemapComp(4));
-    }
-    m
-}
 
 /// Runs `skipped` (skip engine on) and `ticked` (skip engine off) to
 /// completion and asserts every observable statistic matches. Returns the
@@ -99,39 +76,28 @@ fn assert_parity(
     rs
 }
 
+/// Skip/tick parity over the canonical configurations `pick` selects
+/// (`count` of them); returns the cycles the skipped runs bulk-advanced.
+fn canonical_parity(pick: fn(&Workload) -> bool, count: usize) -> u64 {
+    canonical_where(pick, count)
+        .into_iter()
+        .map(|(w, n)| assert_parity(&w.to_string(), w.build(n), w.build(n)).skipped_cycles)
+        .sum()
+}
+
 #[test]
 fn computation_workloads_skip_parity() {
-    for b in CompBench::ALL {
-        for m in COMP_MODES {
-            let label = format!("{} {m:?}", b.name());
-            assert_parity(&label, b.build(m, 64), b.build(m, 64));
-        }
-    }
+    canonical_parity(|w| matches!(w, Workload::Comp(..)), 21);
 }
 
 #[test]
 fn communication_workloads_skip_parity() {
-    for b in CommBench::ALL {
-        for m in COMM_MODES {
-            let label = format!("{} {m:?}", b.name());
-            assert_parity(&label, b.build(m, 64), b.build(m, 64));
-        }
-    }
+    canonical_parity(|w| matches!(w, Workload::Comm(..)), 49);
 }
 
 #[test]
 fn barrier_workloads_skip_parity_and_actually_skip() {
-    let mut total_skipped = 0;
-    for b in BarrierBench::ALL {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        for m in barrier_modes(b) {
-            let label = format!("{b:?} {m:?}");
-            total_skipped += assert_parity(&label, b.build(m, n), b.build(m, n)).skipped_cycles;
-        }
-    }
+    let total_skipped = canonical_parity(|w| matches!(w, Workload::Barrier(..)), 18);
     // Barrier workloads spend most of their time spinning at rendezvous
     // points; if the engine never skips there the tentpole is vacuous.
     assert!(
@@ -165,37 +131,12 @@ fn faulted_workloads_skip_parity() {
         sys
     };
     let mut total_injected = 0;
-    let mut grid: Vec<(String, System, System)> = Vec::new();
-    for b in [CompBench::ALL[0], CompBench::ALL[3]] {
-        grid.push((
-            format!("{} Spl faulted", b.name()),
-            faulted(b.build(CompMode::Spl, 64)),
-            faulted(b.build(CompMode::Spl, 64)),
-        ));
-    }
-    for (b, m) in [
-        (CommBench::ALL[0], CommMode::CompComm2T),
-        (CommBench::ALL[2], CommMode::Ooo2Comm),
-    ] {
-        grid.push((
-            format!("{} {m:?} faulted", b.name()),
-            faulted(b.build(m, 64)),
-            faulted(b.build(m, 64)),
-        ));
-    }
-    for b in [BarrierBench::Ll2, BarrierBench::Dijkstra] {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        grid.push((
-            format!("{b:?} Remap(4) faulted"),
-            faulted(b.build(BarrierMode::Remap(4), n)),
-            faulted(b.build(BarrierMode::Remap(4), n)),
-        ));
-    }
-    for (label, skipped, ticked) in grid {
-        let rs = assert_parity(&label, skipped, ticked);
+    for (w, n) in common::faulted() {
+        let rs = assert_parity(
+            &format!("{w} faulted"),
+            faulted(w.build(n)),
+            faulted(w.build(n)),
+        );
         total_injected += rs.faults.total_injected();
     }
     assert!(

@@ -4,33 +4,9 @@
 
 use remap_suite::verify::render;
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
+use remap_suite::workloads::catalog::{canonical, extended};
 use remap_suite::workloads::comm::CommBench;
-use remap_suite::workloads::comp::CompBench;
-use remap_suite::workloads::{CommMode, CompMode};
-
-const COMP_MODES: [CompMode; 3] = [CompMode::SeqOoo1, CompMode::SeqOoo2, CompMode::Spl];
-const COMM_MODES: [CommMode; 7] = [
-    CommMode::SeqOoo1,
-    CommMode::SeqOoo2,
-    CommMode::Comp1T,
-    CommMode::Comm2T,
-    CommMode::CompComm2T,
-    CommMode::Ooo2Comm,
-    CommMode::SwQueue2T,
-];
-
-fn barrier_modes(b: BarrierBench) -> Vec<BarrierMode> {
-    let mut m = vec![
-        BarrierMode::Seq,
-        BarrierMode::Sw(4),
-        BarrierMode::Remap(4),
-        BarrierMode::HwIdeal(4),
-    ];
-    if b.supports_comp() {
-        m.push(BarrierMode::RemapComp(4));
-    }
-    m
-}
+use remap_suite::workloads::{CommMode, Workload};
 
 fn assert_clean(label: &str, sys: &remap_suite::system::System) {
     let diags = sys.verify();
@@ -41,78 +17,56 @@ fn assert_clean(label: &str, sys: &remap_suite::system::System) {
     );
 }
 
-#[test]
-fn every_computation_workload_verifies_clean() {
-    for b in CompBench::ALL {
-        for m in COMP_MODES {
-            assert_clean(&format!("{} {m:?}", b.name()), &b.build(m, 64));
-        }
-    }
-}
-
-#[test]
-fn every_communication_workload_verifies_clean() {
-    for b in CommBench::ALL {
-        for m in COMM_MODES {
-            assert_clean(&format!("{} {m:?}", b.name()), &b.build(m, 64));
-        }
-    }
-}
-
-#[test]
-fn every_barrier_workload_verifies_clean() {
-    for b in BarrierBench::ALL {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        for m in barrier_modes(b) {
-            assert_clean(&format!("{} {m:?}", b.name()), &b.build(m, n));
-        }
-    }
-}
-
 /// The full labeled catalog — 88 canonical configurations plus the
 /// extended multi-cluster grids and fault-injected plans — verifies with
 /// zero diagnostics: the interprocedural message-flow lints (RV015–RV022)
 /// must hold without false positives over every shape the paper evaluates.
 #[test]
 fn canonical_and_extended_catalogs_verify_clean() {
-    let canonical = remap_suite::workloads::catalog::canonical();
+    let canonical = canonical();
     assert_eq!(canonical.len(), 88);
-    let extended = remap_suite::workloads::catalog::extended();
+    for (w, n) in canonical {
+        assert_clean(&w.to_string(), &w.build(n));
+    }
+    let extended = extended();
     assert!(!extended.is_empty());
-    for (label, sys) in canonical.iter().chain(extended.iter()) {
+    for (label, sys) in &extended {
         assert_clean(label, sys);
     }
 }
 
 /// The static guarantee the verifier is meant to provide: a clean
-/// communication or barrier bundle actually completes.
-#[test]
-fn clean_comm_bundles_complete_without_runerror() {
-    for b in [CommBench::Wc, CommBench::Adpcm] {
-        for m in [CommMode::Comm2T, CommMode::CompComm2T] {
-            let mut sys = b.build(m, 64);
-            assert_clean(&format!("{} {m:?}", b.name()), &sys);
-            sys.run(20_000_000)
-                .unwrap_or_else(|e| panic!("{} {m:?} failed: {e:?}", b.name()));
-        }
+/// bundle, picked from the canonical matrix, actually completes.
+fn assert_clean_bundles_complete(pick: [Workload; 4]) {
+    let picked: Vec<_> = canonical()
+        .into_iter()
+        .filter(|(w, _)| pick.contains(w))
+        .collect();
+    assert_eq!(picked.len(), pick.len(), "bundles are canonical");
+    for (w, n) in picked {
+        let mut sys = w.build(n);
+        assert_clean(&w.to_string(), &sys);
+        sys.run(20_000_000)
+            .unwrap_or_else(|e| panic!("{w} failed: {e:?}"));
     }
 }
 
 #[test]
+fn clean_comm_bundles_complete_without_runerror() {
+    assert_clean_bundles_complete([
+        Workload::Comm(CommBench::Wc, CommMode::Comm2T),
+        Workload::Comm(CommBench::Wc, CommMode::CompComm2T),
+        Workload::Comm(CommBench::Adpcm, CommMode::Comm2T),
+        Workload::Comm(CommBench::Adpcm, CommMode::CompComm2T),
+    ]);
+}
+
+#[test]
 fn clean_barrier_bundles_complete_without_runerror() {
-    for b in [BarrierBench::Ll3, BarrierBench::Dijkstra] {
-        let n = match b {
-            BarrierBench::Dijkstra => 20,
-            _ => 32,
-        };
-        for m in [BarrierMode::Remap(4), BarrierMode::RemapComp(4)] {
-            let mut sys = b.build(m, n);
-            assert_clean(&format!("{b:?} {m:?}"), &sys);
-            sys.run(20_000_000)
-                .unwrap_or_else(|e| panic!("{b:?} {m:?} failed: {e:?}"));
-        }
-    }
+    assert_clean_bundles_complete([
+        Workload::Barrier(BarrierBench::Ll3, BarrierMode::Remap(4)),
+        Workload::Barrier(BarrierBench::Ll3, BarrierMode::RemapComp(4)),
+        Workload::Barrier(BarrierBench::Dijkstra, BarrierMode::Remap(4)),
+        Workload::Barrier(BarrierBench::Dijkstra, BarrierMode::RemapComp(4)),
+    ]);
 }
