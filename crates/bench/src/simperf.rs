@@ -738,11 +738,15 @@ mod tests {
     #[test]
     fn checked_in_baseline_rolls_the_same_history() {
         // Pinned against the checked-in artifact: regenerating
-        // BENCH_simperf.json means updating these two entries.
+        // BENCH_simperf.json means updating these entries.
         let h = roll_history(Some(include_str!("../../../BENCH_simperf.json")));
         assert_eq!(
             h,
             [
+                "{\"commit\": \"unknown\", \"written_epoch_seconds\": 1792292277, \
+                 \"aggregate_sim_kcps\": 3971.6, \"compute_sim_kcps\": 8137.0}",
+                "{\"commit\": \"673e7aa\", \"written_epoch_seconds\": 1792292265, \
+                 \"aggregate_sim_kcps\": 2093.6, \"compute_sim_kcps\": 3800.0}",
                 "{\"commit\": \"ef7c6c7\", \"written_epoch_seconds\": 1786300735, \
                  \"aggregate_sim_kcps\": 4273.9, \"compute_sim_kcps\": 7384.4}",
                 "{\"commit\": \"unknown\", \"written_epoch_seconds\": 0, \

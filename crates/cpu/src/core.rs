@@ -11,7 +11,10 @@
 //! * **Issue/Execute** — oldest-first select of up to `issue_width` ready
 //!   instructions per cycle, constrained by functional-unit counts; loads
 //!   obey conservative memory disambiguation with exact-match store-to-load
-//!   forwarding.
+//!   forwarding. Three age-ordered ROB bitmasks (ready, memory-ordering,
+//!   executing; bit `i` is `rob[i]`) name the entries issue, writeback, the
+//!   load-ordering check and the quiescence probe visit, so none of them
+//!   walks the whole ROB.
 //! * **Writeback** — completed values broadcast to waiting consumers;
 //!   mispredicted branches squash all younger work and redirect fetch.
 //! * **Commit** — up to `retire_width` per cycle, in order. Stores drain
@@ -28,7 +31,7 @@ use crate::bpred::{Prediction, Predictor};
 use crate::config::CoreConfig;
 use crate::ports::{CorePorts, PortPush};
 use crate::stats::{class_index, CoreStats};
-use remap_isa::{Inst, InstClass, Program, Reg};
+use remap_isa::{FpOp, Inst, InstClass, Program, Reg};
 use std::collections::VecDeque;
 
 /// Byte address where code is mapped for I-cache indexing; keeps code
@@ -59,15 +62,20 @@ enum Status {
     Done,
 }
 
-/// Compact per-entry walk tag mirroring `RobEntry::status` and `in_iq`:
-/// the issue and writeback walks scan these one-byte tags (the whole ROB
-/// fits in a cache line) and touch the ~112-byte entries only on a match.
-mod tag {
-    pub const WAITING: u8 = 0;
-    pub const EXECUTING: u8 = 1;
-    pub const DONE: u8 = 2;
-    /// Set while the entry holds an issue-queue slot (`in_iq`).
-    pub const IQ: u8 = 0b100;
+/// Bits `0..n` of a ROB mask (`n <= 64`): the entries older than `rob[n]`.
+#[inline]
+fn below(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+}
+
+/// The set bits of a ROB mask, oldest entry (lowest index) first.
+#[inline]
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
 }
 
 #[derive(Debug, Clone, Default)]
@@ -81,8 +89,6 @@ struct RobEntry {
     /// Effective address and size for memory operations (set at execute).
     mem_addr: Option<u64>,
     mem_size: u8,
-    /// Whether this entry still holds an issue-queue slot.
-    in_iq: bool,
     /// Prediction snapshot for control transfers.
     pred: Option<Prediction>,
     /// Predicted next PC decided at fetch.
@@ -112,6 +118,14 @@ impl RobEntry {
     #[inline]
     fn operands_ready(&self) -> bool {
         self.src.iter().all(|s| matches!(s, Src::Ready(_)))
+    }
+
+    /// Whether issue may select this entry: it waits in an issue queue with
+    /// all its operands (at-head operations take no slot; they act at
+    /// commit). Exactly these entries carry a bit in `Core::ready`.
+    #[inline]
+    fn issuable(&self) -> bool {
+        self.status == Status::Waiting && Core::needs_iq(self.inst) && self.operands_ready()
     }
 }
 
@@ -238,9 +252,16 @@ pub struct Core {
     /// are strictly ordered by `seq`, which keeps producer lookups a binary
     /// search instead of a linear scan.
     rob: VecDeque<RobEntry>,
-    /// One walk tag per ROB entry (see [`tag`]), kept in lockstep with
-    /// `rob` by dispatch/issue/writeback/commit/squash.
-    rob_tags: VecDeque<u8>,
+    /// Issue candidates: bit `i` is set when `rob[i]` is
+    /// [`RobEntry::issuable`]. This and the two masks below are in age
+    /// order (commit shifts them right by one, squash clears the squashed
+    /// tail) and are derived state, rebuilt from the ROB on restore.
+    ready: u64,
+    /// Entries that order memory ([`Core::orders_memory`]): the only ones
+    /// the load-disambiguation check visits.
+    ordering: u64,
+    /// `Executing` entries: the only ones writeback and the probe visit.
+    executing: u64,
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
     iq_occ: (usize, usize),
@@ -263,19 +284,10 @@ pub struct Core {
     halted: bool,
     cycle: u64,
     next_seq: u64,
-    /// Scratch list of ROB indices completed this cycle (reused allocation).
-    wb_completed: Vec<usize>,
-    /// Seqs of in-flight memory-ordering entries (stores, atomics, fences,
-    /// hardware barriers) in program order. The load-disambiguation check
-    /// visits only these instead of the whole older ROB prefix.
-    mem_seqs: VecDeque<u64>,
-    /// Seqs of entries currently `Executing` (unsorted); writeback visits
-    /// only these instead of walking every ROB slot.
-    exec_seqs: Vec<u64>,
     /// Earliest completion time among `Executing` entries (`u64::MAX` when
-    /// none): lets writeback skip its ROB walk on cycles where nothing can
+    /// none): lets writeback skip its visit on cycles where nothing can
     /// complete. May go stale-low after a squash, which only costs one
-    /// empty walk that recomputes it.
+    /// empty visit that recomputes it.
     exec_next_done: u64,
     stats: CoreStats,
 }
@@ -283,7 +295,13 @@ pub struct Core {
 impl Core {
     /// Creates a core with the given configuration executing `program` from
     /// instruction 0. All registers start at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.rob` exceeds 64, the width of the ROB bitmasks.
     pub fn new(id: usize, cfg: CoreConfig, program: Program) -> Core {
+        let rob = cfg.rob;
+        assert!(rob <= 64, "a {rob}-entry ROB exceeds the 64-bit ROB masks");
         Core {
             id,
             cfg,
@@ -292,7 +310,9 @@ impl Core {
             regs: [0; Reg::COUNT],
             map: [None; Reg::COUNT],
             rob: VecDeque::with_capacity(cfg.rob),
-            rob_tags: VecDeque::with_capacity(cfg.rob),
+            ready: 0,
+            ordering: 0,
+            executing: 0,
             iq_occ: (0, 0),
             fetch_buf: Vec::new(),
             fetch_pc: 0,
@@ -307,9 +327,6 @@ impl Core {
             halted: false,
             cycle: 0,
             next_seq: 0,
-            wb_completed: Vec::new(),
-            mem_seqs: VecDeque::with_capacity(cfg.rob),
-            exec_seqs: Vec::with_capacity(cfg.rob),
             exec_next_done: u64::MAX,
             stats: CoreStats::default(),
         }
@@ -375,8 +392,7 @@ impl Core {
         if self.halted {
             return false;
         }
-        debug_assert!(self.tags_in_sync(), "rob_tags out of sync with rob");
-        debug_assert!(self.side_lists_in_sync(), "mem_seqs/exec_seqs out of sync");
+        debug_assert_eq!(self.masks(), self.masks_recount(), "ROB masks out of sync");
         self.cycle += 1;
         self.stats.cycles += 1;
         self.drain_store_buffer(ports);
@@ -441,39 +457,36 @@ impl Core {
         }
 
         // Writeback and issue: completions land at their timestamps; a ready
-        // waiting entry issues immediately unless gated by a busy divider or
-        // a blocked load (whose unblocking is itself a core event).
-        for (i, e) in self.rob.iter().enumerate() {
-            match e.status {
-                Status::Executing(t) => {
-                    if t <= next {
-                        return None;
-                    }
-                    wake = wake.min(t);
-                }
-                Status::Waiting if e.in_iq && !e.inst.is_at_head_only() && e.operands_ready() => {
-                    let free = if e.inst.class() == InstClass::Load {
-                        match self.load_check(i) {
-                            LoadPath::Blocked => continue,
-                            LoadPath::Forward(..) => return None,
-                            // A miss the hierarchy would refuse (MSHR file
-                            // full) is not progress; the file's earliest fill
-                            // completion is the wake.
-                            LoadPath::Memory(addr) if ports.load_ready(self.id, addr) => {
-                                return None
-                            }
-                            LoadPath::Memory(_) => ports.load_wake(self.id),
-                        }
-                    } else {
-                        self.divider_free_at(e.inst)
-                    };
-                    if free <= next {
-                        return None;
-                    }
-                    wake = wake.min(free);
-                }
-                _ => {}
+        // entry issues immediately unless gated by a busy divider or a
+        // blocked load (whose unblocking is itself a core event).
+        for i in bits(self.executing) {
+            let Status::Executing(t) = self.rob[i].status else {
+                unreachable!("executing bit on an entry not executing")
+            };
+            if t <= next {
+                return None;
             }
+            wake = wake.min(t);
+        }
+        for i in bits(self.ready) {
+            let inst = self.rob[i].inst;
+            let free = if inst.class() == InstClass::Load {
+                match self.load_check(i) {
+                    LoadPath::Blocked => continue,
+                    LoadPath::Forward(..) => return None,
+                    // A miss the hierarchy would refuse (MSHR file full) is
+                    // not progress; the file's earliest fill completion is
+                    // the wake.
+                    LoadPath::Memory(addr) if ports.load_ready(self.id, addr) => return None,
+                    LoadPath::Memory(_) => ports.load_wake(self.id),
+                }
+            } else {
+                self.divider_free_at(inst)
+            };
+            if free <= next {
+                return None;
+            }
+            wake = wake.min(free);
         }
 
         // Dispatch: the head of the fetch buffer enters the ROB unless the
@@ -589,6 +602,7 @@ impl Core {
 
     /// Whether `inst` occupies an issue-queue slot (shared by dispatch and
     /// the quiescence analysis).
+    #[inline]
     fn needs_iq(inst: Inst) -> bool {
         (matches!(
             inst.class(),
@@ -643,17 +657,14 @@ impl Core {
             match inst {
                 Inst::Branch { target, .. } => {
                     let p = self.pred.predict(pc, true);
-                    let taken = p.taken;
-                    if taken && p.target.is_none() {
-                        // BTB miss on a predicted-taken branch: we still know
-                        // the target statically, but charge a fetch bubble.
-                        bubble = true;
-                    }
+                    // A BTB miss on a predicted-taken branch: we still know
+                    // the target statically, but charge a fetch bubble.
+                    bubble |= p.taken && p.target.is_none();
                     f.pred = Some(p);
-                    f.pred_next = if taken { target } else { pc + 1 };
+                    f.pred_next = if p.taken { target } else { pc + 1 };
                     group.push(f);
                     pc = f.pred_next;
-                    if taken {
+                    if p.taken {
                         break;
                     }
                     continue;
@@ -712,40 +723,32 @@ impl Core {
     }
 
     /// Reference recount of issue-queue occupancy (debug checking and
-    /// post-squash rebuild).
+    /// post-squash rebuild): an entry holds a slot from dispatch until
+    /// writeback, if its instruction takes one at all.
     fn iq_recount(&self) -> (usize, usize) {
-        let mut int = 0;
-        let mut fp = 0;
-        for e in &self.rob {
-            if e.in_iq {
-                if e.inst.class() == InstClass::Fp {
-                    fp += 1;
-                } else {
-                    int += 1;
-                }
-            }
+        let mut occ = (0, 0);
+        let in_iq = |e: &&RobEntry| e.status != Status::Done && Self::needs_iq(e.inst);
+        for e in self.rob.iter().filter(in_iq) {
+            *Self::iq_slots(&mut occ, e.inst) += 1;
         }
-        (int, fp)
+        occ
     }
 
-    /// The walk tag a ROB entry should currently carry (debug checking).
-    fn tag_of(e: &RobEntry) -> u8 {
-        let kind = match e.status {
-            Status::Waiting => tag::WAITING,
-            Status::Executing(_) => tag::EXECUTING,
-            Status::Done => tag::DONE,
-        };
-        kind | if e.in_iq { tag::IQ } else { 0 }
+    /// The ROB masks: `[ready, ordering, executing]`.
+    fn masks(&self) -> [u64; 3] {
+        [self.ready, self.ordering, self.executing]
     }
 
-    /// Whether every walk tag matches its ROB entry (debug checking).
-    fn tags_in_sync(&self) -> bool {
-        self.rob.len() == self.rob_tags.len()
-            && self
-                .rob
-                .iter()
-                .zip(&self.rob_tags)
-                .all(|(e, &t)| Self::tag_of(e) == t)
+    /// The ROB masks recomputed from the entries (restore, and checking the
+    /// incrementally kept ones). The ROB must hold at most 64 entries.
+    fn masks_recount(&self) -> [u64; 3] {
+        let mut m = [0; 3];
+        for (i, e) in self.rob.iter().enumerate() {
+            m[0] |= (e.issuable() as u64) << i;
+            m[1] |= (Self::orders_memory(e.inst) as u64) << i;
+            m[2] |= (matches!(e.status, Status::Executing(_)) as u64) << i;
+        }
+        m
     }
 
     /// Whether an instruction participates in memory ordering: it either
@@ -761,30 +764,10 @@ impl Core {
         )
     }
 
-    /// Whether `mem_seqs` and `exec_seqs` match a fresh recount from the
-    /// ROB (debug checking).
-    fn side_lists_in_sync(&self) -> bool {
-        let mem_ok = self.mem_seqs.iter().copied().eq(self
-            .rob
-            .iter()
-            .filter(|e| Self::orders_memory(e.inst))
-            .map(|e| e.seq));
-        // Allocation-free equality-as-multisets: every executing entry
-        // appears exactly once in `exec_seqs`, and the lengths match (this
-        // runs under debug_assert inside the alloc-free hot loop).
-        let execing = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e.status, Status::Executing(_)));
-        let mut n = 0usize;
-        let exec_ok = execing
-            .inspect(|_| n += 1)
-            .all(|e| self.exec_seqs.iter().filter(|&&s| s == e.seq).count() == 1);
-        mem_ok && exec_ok && n == self.exec_seqs.len()
-    }
-
     /// Delivers a completed result to exactly the consumers registered in
-    /// the producer's wakeup chain, emptying it.
+    /// the producer's wakeup chain, emptying it; a consumer whose last
+    /// operand this was becomes an issue candidate.
+    #[inline]
     fn wake_waiters(&mut self, producer: usize) {
         let v = self.rob[producer].value;
         let pseq = self.rob[producer].seq;
@@ -796,16 +779,35 @@ impl Core {
             debug_assert_eq!(c.src[slot], Src::Wait(pseq), "stale wakeup link");
             c.src[slot] = Src::Ready(v);
             link = std::mem::replace(&mut c.next_waiter[slot], NO_WAITER);
+            if c.issuable() {
+                self.ready |= 1 << ci;
+            }
         }
     }
 
-    /// Releases the issue-queue slot held by a ROB entry (writeback or
-    /// squash path).
-    fn iq_release(iq_occ: &mut (usize, usize), e: &RobEntry) {
-        if e.inst.class() == InstClass::Fp {
-            iq_occ.1 -= 1;
+    /// Enters the entry at ROB index `i` into the wakeup chains of the
+    /// producers it waits on (consumers are strictly younger than their
+    /// producers, so each producer is resident).
+    #[inline]
+    fn link_waiters(&mut self, i: usize) {
+        let seq = self.rob[i].seq;
+        for slot in 0..2 {
+            if let Src::Wait(pseq) = self.rob[i].src[slot] {
+                let pi = self.rob_index_of(pseq).expect("in-flight producer");
+                self.rob[i].next_waiter[slot] = self.rob[pi].waiters;
+                self.rob[pi].waiters = (seq << 1) | slot as u64;
+            }
+        }
+    }
+
+    /// The occupancy counter, within `occ` (int, fp), of the issue queue
+    /// `inst` takes a slot in.
+    #[inline]
+    fn iq_slots(occ: &mut (usize, usize), inst: Inst) -> &mut usize {
+        if inst.class() == InstClass::Fp {
+            &mut occ.1
         } else {
-            iq_occ.0 -= 1;
+            &mut occ.0
         }
     }
 
@@ -879,7 +881,6 @@ impl Core {
                 break;
             }
             let f = self.fetch_buf.remove(0);
-            let needs_iq = Self::needs_iq(f.inst);
             let srcs = f.inst.sources();
             let src = [
                 srcs[0].map_or(Src::Ready(0), |r| self.resolve_src(r)),
@@ -891,9 +892,7 @@ impl Core {
             // SplLoad also stages its value at execute like an ALU op; at-head
             // ops and pure pushes sit in the ROB without an IQ slot.
             let status = match f.inst {
-                Inst::Nop | Inst::SplInit { .. } => Status::Done,
-                Inst::Jal { .. } => Status::Done,
-                Inst::Halt => Status::Done,
+                Inst::Nop | Inst::SplInit { .. } | Inst::Jal { .. } | Inst::Halt => Status::Done,
                 _ => Status::Waiting,
             };
             let value = match f.inst {
@@ -903,7 +902,7 @@ impl Core {
             if let Some(d) = f.inst.dest() {
                 self.map[d.index()] = Some(seq);
             }
-            let mut entry = RobEntry {
+            let entry = RobEntry {
                 seq,
                 pc: f.pc,
                 inst: f.inst,
@@ -912,7 +911,6 @@ impl Core {
                 value,
                 mem_addr: None,
                 mem_size: 0,
-                in_iq: needs_iq,
                 pred: f.pred,
                 pred_next: f.pred_next,
                 actual_next: f.pred_next,
@@ -922,27 +920,18 @@ impl Core {
                 waiters: NO_WAITER,
                 next_waiter: [NO_WAITER; 2],
             };
-            // Enter the producers' wakeup chains (consumers are strictly
-            // younger than their producers, so the producer is resident).
-            for slot in 0..2 {
-                if let Src::Wait(pseq) = entry.src[slot] {
-                    let pi = self.rob_index_of(pseq).expect("in-flight producer");
-                    entry.next_waiter[slot] = self.rob[pi].waiters;
-                    self.rob[pi].waiters = (seq << 1) | slot as u64;
-                }
+            if Self::needs_iq(f.inst) {
+                *Self::iq_slots(&mut self.iq_occ, f.inst) += 1;
             }
-            if needs_iq {
-                if f.inst.class() == InstClass::Fp {
-                    self.iq_occ.1 += 1;
-                } else {
-                    self.iq_occ.0 += 1;
-                }
+            let bit = 1 << self.rob.len();
+            if entry.issuable() {
+                self.ready |= bit;
             }
             if Self::orders_memory(entry.inst) {
-                self.mem_seqs.push_back(seq);
+                self.ordering |= bit;
             }
-            self.rob_tags.push_back(Self::tag_of(&entry));
             self.rob.push_back(entry);
+            self.link_waiters(self.rob.len() - 1);
             self.stats.dispatched += 1;
         }
     }
@@ -957,23 +946,12 @@ impl Core {
         let mut ldst_units = self.cfg.ldst_units;
         let cycle = self.cycle;
 
-        // Walk the compact tags; only waiting entries that hold an IQ slot
-        // are issue candidates, and everything else is skipped without
-        // touching the ROB entry itself.
-        let mut tags = std::mem::take(&mut self.rob_tags);
-        for (i, t) in tags.iter_mut().enumerate() {
+        // Only the candidates in the ready mask are visited, oldest first.
+        for i in bits(self.ready) {
             if issued >= self.cfg.issue_width {
                 break;
             }
-            if *t != (tag::WAITING | tag::IQ) {
-                continue;
-            }
             let e = &self.rob[i];
-            debug_assert!(e.in_iq && e.status == Status::Waiting);
-            // At-head operations are handled at commit.
-            if e.inst.is_at_head_only() || !e.operands_ready() {
-                continue;
-            }
             let inst = e.inst;
             let class = inst.class();
             // The functional-unit pool it issues to; queue pushes read their
@@ -1017,33 +995,23 @@ impl Core {
             };
             let done_at = cycle + latency as u64;
             *units -= 1;
-            let e = &mut self.rob[i];
-            e.status = Status::Executing(done_at);
-            *t = tag::EXECUTING | tag::IQ;
-            self.exec_seqs.push(e.seq);
+            self.rob[i].status = Status::Executing(done_at);
+            self.ready &= !(1 << i);
+            self.executing |= 1 << i;
             self.exec_next_done = self.exec_next_done.min(done_at);
             issued += 1;
             self.stats.issued += 1;
         }
-        self.rob_tags = tags;
     }
 
     /// The cycle the unpipelined divider `inst` needs is next free (`0` for
     /// instructions on pipelined units).
     #[inline]
     fn divider_free_at(&self, inst: Inst) -> u64 {
-        if inst.class() == InstClass::IntDiv {
-            self.int_div_free_at
-        } else if matches!(
-            inst,
-            Inst::Fp {
-                op: remap_isa::FpOp::Div,
-                ..
-            }
-        ) {
-            self.fp_div_free_at
-        } else {
-            0
+        match inst {
+            _ if inst.class() == InstClass::IntDiv => self.int_div_free_at,
+            Inst::Fp { op: FpOp::Div, .. } => self.fp_div_free_at,
+            _ => 0,
         }
     }
 
@@ -1078,7 +1046,7 @@ impl Core {
             }
             Inst::Fp { op, .. } => {
                 e.value = op.apply(a, b);
-                if op == remap_isa::FpOp::Div {
+                if op == FpOp::Div {
                     self.fp_div_free_at = self.cycle + lat.fp_div as u64;
                     lat.fp_div
                 } else {
@@ -1146,17 +1114,11 @@ impl Core {
         let (offset, size, _) = Self::load_format(self.rob[i].inst);
         let addr = (base + offset as i64) as u64;
         let end = addr + size as u64;
-        // Older in-ROB stores and ordering points: `mem_seqs` holds exactly
-        // the ordering entries in program order, so the scan touches only
-        // those instead of the whole older ROB prefix.
-        let front = self.rob[0].seq;
-        let lseq = self.rob[i].seq;
+        // Older in-ROB stores and ordering points, oldest first: the scan
+        // touches only the ordering entries below the load.
         let mut forward: Option<i64> = None;
-        for &mseq in &self.mem_seqs {
-            if mseq >= lseq {
-                break; // younger than the load
-            }
-            let e = &self.rob[(mseq - front) as usize];
+        for j in bits(self.ordering & below(i)) {
+            let e = &self.rob[j];
             // Loads may not issue past an unretired fence, atomic, or
             // hardware barrier: these order memory across threads (a fence
             // after a barrier guarantees younger loads observe remote
@@ -1168,20 +1130,16 @@ impl Core {
                 return LoadPath::Blocked;
             }
             debug_assert!(matches!(e.inst, Inst::Sw { .. } | Inst::Sb { .. }));
-            match e.mem_addr {
-                None => return LoadPath::Blocked, // unknown older store address
-                Some(sa) => {
-                    let send = sa + e.mem_size as u64;
-                    if sa < end && addr < send {
-                        if sa == addr && e.mem_size == size && e.status == Status::Done {
-                            forward = Some(e.value);
-                        } else if sa == addr && e.mem_size == size {
-                            return LoadPath::Blocked; // data not ready yet
-                        } else {
-                            return LoadPath::Blocked; // partial overlap
-                        }
-                    }
+            let Some(sa) = e.mem_addr else {
+                return LoadPath::Blocked; // unknown older store address
+            };
+            if sa < end && addr < sa + e.mem_size as u64 {
+                // A partial overlap, or an exact match whose data is not
+                // ready yet, blocks the load.
+                if sa != addr || e.mem_size != size || e.status != Status::Done {
+                    return LoadPath::Blocked;
                 }
+                forward = Some(e.value);
             }
         }
         if let Some(v) = forward {
@@ -1206,67 +1164,45 @@ impl Core {
     fn writeback(&mut self) {
         let cycle = self.cycle;
         // Nothing in a functional unit can complete before `exec_next_done`,
-        // so most stall cycles skip the ROB walk entirely.
+        // so most stall cycles skip the visit entirely.
         if cycle < self.exec_next_done {
-            self.wb_completed.clear();
             return;
         }
-        // Partition the executing list into due completions and survivors;
-        // only entries actually in a functional unit are touched. The
-        // completed-index list is a reused scratch buffer so steady-state
-        // cycles do not allocate.
-        let mut completed = std::mem::take(&mut self.wb_completed);
-        completed.clear();
+        // Split the executing entries into due completions and survivors.
+        let mut completed = 0u64;
         let mut next_done = u64::MAX;
-        let front = self.rob.front().map_or(0, |e| e.seq);
-        let mut exec = std::mem::take(&mut self.exec_seqs);
-        let mut kept = 0;
-        for k in 0..exec.len() {
-            let seq = exec[k];
-            let i = (seq - front) as usize;
+        for i in bits(self.executing) {
             let Status::Executing(done_at) = self.rob[i].status else {
-                unreachable!("exec_seqs entry not executing");
+                unreachable!("executing bit on an entry not executing")
             };
             if cycle >= done_at {
-                completed.push(i);
+                completed |= 1 << i;
             } else {
                 next_done = next_done.min(done_at);
-                exec[kept] = seq;
-                kept += 1;
             }
         }
-        exec.truncate(kept);
-        self.exec_seqs = exec;
+        self.executing &= !completed;
         self.exec_next_done = next_done;
-        // Completions are handed to consumers oldest-first (the list is in
-        // issue order, not ROB order) so control resolution below squashes
-        // on the oldest mispredict.
-        completed.sort_unstable();
-        let mut iq = self.iq_occ;
-        for &i in &completed {
+        // Completions are handed to consumers oldest-first (mask order is
+        // ROB order) so control resolution below squashes on the oldest
+        // mispredict.
+        for i in bits(completed) {
+            // The entry issued from the ready mask, so it holds an IQ slot.
             let e = &mut self.rob[i];
+            *Self::iq_slots(&mut self.iq_occ, e.inst) -= 1;
             e.status = Status::Done;
-            if e.in_iq {
-                Self::iq_release(&mut iq, e);
-            }
-            e.in_iq = false;
-            self.rob_tags[i] = tag::DONE;
             self.wake_waiters(i);
         }
-        self.iq_occ = iq;
         // Resolve control transfers oldest-first; squash on the first
         // mispredict found.
-        for &i in &completed {
+        for i in bits(completed) {
             let e = &self.rob[i];
             if !e.inst.is_control() {
                 continue;
             }
             if let Inst::Branch { target, .. } = e.inst {
-                let taken = e.actual_next == target && target != e.pc + 1 || {
-                    // `actual_next == pc+1` means not taken unless the target
-                    // *is* pc+1 (degenerate branch) — treat as taken there.
-                    e.actual_next == target && target == e.pc + 1
-                };
+                // A degenerate branch whose target is `pc + 1` counts as taken.
+                let taken = e.actual_next == target;
                 if let Some(p) = e.pred {
                     self.pred.update(e.pc, taken, target, p);
                 }
@@ -1284,7 +1220,7 @@ impl Core {
         // squash path redirected us already). Handle the RAS-miss case: the
         // entry predicted `pc+1` as a placeholder.
         if self.fetch_blocked {
-            for &i in &completed {
+            for i in bits(completed) {
                 if matches!(self.rob[i].inst, Inst::Jalr { .. }) {
                     self.fetch_blocked = false;
                     self.fetch_pc = self.rob[i].actual_next;
@@ -1295,7 +1231,6 @@ impl Core {
                 }
             }
         }
-        self.wb_completed = completed;
     }
 
     fn squash_after(&mut self, seq: u64, redirect: u32) {
@@ -1306,19 +1241,13 @@ impl Core {
         let squashed = self.rob.len() - keep;
         self.stats.squashed += squashed as u64;
         self.rob.truncate(keep);
-        self.rob_tags.truncate(keep);
+        [self.ready, self.ordering, self.executing] = self.masks().map(|m| m & below(keep));
         // Rewind the seq counter over the squashed (never-committed) tail:
         // nothing references those seqs any more, and reissuing them keeps
         // ROB seqs contiguous so producer lookups stay O(1).
         if let Some(last) = self.rob.back() {
             self.next_seq = last.seq + 1;
         }
-        // Purge squashed seqs from the side lists before any are reissued.
-        let cut = self.next_seq;
-        while self.mem_seqs.back().is_some_and(|&s| s >= cut) {
-            self.mem_seqs.pop_back();
-        }
-        self.exec_seqs.retain(|&s| s < cut);
         self.iq_occ = self.iq_recount();
         // Rebuild the rename map and the wakeup chains from surviving
         // entries (squashed consumers may sit in survivors' chains).
@@ -1331,16 +1260,7 @@ impl Core {
             e.next_waiter = [NO_WAITER; 2];
         }
         for i in 0..self.rob.len() {
-            for slot in 0..2 {
-                if let Src::Wait(pseq) = self.rob[i].src[slot] {
-                    let cseq = self.rob[i].seq;
-                    let pi = self
-                        .rob_index_of(pseq)
-                        .expect("producer older than consumer");
-                    self.rob[i].next_waiter[slot] = self.rob[pi].waiters;
-                    self.rob[pi].waiters = (cseq << 1) | slot as u64;
-                }
-            }
+            self.link_waiters(i);
         }
         self.fetch_buf.clear();
         self.fetch_inflight_at = None;
@@ -1380,12 +1300,8 @@ impl Core {
                 }
                 break;
             }
-            self.rob_tags.pop_front();
             let e = self.rob.pop_front().expect("non-empty ROB");
-            if Self::orders_memory(e.inst) {
-                let f = self.mem_seqs.pop_front();
-                debug_assert_eq!(f, Some(e.seq), "mem_seqs front is the oldest entry");
-            }
+            [self.ready, self.ordering, self.executing] = self.masks().map(|m| m >> 1);
             if let Some(d) = e.inst.dest() {
                 self.regs[d.index()] = e.value;
                 self.stats.regfile_writes += 1;
@@ -1496,7 +1412,6 @@ impl Core {
         };
         if complete {
             self.rob[0].status = Status::Done;
-            self.rob_tags[0] = tag::DONE;
             self.wake_waiters(0);
         }
         complete
@@ -1507,9 +1422,14 @@ impl Core {
     /// Instruction words never travel in a snapshot: every `inst` is
     /// re-derived from its `pc` against the (static) program, which keeps
     /// the snapshot compact and makes program/snapshot mismatches surface
-    /// as decode failures. The walk tags and side lists must then agree
-    /// with the restored ROB.
+    /// as decode failures. The ROB masks are rebuilt from the restored ROB,
+    /// which may hold no more entries than the configuration allows.
     fn restored(&mut self) -> Result<(), remap_snap::SnapError> {
+        let (len, cap) = (self.rob.len(), self.cfg.rob);
+        if len > cap {
+            let msg = format!("ROB holds {len} entries, more than its {cap}");
+            return Err(remap_snap::SnapError::Corrupt(msg));
+        }
         let program = &self.program;
         let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
         for e in &mut self.rob {
@@ -1518,14 +1438,8 @@ impl Core {
         for f in self.fetch_buf.iter_mut().chain(&mut self.fetch_group) {
             f.inst = inst(f.pc);
         }
-        self.wb_completed.clear();
-        if self.tags_in_sync() && self.side_lists_in_sync() {
-            Ok(())
-        } else {
-            Err(remap_snap::SnapError::Corrupt(
-                "ROB walk tags or side lists out of sync".into(),
-            ))
-        }
+        [self.ready, self.ordering, self.executing] = self.masks_recount();
+        Ok(())
     }
 }
 
@@ -1534,7 +1448,6 @@ remap_snap::state!(Core |c| {
     c.regs,
     c.map,
     c.rob,
-    sized(c.rob.len()) c.rob_tags,
     c.iq_occ,
     c.fetch_buf,
     c.fetch_pc,
@@ -1549,8 +1462,6 @@ remap_snap::state!(Core |c| {
     c.halted,
     c.cycle,
     c.next_seq,
-    c.mem_seqs,
-    c.exec_seqs,
     c.exec_next_done,
     c.stats,
 } check Core::restored);
@@ -1563,7 +1474,6 @@ remap_snap::state!(RobEntry |e| {
     e.value,
     e.mem_addr,
     e.mem_size,
-    e.in_iq,
     e.pred,
     e.pred_next,
     e.actual_next,
@@ -1637,12 +1547,16 @@ mod tests {
     use crate::ports::NullPorts;
     use remap_isa::{Asm, Reg::*};
 
+    fn null_ports(mem_latency: u32) -> NullPorts {
+        NullPorts {
+            mem_latency,
+            ..NullPorts::default()
+        }
+    }
+
     fn run(program: Program) -> (Core, NullPorts) {
         let mut core = Core::new(0, CoreConfig::ooo1(), program);
-        let mut ports = NullPorts {
-            mem_latency: 2,
-            ..NullPorts::default()
-        };
+        let mut ports = null_ports(2);
         for _ in 0..200_000 {
             if !core.step(&mut ports) {
                 break;
@@ -1737,10 +1651,7 @@ mod tests {
         a.halt();
         let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
         // A long memory latency opens plenty of provably idle gaps.
-        let mut ports = NullPorts {
-            mem_latency: 25,
-            ..NullPorts::default()
-        };
+        let mut ports = null_ports(25);
         let inert = probe_inert_cycles(&mut core, &mut ports, 200_000, |_, _| {});
         assert!(core.halted(), "program did not halt");
         // The probe must actually have found idle cycles, or this test is
@@ -1762,10 +1673,7 @@ mod tests {
         };
         for recv in [false, true] {
             let mut core = Core::new(0, cfg, parking_program(recv));
-            let mut ports = NullPorts {
-                mem_latency: 4,
-                ..NullPorts::default()
-            };
+            let mut ports = null_ports(4);
             let inert = probe_inert_cycles(&mut core, &mut ports, 20_000, feed);
             assert_eq!(core.halted(), !recv, "recv {recv}");
             let parked = |head: fn(Inst) -> bool, cause: BlockedOn| {
@@ -1807,10 +1715,7 @@ mod tests {
         a.sw(R1, R1, 0);
         a.halt();
         let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
-        let mut ports = NullPorts {
-            mem_latency: 25,
-            ..NullPorts::default()
-        };
+        let mut ports = null_ports(25);
         let mut seen = false;
         while core.step(&mut ports) {
             if core.rob.front().is_some_and(|e| e.inst == Inst::Halt) && !core.store_buf.is_empty()
@@ -1820,6 +1725,119 @@ mod tests {
             }
         }
         assert!(seen, "the halt never waited for its store");
+    }
+
+    /// Runs `program` to its halt on OOO1 with 300-cycle address generation
+    /// (loads and stores stay in flight, so the ROB fills behind them),
+    /// checking after every step, in release builds too, that the kept ROB
+    /// masks equal a recount; `seen` gets the core before and after a step.
+    fn step_checking_masks(program: Program, mut seen: impl FnMut(&Core, &Core)) {
+        let mut cfg = CoreConfig::ooo1();
+        cfg.lat.agu = 300;
+        let mut core = Core::new(0, cfg, program);
+        let mut ports = NullPorts::default();
+        while !core.halted() {
+            assert!(core.cycle() < 100_000, "program did not halt");
+            let before = core.clone();
+            core.step(&mut ports);
+            assert_eq!(core.masks(), core.masks_recount(), "cycle {}", core.cycle());
+            seen(&before, &core);
+        }
+    }
+
+    /// A slow load holds the head while independent work fills all 64 ROB
+    /// slots; behind it, slow stores and the load's consumers keep the ROB
+    /// full while commit drains it, so every mask gets bit 63.
+    fn full_rob_program() -> Program {
+        let mut a = Asm::new("full");
+        a.li(R1, 0x800);
+        a.lw(R2, R1, 0);
+        (0..62).for_each(|_| a.addi(R4, R0, 1));
+        for k in 0..40 {
+            a.sw(R2, R1, 8 + 4 * (k % 8));
+            a.addi(R6, R2, 1);
+        }
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn rob_masks_hold_bit_63_and_commit_shifts_it() {
+        let (mut top, mut shifted) = ([false; 3], [false; 3]);
+        step_checking_masks(full_rob_program(), |before, after| {
+            let committed = after.stats.committed > before.stats.committed;
+            for (k, m) in before.masks().into_iter().enumerate() {
+                top[k] |= m >> 63 == 1;
+                shifted[k] |= m >> 63 == 1 && committed;
+            }
+        });
+        assert_eq!(top, [true; 3], "[ready, ordering, executing] bit 63 seen");
+        assert_eq!(shifted, [true; 3], "commit shifted a set bit 63");
+    }
+
+    #[test]
+    fn rob_masks_survive_a_squash_past_every_kind_of_entry() {
+        // The `beq` is predicted not taken but taken. While its slow load is
+        // outstanding the wrong path runs a slow store (ordering and
+        // executing) and queues divides behind the unpipelined divider
+        // (ready); the squash must clear all of them.
+        let mut a = Asm::new("squash");
+        a.li(R1, 0x800);
+        a.lw(R3, R1, 0);
+        a.beq(R3, R0, "done");
+        a.sw(R7, R1, 64);
+        (0..40).for_each(|_| a.div(R8, R7, R7));
+        a.label("done");
+        a.halt();
+        let mut cleared = None;
+        step_checking_masks(a.assemble().unwrap(), |before, after| {
+            let squashed = (after.stats.squashed - before.stats.squashed) as usize;
+            if squashed > 0 {
+                let tail = !below(before.rob.len() - squashed);
+                cleared = Some(before.masks().map(|m| m & tail != 0));
+            }
+        });
+        let kinds = "[ready, ordering, executing] entries in the squashed tail";
+        assert_eq!(cleared, Some([true; 3]), "{kinds}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-bit ROB masks")]
+    fn rob_wider_than_the_masks_is_refused() {
+        let mut cfg = CoreConfig::ooo1();
+        cfg.rob = 65;
+        Core::new(0, cfg, full_rob_program());
+    }
+
+    #[test]
+    fn restore_refuses_a_rob_longer_than_configured() {
+        use remap_snap::{Reader, SnapError, State, Writer};
+        let mut full = None;
+        step_checking_masks(full_rob_program(), |_, c| {
+            if c.rob.len() == 64 && c.ready != 0 {
+                full.get_or_insert_with(|| c.clone());
+            }
+        });
+        let mut core: Core = full.expect("the ROB filled");
+        let load = |c: &Core| {
+            let mut w = Writer::new();
+            c.save(&mut w);
+            // The padding stands in for the rest of a system payload: the
+            // reader admits a sequence only if it fits in the bytes left at
+            // its in-memory size.
+            let mut bytes = w.into_vec();
+            bytes.resize(bytes.len() + 65 * std::mem::size_of::<RobEntry>(), 0);
+            let mut back = Core::new(0, c.cfg, c.program.clone());
+            back.load(&mut Reader::new(&bytes)).map(|()| back.masks())
+        };
+        assert_eq!(load(&core), Ok(core.masks()), "masks rebuilt");
+        // A hostile payload with one entry too many would need bit 64.
+        core.rob.push_back(core.rob[1].clone());
+        let err = load(&core).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(m) if m.contains("65 entries")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1921,12 +1939,8 @@ mod tests {
         a.or(R4, R4, R5);
         a.fmul(R6, R2, R4);
         a.halt();
-        let program = a.assemble().unwrap();
-        let mut core = Core::new(0, CoreConfig::ooo1(), program);
-        let mut ports = NullPorts {
-            mem_latency: 1,
-            ..NullPorts::default()
-        };
+        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+        let mut ports = null_ports(1);
         ports.mem.write_u64(0x400, 2.0f64.to_bits());
         ports.mem.write_u64(0x408, 0.5f64.to_bits());
         while core.step(&mut ports) {}
@@ -1955,12 +1969,8 @@ mod tests {
         a.spl_init(7);
         a.spl_store(R2);
         a.halt();
-        let program = a.assemble().unwrap();
-        let mut core = Core::new(0, CoreConfig::ooo1(), program);
-        let mut ports = NullPorts {
-            mem_latency: 1,
-            ..NullPorts::default()
-        };
+        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+        let mut ports = null_ports(1);
         ports.spl_results.push_back(99);
         while core.step(&mut ports) {}
         assert_eq!(ports.spl_staged, vec![(0, 4, 42)]);
@@ -1989,14 +1999,8 @@ mod tests {
         };
         let mut c1 = Core::new(0, CoreConfig::ooo1(), mk());
         let mut c2 = Core::new(0, CoreConfig::ooo2(), mk());
-        let mut p1 = NullPorts {
-            mem_latency: 1,
-            ..NullPorts::default()
-        };
-        let mut p2 = NullPorts {
-            mem_latency: 1,
-            ..NullPorts::default()
-        };
+        let mut p1 = null_ports(1);
+        let mut p2 = null_ports(1);
         while c1.step(&mut p1) {}
         while c2.step(&mut p2) {}
         assert_eq!(c1.reg(R1), 200);
@@ -2052,10 +2056,7 @@ mod tests {
         a.halt();
         let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
         core.set_reg(R10, 41);
-        let mut ports = NullPorts {
-            mem_latency: 1,
-            ..NullPorts::default()
-        };
+        let mut ports = null_ports(1);
         while core.step(&mut ports) {}
         assert_eq!(core.reg(R2), 42);
     }
@@ -2083,12 +2084,8 @@ mod tests {
         a.addi(R2, R2, 1);
         a.bne(R2, R3, "loop");
         a.halt();
-        let program = a.assemble().unwrap();
-        let mut core = Core::new(0, CoreConfig::ooo1(), program);
-        let mut ports = NullPorts {
-            mem_latency: 10,
-            ..NullPorts::default()
-        };
+        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+        let mut ports = null_ports(10);
         // next[i] pointers: 0x1000 -> 0x1040 -> 0x1080 ... wrap to 0x1000.
         for i in 0..16u64 {
             let a0 = 0x1000 + i * 0x40;

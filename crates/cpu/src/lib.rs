@@ -5,7 +5,10 @@
 //! a gshare+bimodal hybrid branch predictor, BTB, return-address stack,
 //! ROB-based renaming, split integer/FP issue queues, a post-commit store
 //! buffer, and a decoupled, back-pressured interface to the SPL fabric and
-//! the baseline communication devices.
+//! the baseline communication devices. Issue selects from a ready mask:
+//! three age-ordered `u64` bitmasks over the (at most 64-entry) ROB mark
+//! the issue candidates, the memory-ordering entries and the executing
+//! ones, so the per-cycle stages never walk the whole ROB.
 //!
 //! The core interacts with its environment exclusively through the
 //! [`CorePorts`] trait, so the same model is reused for every system

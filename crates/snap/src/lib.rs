@@ -21,7 +21,7 @@
 //!   restoring system's length and elements load in place;
 //! * `fixed` (and `sized`) sequences carry **no prefix**: their length is
 //!   implied by the geometry or by an earlier field — core
-//!   `regs`/`map`/`rob_tags`, and the like;
+//!   `regs`/`map`, a barrier entry's per-core flags, and the like;
 //! * a **resident** sequence (a cache's lines, by hand) writes only the
 //!   occupied entries of a fixed-geometry array: a count, then each entry
 //!   with its index, in strictly increasing index order; load marks every
@@ -45,12 +45,14 @@
 //! word-parallel checksum over everything before it. Torn tails, foreign
 //! files, and fingerprint mismatches are all refused with a typed
 //! [`SnapError`] before a single payload byte is interpreted. The format
-//! is at version 4 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! is at version 5 ([`FORMAT_VERSION`]): version 2 added each SPL
 //! function's state word, version 3 writes only the resident lines of
-//! each cache and frames with the word-parallel checksum, and version 4
+//! each cache and frames with the word-parallel checksum, version 4
 //! drops the skip engine's probe hint, streaks and backoff deadlines from
-//! the system state, so files of older versions are refused as
-//! [`SnapError::BadVersion`].
+//! the system state, and version 5 drops each core's ROB walk tags, its
+//! memory-ordering and executing lists and each ROB entry's issue-queue
+//! flag (the core rebuilds its ROB masks from the ROB), so files of older
+//! versions are refused as [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -62,8 +64,9 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 /// old files must be refused, never misread. Version 2 added the SPL
 /// functions' state words; version 3 encodes caches by resident line and
 /// changed the frame checksum; version 4 drops the skip engine's probe
-/// hint, streaks and backoff deadlines.
-pub const FORMAT_VERSION: u32 = 4;
+/// hint, streaks and backoff deadlines; version 5 drops each core's ROB
+/// walk tags, memory-ordering and executing lists and issue-queue flags.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
@@ -892,6 +895,14 @@ mod tests {
         assert_eq!(
             decode_file(&v3, 0x1234),
             Err(SnapError::BadVersion { found: 3 })
+        );
+        // Version 4 still carried each core's ROB walk tags, side lists and
+        // per-entry issue-queue flags.
+        let mut v4 = img.clone();
+        v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            decode_file(&v4, 0x1234),
+            Err(SnapError::BadVersion { found: 4 })
         );
         // A payload length near u64::MAX is torn, not an overflow.
         let mut huge = img.clone();
