@@ -10,9 +10,8 @@
 //!    simulated-kilocycles-per-host-second recorded (measured on the
 //!    uncontended serial pass), along with how many cycles the quiescence
 //!    skip engine bulk-advanced (see DESIGN.md §11). The report also
-//!    records the before/after delta of the data-oriented memory fast path
-//!    against the recorded PR-3 baseline, overall and on the compute-bound
-//!    subset ([`COMPUTE_MODES`]).
+//!    records the throughput over the compute-bound subset
+//!    ([`COMPUTE_MODES`]) and the commit the binary was built from.
 //! 2. **What does the worker pool buy?** The same 94-config sweep is timed
 //!    end to end with one job and with the default job count; the ratio is
 //!    the sweep speedup on this host. The parallel pass fans `(config,
@@ -180,14 +179,10 @@ fn run_one(cfg: &Config, reps: usize) -> Record {
 /// the subset the memory-fast-path optimization is judged on.
 pub const COMPUTE_MODES: [&str; 3] = ["Seq(OOO1)", "Seq(OOO2)", "1Th+Comp"];
 
-/// PR-3 `BENCH_simperf.json` aggregate throughput (kcycles/s), recorded on
-/// this host before the data-oriented memory fast path landed. Kept as the
-/// "before" of the before/after delta the report records.
-pub const BASELINE_AGGREGATE_KCPS: f64 = 2228.2;
-/// PR-3 throughput over the [`COMPUTE_MODES`] subset (kcycles/s), computed
-/// from the same recorded per-config rows (sum of cycles over sum of
-/// `sim_wall_seconds`).
-pub const BASELINE_COMPUTE_KCPS: f64 = 4107.8;
+/// Short hash of the commit this binary was built from (`"unknown"` when it
+/// was built outside a git checkout), stamped by the build script so a
+/// report names the code that produced it wherever the binary runs.
+pub const BUILD_COMMIT: &str = env!("BUILD_COMMIT");
 
 /// Outcome of the two timed sweeps.
 #[derive(Debug, Clone)]
@@ -206,8 +201,7 @@ pub struct SimPerf {
     pub serial_wall_seconds: f64,
     /// End-to-end wall seconds of the `jobs`-job pass.
     pub parallel_wall_seconds: f64,
-    /// Short git commit the report was measured at (`"unknown"` outside a
-    /// work tree).
+    /// The [`BUILD_COMMIT`] of the binary that measured the report.
     pub commit: String,
     /// Unix seconds the report was measured at.
     pub written_epoch_seconds: u64,
@@ -243,8 +237,7 @@ impl SimPerf {
     }
 
     /// Throughput over the compute-bound subset ([`COMPUTE_MODES`]) in
-    /// kilocycles per host second of the simulation loop alone — the
-    /// number compared against [`BASELINE_COMPUTE_KCPS`].
+    /// kilocycles per host second of the simulation loop alone.
     pub fn compute_kcps(&self) -> f64 {
         let sel = || {
             self.records
@@ -309,19 +302,6 @@ impl SimPerf {
             ("sweep_speedup", Fixed(self.speedup(), 3)),
             ("aggregate_sim_kcps", Fixed(self.aggregate_kcps(), 1)),
             ("compute_sim_kcps", Fixed(self.compute_kcps(), 1)),
-            (
-                "baseline_aggregate_sim_kcps",
-                Fixed(BASELINE_AGGREGATE_KCPS, 1),
-            ),
-            ("baseline_compute_sim_kcps", Fixed(BASELINE_COMPUTE_KCPS, 1)),
-            (
-                "aggregate_speedup_vs_baseline",
-                Fixed(self.aggregate_kcps() / BASELINE_AGGREGATE_KCPS, 3),
-            ),
-            (
-                "compute_speedup_vs_baseline",
-                Fixed(self.compute_kcps() / BASELINE_COMPUTE_KCPS, 3),
-            ),
             ("aggregate_skip_rate", Fixed(self.aggregate_skip_rate(), 4)),
             ("commit", self.commit.as_str().into()),
             ("written_epoch_seconds", self.written_epoch_seconds.into()),
@@ -329,19 +309,6 @@ impl SimPerf {
             ("configs", Json::Arr(configs.collect())),
         ]))
     }
-}
-
-/// Short commit hash of the work tree, `"unknown"` when git is absent.
-fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Runs the serial and parallel sweeps and returns the timing report.
@@ -387,7 +354,7 @@ pub fn measure(jobs: usize) -> SimPerf {
             .unwrap_or(0),
         serial_wall_seconds,
         parallel_wall_seconds,
-        commit: current_commit(),
+        commit: BUILD_COMMIT.to_string(),
         written_epoch_seconds: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -481,16 +448,7 @@ pub fn report(jobs: usize, path: &str) {
         perf.aggregate_kcps(),
         perf.aggregate_skip_rate() * 100.0
     );
-    println!(
-        "compute-bound subset: {:.0} kcycles/s   vs PR-3 baseline {:.0} → {:.2}x \
-         (aggregate {:.0} vs {:.0} → {:.2}x)",
-        perf.compute_kcps(),
-        BASELINE_COMPUTE_KCPS,
-        perf.compute_kcps() / BASELINE_COMPUTE_KCPS,
-        perf.aggregate_kcps(),
-        BASELINE_AGGREGATE_KCPS,
-        perf.aggregate_kcps() / BASELINE_AGGREGATE_KCPS
-    );
+    println!("compute-bound subset: {:.0} kcycles/s", perf.compute_kcps());
     if perf.pool_degraded() {
         if perf.jobs_explicit {
             println!(
@@ -715,10 +673,6 @@ mod tests {
   "sweep_speedup": 4.000,
   "aggregate_sim_kcps": 3150.8,
   "compute_sim_kcps": 1000.0,
-  "baseline_aggregate_sim_kcps": 2228.2,
-  "baseline_compute_sim_kcps": 4107.8,
-  "aggregate_speedup_vs_baseline": 1.414,
-  "compute_speedup_vs_baseline": 0.243,
   "aggregate_skip_rate": 0.0020,
   "commit": "abc1234",
   "written_epoch_seconds": 1754700000,
@@ -733,26 +687,6 @@ mod tests {
 }
 "#;
         assert_eq!(golden_perf().to_json(), expected);
-    }
-
-    #[test]
-    fn checked_in_baseline_rolls_the_same_history() {
-        // Pinned against the checked-in artifact: regenerating
-        // BENCH_simperf.json means updating these entries.
-        let h = roll_history(Some(include_str!("../../../BENCH_simperf.json")));
-        assert_eq!(
-            h,
-            [
-                "{\"commit\": \"unknown\", \"written_epoch_seconds\": 1792292277, \
-                 \"aggregate_sim_kcps\": 3971.6, \"compute_sim_kcps\": 8137.0}",
-                "{\"commit\": \"673e7aa\", \"written_epoch_seconds\": 1792292265, \
-                 \"aggregate_sim_kcps\": 2093.6, \"compute_sim_kcps\": 3800.0}",
-                "{\"commit\": \"ef7c6c7\", \"written_epoch_seconds\": 1786300735, \
-                 \"aggregate_sim_kcps\": 4273.9, \"compute_sim_kcps\": 7384.4}",
-                "{\"commit\": \"unknown\", \"written_epoch_seconds\": 0, \
-                 \"aggregate_sim_kcps\": 4308.6, \"compute_sim_kcps\": 7844.5}",
-            ]
-        );
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * **Issue/Execute** — oldest-first select of up to `issue_width` ready
 //!   instructions per cycle, constrained by functional-unit counts; loads
 //!   obey conservative memory disambiguation with exact-match store-to-load
-//!   forwarding. Three age-ordered ROB bitmasks (ready, memory-ordering,
-//!   executing; bit `i` is `rob[i]`) name the entries issue, writeback, the
-//!   load-ordering check and the quiescence probe visit, so none of them
-//!   walks the whole ROB.
+//!   forwarding. The ROB is a ring of 64 slots (seq `s` in slot `s & 63`);
+//!   five age-ordered bitmasks over it (bit `i` is `rob[i]`, the `i`-th
+//!   oldest) name the entries issue, writeback, the load-ordering check and
+//!   the quiescence probe visit, and skip loads queued behind a fence.
 //! * **Writeback** — completed values broadcast to waiting consumers;
 //!   mispredicted branches squash all younger work and redirect fetch.
 //! * **Commit** — up to `retire_width` per cycle, in order. Stores drain
@@ -32,7 +32,8 @@ use crate::config::CoreConfig;
 use crate::ports::{CorePorts, PortPush};
 use crate::stats::{class_index, CoreStats};
 use remap_isa::{FpOp, Inst, InstClass, Program, Reg};
-use std::collections::VecDeque;
+use remap_snap::{Reader, SnapError, State, Writer};
+use std::ops::{Index, IndexMut};
 
 /// Byte address where code is mapped for I-cache indexing; keeps code
 /// addresses disjoint from any data the workloads use.
@@ -122,10 +123,68 @@ impl RobEntry {
 
     /// Whether issue may select this entry: it waits in an issue queue with
     /// all its operands (at-head operations take no slot; they act at
-    /// commit). Exactly these entries carry a bit in `Core::ready`.
+    /// commit). Exactly these entries carry a bit in the `READY` mask.
     #[inline]
     fn issuable(&self) -> bool {
         self.status == Status::Waiting && Core::needs_iq(self.inst) && self.operands_ready()
+    }
+}
+
+/// Slots in the reorder buffer: the width of the ROB masks.
+const ROB_SLOTS: usize = 64;
+
+/// The ROB masks, indices into `Core::masks` (see [`Core::with_bits`]).
+const READY: usize = 0;
+const ORDERING: usize = 1;
+const EXECUTING: usize = 2;
+const LOADS: usize = 3;
+const HARD: usize = 4;
+
+/// The reorder buffer: a fixed ring holding the contiguous seqs
+/// `head..head + len` (commit retires the head, squash cuts the tail and
+/// rewinds `Core::next_seq`), seq `s` in slot `s & 63`.
+#[derive(Debug, Clone)]
+struct Rob {
+    slots: Box<[RobEntry; ROB_SLOTS]>,
+    /// Seq of the oldest entry; when empty, the seq dispatch assigns next.
+    head: u64,
+    len: usize,
+}
+
+impl Rob {
+    #[inline]
+    fn front(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self[0])
+    }
+
+    /// The age of in-flight seq `seq`: `rob[rob.age(seq)]` is its entry.
+    #[inline]
+    fn age(&self, seq: u64) -> usize {
+        seq.wrapping_sub(self.head) as usize % ROB_SLOTS
+    }
+
+    /// The slot of the entry of age `i`.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        debug_assert!(i < self.len, "ROB age {i} past its {} entries", self.len);
+        (self.head as usize).wrapping_add(i) % ROB_SLOTS
+    }
+}
+
+impl Index<usize> for Rob {
+    type Output = RobEntry;
+
+    #[inline]
+    fn index(&self, i: usize) -> &RobEntry {
+        &self.slots[self.slot(i)]
+    }
+}
+
+impl IndexMut<usize> for Rob {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut RobEntry {
+        let slot = self.slot(i);
+        &mut self.slots[slot]
     }
 }
 
@@ -247,21 +306,13 @@ pub struct Core {
     pred: Predictor,
     regs: [i64; Reg::COUNT],
     map: [Option<u64>; Reg::COUNT],
-    /// Reorder buffer, oldest at the front. A ring buffer so commit can
-    /// retire from the head without shifting the (large) entries; entries
-    /// are strictly ordered by `seq`, which keeps producer lookups a binary
-    /// search instead of a linear scan.
-    rob: VecDeque<RobEntry>,
-    /// Issue candidates: bit `i` is set when `rob[i]` is
-    /// [`RobEntry::issuable`]. This and the two masks below are in age
-    /// order (commit shifts them right by one, squash clears the squashed
-    /// tail) and are derived state, rebuilt from the ROB on restore.
-    ready: u64,
-    /// Entries that order memory ([`Core::orders_memory`]): the only ones
-    /// the load-disambiguation check visits.
-    ordering: u64,
-    /// `Executing` entries: the only ones writeback and the probe visit.
-    executing: u64,
+    /// Reorder buffer, oldest first.
+    rob: Rob,
+    /// The ROB masks (`READY`, `ORDERING`, `EXECUTING`, `LOADS`, `HARD`;
+    /// [`Core::with_bits`]): bit `i` is `rob[i]`, so commit shifts them
+    /// right by one and a squash clears the squashed tail. Derived state,
+    /// rebuilt from the ROB on restore.
+    masks: [u64; 5],
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
     iq_occ: (usize, usize),
@@ -309,10 +360,12 @@ impl Core {
             pred: Predictor::new(cfg.bpred_bits, cfg.btb_entries, cfg.ras),
             regs: [0; Reg::COUNT],
             map: [None; Reg::COUNT],
-            rob: VecDeque::with_capacity(cfg.rob),
-            ready: 0,
-            ordering: 0,
-            executing: 0,
+            rob: Rob {
+                slots: Box::new(std::array::from_fn(|_| RobEntry::default())),
+                head: 0,
+                len: 0,
+            },
+            masks: [0; 5],
             iq_occ: (0, 0),
             fetch_buf: Vec::new(),
             fetch_pc: 0,
@@ -392,7 +445,8 @@ impl Core {
         if self.halted {
             return false;
         }
-        debug_assert_eq!(self.masks(), self.masks_recount(), "ROB masks out of sync");
+        debug_assert_eq!(self.masks, self.masks_recount(), "ROB masks out of sync");
+        debug_assert_eq!(self.iq_occ, self.iq_recount(), "iq_occ out of sync");
         self.cycle += 1;
         self.stats.cycles += 1;
         self.drain_store_buffer(ports);
@@ -459,7 +513,7 @@ impl Core {
         // Writeback and issue: completions land at their timestamps; a ready
         // entry issues immediately unless gated by a busy divider or a
         // blocked load (whose unblocking is itself a core event).
-        for i in bits(self.executing) {
+        for i in bits(self.masks[EXECUTING]) {
             let Status::Executing(t) = self.rob[i].status else {
                 unreachable!("executing bit on an entry not executing")
             };
@@ -468,7 +522,7 @@ impl Core {
             }
             wake = wake.min(t);
         }
-        for i in bits(self.ready) {
+        for i in bits(self.masks[READY] & !self.blocked_loads()) {
             let inst = self.rob[i].inst;
             let free = if inst.class() == InstClass::Load {
                 match self.load_check(i) {
@@ -499,23 +553,15 @@ impl Core {
         // the buffer has room); an idle fetch engine starts a new access as
         // soon as the bubble expires.
         let buf_room = self.fetch_buf.len() < 2 * self.cfg.fetch_width as usize;
-        match self.fetch_inflight_at {
-            Some(t) => {
-                if buf_room {
-                    if t <= next {
-                        return None;
-                    }
-                    wake = wake.min(t);
-                }
+        let fetch_at = match self.fetch_inflight_at {
+            Some(t) => Some(t),
+            None => (!self.fetch_blocked).then_some(self.fetch_bubble_until),
+        };
+        if let Some(t) = fetch_at.filter(|_| buf_room) {
+            if t <= next {
+                return None;
             }
-            None => {
-                if !self.fetch_blocked && buf_room {
-                    if next >= self.fetch_bubble_until {
-                        return None;
-                    }
-                    wake = wake.min(self.fetch_bubble_until);
-                }
-            }
+            wake = wake.min(t);
         }
 
         Some(wake)
@@ -715,40 +761,51 @@ impl Core {
 
     // --- dispatch -----------------------------------------------------------
 
-    /// Issue-queue occupancy (int, fp): the incrementally maintained
-    /// counters, checked against a full recount in debug builds.
-    fn iq_occupancy(&self) -> (usize, usize) {
-        debug_assert_eq!(self.iq_occ, self.iq_recount(), "iq_occ out of sync");
-        self.iq_occ
-    }
-
     /// Reference recount of issue-queue occupancy (debug checking and
     /// post-squash rebuild): an entry holds a slot from dispatch until
     /// writeback, if its instruction takes one at all.
     fn iq_recount(&self) -> (usize, usize) {
         let mut occ = (0, 0);
         let in_iq = |e: &&RobEntry| e.status != Status::Done && Self::needs_iq(e.inst);
-        for e in self.rob.iter().filter(in_iq) {
+        for e in (0..self.rob.len).map(|i| &self.rob[i]).filter(in_iq) {
             *Self::iq_slots(&mut occ, e.inst) += 1;
         }
         occ
     }
 
-    /// The ROB masks: `[ready, ordering, executing]`.
-    fn masks(&self) -> [u64; 3] {
-        [self.ready, self.ordering, self.executing]
+    /// `masks` with bit `i` set in each ROB mask entry `e` belongs in:
+    /// `READY` (issue candidates), `ORDERING` (what the load check visits),
+    /// `EXECUTING` (what writeback and the probe visit), `LOADS` and `HARD`:
+    /// fences, atomics, hardware barriers and stores until issue computes
+    /// their address (the others never get one), each of which blocks every
+    /// younger load.
+    #[inline]
+    fn with_bits(masks: [u64; 5], e: &RobEntry, i: usize) -> [u64; 5] {
+        let ordering = Self::orders_memory(e.inst);
+        let on = [
+            e.issuable(),
+            ordering,
+            matches!(e.status, Status::Executing(_)),
+            e.inst.class() == InstClass::Load,
+            ordering && e.mem_addr.is_none(),
+        ];
+        std::array::from_fn(|k| masks[k] | (on[k] as u64) << i)
     }
 
     /// The ROB masks recomputed from the entries (restore, and checking the
-    /// incrementally kept ones). The ROB must hold at most 64 entries.
-    fn masks_recount(&self) -> [u64; 3] {
-        let mut m = [0; 3];
-        for (i, e) in self.rob.iter().enumerate() {
-            m[0] |= (e.issuable() as u64) << i;
-            m[1] |= (Self::orders_memory(e.inst) as u64) << i;
-            m[2] |= (matches!(e.status, Status::Executing(_)) as u64) << i;
-        }
-        m
+    /// incrementally kept ones).
+    fn masks_recount(&self) -> [u64; 5] {
+        (0..self.rob.len).fold([0; 5], |m, i| Self::with_bits(m, &self.rob[i], i))
+    }
+
+    /// The loads younger than the oldest `HARD` entry: the load check walks
+    /// the ordering entries oldest-first and only returns early blocked, so
+    /// each reads [`LoadPath::Blocked`] and issue and the probe skip them.
+    #[inline]
+    fn blocked_loads(&self) -> u64 {
+        // The bits up to the oldest hard entry, or all when there is none.
+        let hard = self.masks[HARD];
+        self.masks[LOADS] & !(hard ^ hard.wrapping_sub(1))
     }
 
     /// Whether an instruction participates in memory ordering: it either
@@ -774,13 +831,13 @@ impl Core {
         let mut link = std::mem::replace(&mut self.rob[producer].waiters, NO_WAITER);
         while link != NO_WAITER {
             let (cseq, slot) = (link >> 1, (link & 1) as usize);
-            let ci = self.rob_index_of(cseq).expect("waiter resident");
+            let ci = self.rob.age(cseq);
             let c = &mut self.rob[ci];
             debug_assert_eq!(c.src[slot], Src::Wait(pseq), "stale wakeup link");
             c.src[slot] = Src::Ready(v);
             link = std::mem::replace(&mut c.next_waiter[slot], NO_WAITER);
             if c.issuable() {
-                self.ready |= 1 << ci;
+                self.masks[READY] |= 1 << ci;
             }
         }
     }
@@ -793,7 +850,7 @@ impl Core {
         let seq = self.rob[i].seq;
         for slot in 0..2 {
             if let Src::Wait(pseq) = self.rob[i].src[slot] {
-                let pi = self.rob_index_of(pseq).expect("in-flight producer");
+                let pi = self.rob.age(pseq);
                 self.rob[i].next_waiter[slot] = self.rob[pi].waiters;
                 self.rob[pi].waiters = (seq << 1) | slot as u64;
             }
@@ -811,34 +868,14 @@ impl Core {
         }
     }
 
-    /// Locates the ROB index of the in-flight producer `seq`, if still
-    /// present. ROB seqs are contiguous (commit pops from the front, squash
-    /// truncates the back and rewinds `next_seq`), so residency is pure
-    /// index arithmetic.
-    #[inline]
-    fn rob_index_of(&self, seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
-            return None; // already committed
-        }
-        let i = (seq - front) as usize;
-        debug_assert!(
-            i < self.rob.len() && self.rob[i].seq == seq,
-            "non-contiguous ROB seqs"
-        );
-        Some(i)
-    }
-
+    /// A source operand read at rename. The map names only in-flight
+    /// producers (commit clears the entry of the seq it retires, squash
+    /// rebuilds the map) and never `r0`, whose architectural value is 0.
     fn resolve_src(&self, r: Reg) -> Src {
-        if r.is_zero() {
-            return Src::Ready(0);
-        }
         match self.map[r.index()] {
-            Some(seq) => match self.rob_index_of(seq).map(|i| &self.rob[i]) {
-                Some(e) if e.status == Status::Done => Src::Ready(e.value),
-                Some(_) => Src::Wait(seq),
-                // Producer already committed: value is architectural.
-                None => Src::Ready(self.regs[r.index()]),
+            Some(seq) => match &self.rob[self.rob.age(seq)] {
+                e if e.status == Status::Done => Src::Ready(e.value),
+                _ => Src::Wait(seq),
             },
             None => Src::Ready(self.regs[r.index()]),
         }
@@ -849,13 +886,13 @@ impl Core {
     #[inline]
     fn dispatch_stall(&self) -> Option<DispatchStall> {
         let f = self.fetch_buf.first()?;
-        if self.rob.len() >= self.cfg.rob {
+        if self.rob.len >= self.cfg.rob {
             return Some(DispatchStall::RobFull);
         }
         if !Self::needs_iq(f.inst) {
             return None;
         }
-        let (int_occ, fp_occ) = self.iq_occupancy();
+        let (int_occ, fp_occ) = self.iq_occ;
         let full = if f.inst.class() == InstClass::Fp {
             fp_occ >= self.cfg.fp_iq
         } else {
@@ -923,15 +960,11 @@ impl Core {
             if Self::needs_iq(f.inst) {
                 *Self::iq_slots(&mut self.iq_occ, f.inst) += 1;
             }
-            let bit = 1 << self.rob.len();
-            if entry.issuable() {
-                self.ready |= bit;
-            }
-            if Self::orders_memory(entry.inst) {
-                self.ordering |= bit;
-            }
-            self.rob.push_back(entry);
-            self.link_waiters(self.rob.len() - 1);
+            let i = self.rob.len;
+            self.masks = Self::with_bits(self.masks, &entry, i);
+            self.rob.len += 1;
+            self.rob[i] = entry;
+            self.link_waiters(i);
             self.stats.dispatched += 1;
         }
     }
@@ -946,11 +979,12 @@ impl Core {
         let mut ldst_units = self.cfg.ldst_units;
         let cycle = self.cycle;
 
-        // Only the candidates in the ready mask are visited, oldest first.
-        for i in bits(self.ready) {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
+        // Only the candidates in the ready mask are visited, oldest first,
+        // less the loads gated behind a hard ordering point.
+        let mut todo = self.masks[READY] & !self.blocked_loads();
+        while todo != 0 && issued < self.cfg.issue_width {
+            let i = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
             let e = &self.rob[i];
             let inst = e.inst;
             let class = inst.class();
@@ -996,8 +1030,12 @@ impl Core {
             let done_at = cycle + latency as u64;
             *units -= 1;
             self.rob[i].status = Status::Executing(done_at);
-            self.ready &= !(1 << i);
-            self.executing |= 1 << i;
+            self.masks[READY] &= !(1 << i);
+            self.masks[EXECUTING] |= 1 << i;
+            // An issued store knows its address, which may lift the gate on
+            // younger loads this very cycle.
+            self.masks[HARD] &= !(1 << i);
+            todo = self.masks[READY] & !self.blocked_loads() & !below(i + 1);
             self.exec_next_done = self.exec_next_done.min(done_at);
             issued += 1;
             self.stats.issued += 1;
@@ -1117,7 +1155,7 @@ impl Core {
         // Older in-ROB stores and ordering points, oldest first: the scan
         // touches only the ordering entries below the load.
         let mut forward: Option<i64> = None;
-        for j in bits(self.ordering & below(i)) {
+        for j in bits(self.masks[ORDERING] & below(i)) {
             let e = &self.rob[j];
             // Loads may not issue past an unretired fence, atomic, or
             // hardware barrier: these order memory across threads (a fence
@@ -1171,7 +1209,7 @@ impl Core {
         // Split the executing entries into due completions and survivors.
         let mut completed = 0u64;
         let mut next_done = u64::MAX;
-        for i in bits(self.executing) {
+        for i in bits(self.masks[EXECUTING]) {
             let Status::Executing(done_at) = self.rob[i].status else {
                 unreachable!("executing bit on an entry not executing")
             };
@@ -1181,7 +1219,7 @@ impl Core {
                 next_done = next_done.min(done_at);
             }
         }
-        self.executing &= !completed;
+        self.masks[EXECUTING] &= !completed;
         self.exec_next_done = next_done;
         // Completions are handed to consumers oldest-first (mask order is
         // ROB order) so control resolution below squashes on the oldest
@@ -1234,32 +1272,26 @@ impl Core {
     }
 
     fn squash_after(&mut self, seq: u64, redirect: u32) {
-        let keep = self
-            .rob_index_of(seq)
-            .map(|p| p + 1)
-            .unwrap_or(self.rob.len());
-        let squashed = self.rob.len() - keep;
-        self.stats.squashed += squashed as u64;
-        self.rob.truncate(keep);
-        [self.ready, self.ordering, self.executing] = self.masks().map(|m| m & below(keep));
+        let keep = self.rob.age(seq) + 1;
+        self.stats.squashed += (self.rob.len - keep) as u64;
+        self.rob.len = keep;
+        self.masks = self.masks.map(|m| m & below(keep));
         // Rewind the seq counter over the squashed (never-committed) tail:
         // nothing references those seqs any more, and reissuing them keeps
-        // ROB seqs contiguous so producer lookups stay O(1).
-        if let Some(last) = self.rob.back() {
-            self.next_seq = last.seq + 1;
-        }
+        // ROB seqs contiguous, so each seq's slot stays its own.
+        self.next_seq = seq + 1;
         self.iq_occ = self.iq_recount();
         // Rebuild the rename map and the wakeup chains from surviving
         // entries (squashed consumers may sit in survivors' chains).
         self.map = [None; Reg::COUNT];
-        for e in &mut self.rob {
+        for i in 0..keep {
+            let e = &mut self.rob[i];
             if let Some(d) = e.inst.dest() {
                 self.map[d.index()] = Some(e.seq);
             }
             e.waiters = NO_WAITER;
             e.next_waiter = [NO_WAITER; 2];
-        }
-        for i in 0..self.rob.len() {
+            // Producers are older, so their chains are already reset.
             self.link_waiters(i);
         }
         self.fetch_buf.clear();
@@ -1292,7 +1324,7 @@ impl Core {
 
     fn commit<P: CorePorts + ?Sized>(&mut self, ports: &mut P) {
         let mut retired = 0;
-        while retired < self.cfg.retire_width && !self.rob.is_empty() {
+        while retired < self.cfg.retire_width && self.rob.len > 0 {
             if !self.head_commits(ports) {
                 // A stall cycle, charged to what the head is parked on.
                 if let Some(cause) = self.head_wait() {
@@ -1300,8 +1332,10 @@ impl Core {
                 }
                 break;
             }
-            let e = self.rob.pop_front().expect("non-empty ROB");
-            [self.ready, self.ordering, self.executing] = self.masks().map(|m| m >> 1);
+            self.masks = self.masks.map(|m| m >> 1);
+            let slot = self.rob.slot(0);
+            (self.rob.head, self.rob.len) = (self.rob.head + 1, self.rob.len - 1);
+            let e = &self.rob.slots[slot];
             if let Some(d) = e.inst.dest() {
                 self.regs[d.index()] = e.value;
                 self.stats.regfile_writes += 1;
@@ -1423,22 +1457,55 @@ impl Core {
     /// re-derived from its `pc` against the (static) program, which keeps
     /// the snapshot compact and makes program/snapshot mismatches surface
     /// as decode failures. The ROB masks are rebuilt from the restored ROB,
-    /// which may hold no more entries than the configuration allows.
-    fn restored(&mut self) -> Result<(), remap_snap::SnapError> {
-        let (len, cap) = (self.rob.len(), self.cfg.rob);
+    /// which may hold no more entries than the configuration allows, with
+    /// contiguous seqs ending just before `next_seq`.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let corrupt = |m| Err(SnapError::Corrupt(m));
+        let (len, cap, next) = (self.rob.len, self.cfg.rob, self.next_seq);
         if len > cap {
-            let msg = format!("ROB holds {len} entries, more than its {cap}");
-            return Err(remap_snap::SnapError::Corrupt(msg));
+            return corrupt(format!("ROB holds {len} entries, more than its {cap}"));
         }
+        // Entry `i` must hold seq `head + i`, and the last `next_seq - 1`.
+        let head = next.wrapping_sub(len as u64);
+        if (0..len).any(|i| self.rob[i].seq != head.wrapping_add(i as u64)) {
+            return corrupt(format!("ROB seqs not contiguous up to next seq {next}"));
+        }
+        self.rob.head = head;
         let program = &self.program;
         let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
-        for e in &mut self.rob {
-            e.inst = inst(e.pc);
+        for i in 0..len {
+            self.rob[i].inst = inst(self.rob[i].pc);
         }
         for f in self.fetch_buf.iter_mut().chain(&mut self.fetch_group) {
             f.inst = inst(f.pc);
         }
-        [self.ready, self.ordering, self.executing] = self.masks_recount();
+        self.masks = self.masks_recount();
+        Ok(())
+    }
+}
+
+/// The ROB travels as a bounded sequence, oldest entry first. Load refuses
+/// more entries than slots and places entry `i` at age `i` of the first
+/// entry's seq; `Core::restored` checks that the seqs match their slots.
+impl State for Rob {
+    fn save(&self, w: &mut Writer) {
+        w.put_len(self.len);
+        (0..self.len).for_each(|i| self[i].save(w));
+    }
+    fn load(&mut self, r: &mut Reader) -> Result<(), SnapError> {
+        let n = r.get_len::<RobEntry>()?;
+        if n > ROB_SLOTS {
+            let msg = format!("ROB holds {n} entries, more than its {ROB_SLOTS} slots");
+            return Err(SnapError::Corrupt(msg));
+        }
+        self.len = n;
+        for i in 0..n {
+            let e = RobEntry::read(r)?;
+            if i == 0 {
+                self.head = e.seq;
+            }
+            self[i] = e;
+        }
         Ok(())
     }
 }
@@ -1488,45 +1555,37 @@ remap_snap::state!(Fetched |f| { f.pc, f.pred, f.pred_next });
 
 remap_snap::state!(StoreBufEntry |s| { s.addr, s.size, s.value });
 
-impl remap_snap::State for Src {
-    fn save(&self, w: &mut remap_snap::Writer) {
+impl State for Src {
+    fn save(&self, w: &mut Writer) {
         match *self {
             Src::Ready(v) => (0u8, v).save(w),
             Src::Wait(seq) => (1u8, seq).save(w),
         }
     }
-    fn load(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
+    fn load(&mut self, r: &mut Reader) -> Result<(), SnapError> {
         *self = match u8::read(r)? {
             0 => Src::Ready(i64::read(r)?),
             1 => Src::Wait(u64::read(r)?),
-            t => {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "bad operand source tag {t}"
-                )))
-            }
+            t => return Err(SnapError::Corrupt(format!("bad operand source tag {t}"))),
         };
         Ok(())
     }
 }
 
-impl remap_snap::State for Status {
-    fn save(&self, w: &mut remap_snap::Writer) {
+impl State for Status {
+    fn save(&self, w: &mut Writer) {
         match *self {
             Status::Waiting => 0u8.save(w),
             Status::Executing(at) => (1u8, at).save(w),
             Status::Done => 2u8.save(w),
         }
     }
-    fn load(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
+    fn load(&mut self, r: &mut Reader) -> Result<(), SnapError> {
         *self = match u8::read(r)? {
             0 => Status::Waiting,
             1 => Status::Executing(u64::read(r)?),
             2 => Status::Done,
-            t => {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "bad ROB status tag {t}"
-                )))
-            }
+            t => return Err(SnapError::Corrupt(format!("bad ROB status tag {t}"))),
         };
         Ok(())
     }
@@ -1730,7 +1789,8 @@ mod tests {
     /// Runs `program` to its halt on OOO1 with 300-cycle address generation
     /// (loads and stores stay in flight, so the ROB fills behind them),
     /// checking after every step, in release builds too, that the kept ROB
-    /// masks equal a recount; `seen` gets the core before and after a step.
+    /// masks equal a recount and that every load the gate passes over
+    /// would read blocked; `seen` gets the core before and after a step.
     fn step_checking_masks(program: Program, mut seen: impl FnMut(&Core, &Core)) {
         let mut cfg = CoreConfig::ooo1();
         cfg.lat.agu = 300;
@@ -1740,14 +1800,23 @@ mod tests {
             assert!(core.cycle() < 100_000, "program did not halt");
             let before = core.clone();
             core.step(&mut ports);
-            assert_eq!(core.masks(), core.masks_recount(), "cycle {}", core.cycle());
+            let cycle = core.cycle();
+            assert_eq!(core.masks, core.masks_recount(), "cycle {cycle}");
+            for i in bits(core.blocked_loads()) {
+                assert_eq!(
+                    core.load_check(i),
+                    LoadPath::Blocked,
+                    "cycle {cycle}, age {i}"
+                );
+            }
             seen(&before, &core);
         }
     }
 
     /// A slow load holds the head while independent work fills all 64 ROB
-    /// slots; behind it, slow stores and the load's consumers keep the ROB
-    /// full while commit drains it, so every mask gets bit 63.
+    /// slots; behind it, slow stores, the load's consumers and loads gated
+    /// behind the stores keep the ROB full while commit drains it, so every
+    /// mask gets bit 63.
     fn full_rob_program() -> Program {
         let mut a = Asm::new("full");
         a.li(R1, 0x800);
@@ -1756,36 +1825,41 @@ mod tests {
         for k in 0..40 {
             a.sw(R2, R1, 8 + 4 * (k % 8));
             a.addi(R6, R2, 1);
+            a.lw(R9, R1, 40);
         }
         a.halt();
         a.assemble().unwrap()
     }
 
+    const MASKS: &str = "[ready, ordering, executing, loads, hard]";
+
     #[test]
     fn rob_masks_hold_bit_63_and_commit_shifts_it() {
-        let (mut top, mut shifted) = ([false; 3], [false; 3]);
+        let (mut top, mut shifted) = ([false; 5], [false; 5]);
         step_checking_masks(full_rob_program(), |before, after| {
             let committed = after.stats.committed > before.stats.committed;
-            for (k, m) in before.masks().into_iter().enumerate() {
+            for (k, m) in before.masks.into_iter().enumerate() {
                 top[k] |= m >> 63 == 1;
                 shifted[k] |= m >> 63 == 1 && committed;
             }
         });
-        assert_eq!(top, [true; 3], "[ready, ordering, executing] bit 63 seen");
-        assert_eq!(shifted, [true; 3], "commit shifted a set bit 63");
+        assert_eq!(top, [true; 5], "{MASKS} bit 63 seen");
+        assert_eq!(shifted, [true; 5], "commit shifted a set bit 63 of {MASKS}");
     }
 
     #[test]
     fn rob_masks_survive_a_squash_past_every_kind_of_entry() {
         // The `beq` is predicted not taken but taken. While its slow load is
         // outstanding the wrong path runs a slow store (ordering and
-        // executing) and queues divides behind the unpipelined divider
-        // (ready); the squash must clear all of them.
+        // executing), a load, a fence (hard) and queues divides behind the
+        // unpipelined divider (ready); the squash must clear all of them.
         let mut a = Asm::new("squash");
         a.li(R1, 0x800);
         a.lw(R3, R1, 0);
         a.beq(R3, R0, "done");
         a.sw(R7, R1, 64);
+        a.lw(R9, R1, 72);
+        a.fence();
         (0..40).for_each(|_| a.div(R8, R7, R7));
         a.label("done");
         a.halt();
@@ -1793,12 +1867,43 @@ mod tests {
         step_checking_masks(a.assemble().unwrap(), |before, after| {
             let squashed = (after.stats.squashed - before.stats.squashed) as usize;
             if squashed > 0 {
-                let tail = !below(before.rob.len() - squashed);
-                cleared = Some(before.masks().map(|m| m & tail != 0));
+                let tail = !below(before.rob.len - squashed);
+                cleared = Some(before.masks.map(|m| m & tail != 0));
             }
         });
-        let kinds = "[ready, ordering, executing] entries in the squashed tail";
-        assert_eq!(cleared, Some([true; 3]), "{kinds}");
+        assert_eq!(
+            cleared,
+            Some([true; 5]),
+            "{MASKS} entries in the squashed tail"
+        );
+    }
+
+    #[test]
+    fn loads_are_gated_behind_every_kind_of_hard_ordering_point() {
+        // Each load queues behind one hard point: a store whose address
+        // waits on the slow load, then an atomic, then a fence.
+        let mut a = Asm::new("gate");
+        a.li(R1, 0x800);
+        a.lw(R2, R1, 0);
+        a.sw(R4, R2, 16);
+        a.lw(R5, R1, 8);
+        a.amoadd(R6, R1, R4);
+        a.lw(R7, R1, 12);
+        a.fence();
+        a.lw(R8, R1, 16);
+        a.halt();
+        let mut gated_behind = Vec::new();
+        step_checking_masks(a.assemble().unwrap(), |_, c| {
+            if c.blocked_loads() != 0 {
+                gated_behind.push(c.rob[c.masks[HARD].trailing_zeros() as usize].inst.class());
+            }
+        });
+        for hard in [InstClass::Store, InstClass::Atomic, InstClass::Sync] {
+            assert!(
+                gated_behind.contains(&hard),
+                "no load gated behind a {hard:?}"
+            );
+        }
     }
 
     #[test]
@@ -1814,30 +1919,60 @@ mod tests {
         use remap_snap::{Reader, SnapError, State, Writer};
         let mut full = None;
         step_checking_masks(full_rob_program(), |_, c| {
-            if c.rob.len() == 64 && c.ready != 0 {
+            if c.rob.len == 64 && c.masks[READY] != 0 {
                 full.get_or_insert_with(|| c.clone());
             }
         });
-        let mut core: Core = full.expect("the ROB filled");
-        let load = |c: &Core| {
+        let core: Core = full.expect("the ROB filled");
+        let encode = |save: &dyn Fn(&mut Writer)| {
             let mut w = Writer::new();
-            c.save(&mut w);
+            save(&mut w);
+            w.into_vec()
+        };
+        let load = |bytes: &[u8]| {
             // The padding stands in for the rest of a system payload: the
             // reader admits a sequence only if it fits in the bytes left at
             // its in-memory size.
-            let mut bytes = w.into_vec();
+            let mut bytes = bytes.to_vec();
             bytes.resize(bytes.len() + 65 * std::mem::size_of::<RobEntry>(), 0);
-            let mut back = Core::new(0, c.cfg, c.program.clone());
-            back.load(&mut Reader::new(&bytes)).map(|()| back.masks())
+            let mut back = Core::new(0, core.cfg, core.program.clone());
+            back.load(&mut Reader::new(&bytes)).map(|()| back.masks)
         };
-        assert_eq!(load(&core), Ok(core.masks()), "masks rebuilt");
-        // A hostile payload with one entry too many would need bit 64.
-        core.rob.push_back(core.rob[1].clone());
-        let err = load(&core).unwrap_err();
+        let bytes = encode(&|w| core.save(w));
+        assert_eq!(load(&bytes), Ok(core.masks), "masks rebuilt");
+        // A hostile payload with one entry too many would need bit 64 and a
+        // slot already taken: splice a 65th entry in after the 64th.
+        let rob_at = encode(&|w| {
+            core.pred.save(w);
+            core.regs.save(w);
+            core.map.save(w);
+        })
+        .len();
+        let rob_end = rob_at + encode(&|w| core.rob.save(w)).len();
+        let mut extra = core.rob[63].clone();
+        extra.seq += 1;
+        let mut long = bytes[..rob_at].to_vec();
+        long.extend(65u64.to_le_bytes());
+        long.extend(&bytes[rob_at + 8..rob_end]);
+        long.extend(encode(&|w| extra.save(w)));
+        long.extend(&bytes[rob_end..]);
+        let err = load(&long).unwrap_err();
         assert!(
             matches!(&err, SnapError::Corrupt(m) if m.contains("65 entries")),
             "{err:?}"
         );
+        // Seqs that skip one would alias two entries too, and a next seq
+        // off the ROB's end would hand out a resident seq.
+        let (mut gap, mut off_end) = (core.clone(), core.clone());
+        gap.rob[5].seq += 1;
+        off_end.next_seq += 1;
+        for c in [gap, off_end] {
+            let err = load(&encode(&|w| c.save(w))).unwrap_err();
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains("not contiguous")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
