@@ -440,9 +440,8 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
         );
     }
     let json = wrap_lines(&lines);
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
+    if let Err(e) = crate::write_report(path, &json) {
+        errors.push(e);
     }
     if errors.is_empty() {
         Ok(())

@@ -1,12 +1,11 @@
-//! The one JSON emitter and reader behind every report of the harness:
-//! the `BENCH_*.json` artifacts, the journaled faultsweep cell lines and
+//! The one JSON emitter behind every report of the harness: the
+//! `BENCH_*.json` artifacts, the journaled faultsweep cell lines and
 //! `remap verify --format json`.
 //!
 //! The workspace carries no serialization dependency, so this module is
-//! deliberately small. [`Json`] is a value to *write*; reading goes through
-//! [`get`] and [`elements`], which hand back raw member and element text
-//! without building a tree (history entries and spliced sections stay
-//! verbatim).
+//! deliberately small. [`Json`] is a value to *write*. Nothing reads a
+//! report back; the one reader, [`get`], hands back a member's raw text
+//! without building a tree, for the faultsweep check of each cell line.
 //!
 //! # Layout
 //!
@@ -182,14 +181,14 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// The top-level pieces of `text` between `open` and `close`, split at
-/// commas outside nested brackets and strings, trimmed, empties dropped.
-/// Text that is not wrapped in `open`/`close` has no pieces.
-fn split_top(text: &str, open: char, close: char) -> Vec<&str> {
-    let Some(body) = text
+/// The top-level members of an object's text, split at commas outside
+/// nested brackets and strings, trimmed, empties dropped. Text that is not
+/// wrapped in braces has no members.
+fn split_members(obj: &str) -> Vec<&str> {
+    let Some(body) = obj
         .trim()
-        .strip_prefix(open)
-        .and_then(|t| t.strip_suffix(close))
+        .strip_prefix('{')
+        .and_then(|t| t.strip_suffix('}'))
     else {
         return Vec::new();
     };
@@ -215,37 +214,13 @@ fn split_top(text: &str, open: char, close: char) -> Vec<&str> {
     parts
 }
 
-/// The top-level `(key, raw value)` members of an object's text.
-fn members(obj: &str) -> impl Iterator<Item = (&str, &str)> {
-    split_top(obj, '{', '}').into_iter().filter_map(|m| {
-        let rest = m.strip_prefix('"')?;
-        let (key, rest) = rest.split_once('"')?;
-        Some((key, rest.trim_start().strip_prefix(':')?.trim()))
-    })
-}
-
 /// The raw text of the top-level member `key` of an object's text. Nested
 /// objects, string contents, and longer keys sharing a suffix never match.
 pub fn get<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    members(obj).find(|(k, _)| *k == key).map(|(_, v)| v)
-}
-
-/// The raw texts of the elements of an array's text.
-pub fn elements(arr: &str) -> Vec<&str> {
-    split_top(arr, '[', ']')
-}
-
-/// `doc` (an object's text) with its top-level member `key` replaced by
-/// `value`, or `value` appended when absent; the other members keep their
-/// raw text. A `doc` that is not an object yields a document holding only
-/// `key`.
-pub fn with_member(doc: &str, key: &str, value: Json) -> String {
-    let mut kept: Vec<(&str, Json)> = members(doc)
-        .filter(|(k, _)| *k != key)
-        .map(|(k, v)| (k, Json::Raw(v.to_string())))
-        .collect();
-    kept.push((key, value));
-    render(&Json::obj(kept))
+    split_members(obj).into_iter().find_map(|m| {
+        let rest = m.strip_prefix('"')?.strip_prefix(key)?.strip_prefix('"')?;
+        Some(rest.trim_start().strip_prefix(':')?.trim())
+    })
 }
 
 #[cfg(test)]
@@ -296,31 +271,6 @@ mod tests {
         assert_eq!(get(doc, "o"), Some("{\"agg\": 5}"));
         assert_eq!(get(&doc.replace("\"agg\": 4.0", "\"x\": 0"), "agg"), None);
         assert_eq!(get("not an object", "agg"), None);
-        let rows = get(doc, "rows").unwrap();
-        assert_eq!(elements(rows), ["{\"agg\": 2.0}"]);
-        assert_eq!(
-            elements("[1, [2, 3], \"a,b\",\n]"),
-            ["1", "[2, 3]", "\"a,b\""]
-        );
-        assert!(elements("[\n  ]").is_empty());
-    }
-
-    #[test]
-    fn with_member_replaces_or_appends() {
-        let doc = "{\n  \"a\": 1,\n  \"m\": [\n    {\"old\": 1}\n  ],\n  \"z\": [\n    {\"k\": 2}\n  ]\n}\n";
-        let out = with_member(doc, "m", Json::Arr(vec![Json::obj([("new", 2u32.into())])]));
-        assert_eq!(
-            out,
-            "{\n  \"a\": 1,\n  \"z\": [\n    {\"k\": 2}\n  ],\n  \"m\": [\n    {\"new\": 2}\n  ]\n}\n"
-        );
-        assert_eq!(
-            with_member(&out, "m", Json::Null),
-            with_member(doc, "m", Json::Null)
-        );
-        assert_eq!(
-            with_member("{\"a\": 1}", "m", Json::Null),
-            "{\n  \"a\": 1,\n  \"m\": null\n}\n"
-        );
-        assert_eq!(with_member("", "m", Json::Null), "{\n  \"m\": null\n}\n");
+        assert_eq!(get(doc, "rows"), Some("[\n    {\"agg\": 2.0}\n  ]"));
     }
 }

@@ -226,6 +226,15 @@ pub fn barrier_sweep_jobs(
     runner::run_with_jobs(jobs, sizes, |_, &n| barrier_point(bench, mode, n))
 }
 
+/// Writes the report `doc` to `path`. A write that fails is an error
+/// naming the path, so a `remap bench` target never exits 0 while a stale
+/// artifact stands in for the run it just measured.
+pub fn write_report(path: &str, doc: &str) -> Result<(), String> {
+    std::fs::write(path, doc).map_err(|e| format!("could not write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
 /// Prints an experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!();

@@ -5,9 +5,9 @@
 //! and once with the blocking reference model (`System::set_mlp(false)`)
 //! — and reports the simulated
 //! cycle delta together with the MLP counters from the run report. The
-//! per-workload rows are spliced into `BENCH_simperf.json` as an `"mlp"`
-//! section so the throughput baseline and the ablation live in one
-//! artifact.
+//! per-workload rows are written to their own `BENCH_mlp.json`. They hold
+//! simulated counts only, no host timings, so a rerun reproduces the file
+//! byte for byte and CI compares it with the checked-in copy.
 //!
 //! The configurations marked *memory-bound* gate CI: a run where they show
 //! zero hits-under-miss or an undefined prefetch accuracy means the MLP
@@ -107,8 +107,8 @@ fn run_one(cfg: &Config) -> Row {
     }
 }
 
-/// The `"mlp"` section: one object per row.
-fn rows_json(rows: &[Row]) -> Json {
+/// The `BENCH_mlp.json` document: the problem size and one object per row.
+fn doc_json(rows: &[Row]) -> String {
     let row = |r: &Row| {
         Json::obj([
             ("config", r.name.as_str().into()),
@@ -123,11 +123,14 @@ fn rows_json(rows: &[Row]) -> Json {
             ("mc_queue_peak", r.mlp.mc_queue_peak.into()),
         ])
     };
-    Json::Arr(rows.iter().map(row).collect())
+    json::render(&Json::obj([
+        ("n", N.into()),
+        ("configs", Json::Arr(rows.iter().map(row).collect())),
+    ]))
 }
 
-/// Runs the ablation, prints the table, enforces the CI gates, and splices
-/// the results into `path`.
+/// Runs the ablation, prints the table, enforces the CI gates, and writes
+/// the results to `path`.
 pub fn report(jobs: usize, path: &str) -> Result<(), String> {
     crate::banner(
         "mlp",
@@ -201,37 +204,12 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
             failures.join("\n  ")
         ));
     }
-
-    // Splice the section into the simperf document, replacing any previous
-    // one; `remap bench simperf` rewrites the file without it.
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let doc = json::with_member(&existing, "mlp", rows_json(&rows));
-    match std::fs::write(path, doc) {
-        Ok(()) => println!("spliced mlp section into {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    Ok(())
+    crate::write_report(path, &doc_json(&rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn section_replaces_the_previous_one() {
-        let row = Row {
-            name: "g721enc/SeqOoo1".to_string(),
-            blocking_cycles: 200,
-            mlp_cycles: 150,
-            mlp: remap_mem::MlpStats::default(),
-        };
-        let doc = "{\n  \"jobs\": 2,\n  \"mlp\": [\n    {\"old\": 1}\n  ]\n}\n";
-        let out = json::with_member(doc, "mlp", rows_json(&[row]));
-        assert_eq!(json::get(&out, "jobs"), Some("2"), "baseline kept: {out}");
-        let rows = json::elements(json::get(&out, "mlp").expect("section present"));
-        assert_eq!(rows.len(), 1, "stale rows dropped: {out}");
-        assert_eq!(json::get(rows[0], "reduction_pct"), Some("25.00"));
-    }
 
     #[test]
     fn grid_marks_memory_bound_configs() {

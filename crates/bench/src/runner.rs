@@ -17,10 +17,9 @@
 //!   [`std::panic::resume_unwind`]; only [`retry`] catches panics, one
 //!   item at a time, for sweeps that record failures as data (the
 //!   faultsweep cells);
-//! * the default job count honours the `REMAP_JOBS` environment variable
-//!   and otherwise uses [`std::thread::available_parallelism`]; every
-//!   positive-count knob (`REMAP_JOBS`, `REMAP_SIMPERF_REPS`) is parsed by
-//!   one function, `env_count`.
+//! * the default job count honours the `REMAP_JOBS` environment variable,
+//!   the harness's one knob, and otherwise uses
+//!   [`std::thread::available_parallelism`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -39,7 +38,7 @@ pub fn jobs() -> usize {
 /// Whether the job count was set *explicitly* via a valid `REMAP_JOBS`
 /// value. A pool degraded to one worker is expected when the user asked
 /// for it (`REMAP_JOBS=1`) and a measurement defect otherwise — the smoke
-/// bench and the simperf report treat the two cases differently.
+/// bench fails only in the second case.
 pub fn jobs_explicit() -> bool {
     jobs_env().1
 }
@@ -48,30 +47,24 @@ fn jobs_env() -> (usize, bool, Option<String>) {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let raw = std::env::var("REMAP_JOBS").ok();
-    env_count("REMAP_JOBS", raw.as_deref(), ("host parallelism", host))
+    parse_jobs(std::env::var("REMAP_JOBS").ok().as_deref(), host)
 }
 
-/// Parses the positive-count knob `name` from its raw environment value
-/// (`None` when unset). Returns the count, whether it was set explicitly
-/// to a valid value, and a warning when it was set but unusable. Unset or
-/// unusable values fall back to `default`, a `(description, count)` pair
-/// the warning names — the caller decides where the warning goes.
-pub(crate) fn env_count(
-    name: &str,
-    raw: Option<&str>,
-    default: (&str, usize),
-) -> (usize, bool, Option<String>) {
-    let (what, fallback) = default;
+/// Parses a raw `REMAP_JOBS` value (`None` when unset). Returns the job
+/// count, whether it was set explicitly to a valid value, and a warning
+/// when it was set but is not a positive integer. Unset or unusable values
+/// fall back to `host`, the host's parallelism — the caller decides where
+/// the warning goes.
+fn parse_jobs(raw: Option<&str>, host: usize) -> (usize, bool, Option<String>) {
     match raw {
-        None => (fallback, false, None),
+        None => (host, false, None),
         Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => (n, true, None),
             _ => (
-                fallback,
+                host,
                 false,
                 Some(format!(
-                    "{name}={v:?} is not a positive integer; using {what} ({fallback})"
+                    "REMAP_JOBS={v:?} is not a positive integer; using host parallelism ({host})"
                 )),
             ),
         },
@@ -255,37 +248,23 @@ mod tests {
     }
 
     #[test]
-    fn env_count_table() {
-        let jobs = ("REMAP_JOBS", ("host parallelism", 8));
-        let reps = ("REMAP_SIMPERF_REPS", ("default", 2));
-        let jobs_warning =
-            "REMAP_JOBS=\"banana\" is not a positive integer; using host parallelism (8)";
-        let reps_warning =
-            "REMAP_SIMPERF_REPS=\"zero\" is not a positive integer; using default (2)";
+    fn parse_jobs_table() {
+        let banana = "REMAP_JOBS=\"banana\" is not a positive integer; using host parallelism (8)";
         let table = [
-            (jobs, Some("3"), (3, true, None)),
-            (jobs, Some(" 12 "), (12, true, None)),
-            (jobs, Some("1"), (1, true, None)),
-            (jobs, Some("0"), (8, false, Some("REMAP_JOBS=\"0\""))),
-            (jobs, Some("banana"), (8, false, Some(jobs_warning))),
-            (jobs, None, (8, false, None)),
-            (reps, None, (2, false, None)),
-            (reps, Some("5"), (5, true, None)),
-            (reps, Some(" 3 "), (3, true, None)),
-            (reps, Some("zero"), (2, false, Some(reps_warning))),
-            (
-                reps,
-                Some("0"),
-                (2, false, Some("REMAP_SIMPERF_REPS=\"0\"")),
-            ),
+            (Some("3"), (3, true, None)),
+            (Some(" 12 "), (12, true, None)),
+            (Some("1"), (1, true, None)),
+            (Some("0"), (8, false, Some("REMAP_JOBS=\"0\""))),
+            (Some("banana"), (8, false, Some(banana))),
+            (None, (8, false, None)),
         ];
-        for ((name, default), raw, (n, explicit, warning)) in table {
-            let got = env_count(name, raw, default);
-            assert_eq!((got.0, got.1), (n, explicit), "{name}={raw:?}");
+        for (raw, (n, explicit, warning)) in table {
+            let got = parse_jobs(raw, 8);
+            assert_eq!((got.0, got.1), (n, explicit), "REMAP_JOBS={raw:?}");
             match (got.2, warning) {
                 (None, None) => {}
                 (Some(w), Some(want)) => assert!(w.starts_with(want), "{w}"),
-                (got, want) => panic!("{name}={raw:?}: warning {got:?}, want {want:?}"),
+                (got, want) => panic!("REMAP_JOBS={raw:?}: warning {got:?}, want {want:?}"),
             }
         }
     }

@@ -389,12 +389,7 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
         ),
         ("probes_avoided", stats.probes_avoided.into()),
     ]);
-    let doc = doc_json(jobs, &curves, ablation);
-    match std::fs::write(path, doc) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    Ok(())
+    crate::write_report(path, &doc_json(jobs, &curves, ablation))
 }
 
 #[cfg(test)]

@@ -257,22 +257,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     match target.as_str() {
-        "simperf" => {
-            remap_bench::simperf::report(jobs, "BENCH_simperf.json");
-            Ok(())
-        }
+        "simperf" => remap_bench::simperf::report(jobs, "BENCH_simperf.json"),
         "faultsweep" => remap_bench::faultsweep::report(jobs, "BENCH_faultsweep.json"),
-        "mlp" => remap_bench::mlp::report(jobs, "BENCH_simperf.json"),
+        "mlp" => remap_bench::mlp::report(jobs, "BENCH_mlp.json"),
         "scaling" => remap_bench::scaling::report(jobs, "BENCH_scaling.json"),
         "all" => {
             for (_, f) in BENCH_TARGETS.iter().filter(|(n, _)| *n != "smoke") {
                 f(jobs);
             }
             remap_bench::faultsweep::report(jobs, "BENCH_faultsweep.json")?;
-            remap_bench::simperf::report(jobs, "BENCH_simperf.json");
-            remap_bench::mlp::report(jobs, "BENCH_simperf.json")?;
-            remap_bench::scaling::report(jobs, "BENCH_scaling.json")?;
-            Ok(())
+            remap_bench::simperf::report(jobs, "BENCH_simperf.json")?;
+            remap_bench::mlp::report(jobs, "BENCH_mlp.json")?;
+            remap_bench::scaling::report(jobs, "BENCH_scaling.json")
         }
         name => match BENCH_TARGETS.iter().find(|(n, _)| *n == name) {
             Some((_, f)) => {

@@ -649,7 +649,6 @@ pub struct SystemBuilder {
     hwq_capacity: usize,
     hwbars: Vec<(u8, u32)>,
     hier_cfg: HierarchyConfig,
-    thread_binds: Vec<(usize, u32)>,
 }
 
 impl Default for SystemBuilder {
@@ -664,7 +663,6 @@ impl Default for SystemBuilder {
             hwq_capacity: 64,
             hwbars: Vec::new(),
             hier_cfg: HierarchyConfig::default(),
-            thread_binds: Vec::new(),
         }
     }
 }
@@ -676,8 +674,7 @@ impl SystemBuilder {
     }
 
     /// Adds a core of the given kind running `program`; returns its ID.
-    /// By default the core runs thread `id` (bind another with
-    /// [`SystemBuilder::bind_thread`]).
+    /// The core starts out running thread `id`.
     pub fn add_core(&mut self, kind: CoreKind, program: Program) -> usize {
         let cfg = match kind {
             CoreKind::Ooo1 => CoreConfig::ooo1(),
@@ -736,11 +733,6 @@ impl SystemBuilder {
         self.hier_cfg = cfg;
     }
 
-    /// Binds thread `thread` to `core` (default: thread ID = core ID).
-    pub fn bind_thread(&mut self, core: usize, thread: u32) {
-        self.thread_binds.push((core, thread));
-    }
-
     /// Builds the system.
     ///
     /// # Panics
@@ -768,10 +760,7 @@ impl SystemBuilder {
             }
             clusters.push(SplCluster { spl, cores });
         }
-        let mut core_thread: Vec<u32> = (0..n as u32).collect();
-        for (c, t) in self.thread_binds {
-            core_thread[c] = t;
-        }
+        let core_thread: Vec<u32> = (0..n as u32).collect();
         let mut t2c = ThreadToCoreTable::new(n);
         for (c, &t) in core_thread.iter().enumerate() {
             t2c.bind(c, t, 0);
