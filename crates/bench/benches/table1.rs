@@ -1,30 +1,6 @@
 //! Table I: relative area and power of four single-issue OOO cores and the
 //! four-way shared ReMAP fabric.
 
-use remap_bench::banner;
-use remap_power::{table1, EnergyParams};
-
 fn main() {
-    banner(
-        "Table I",
-        "relative area and power of 4 cores vs 4-way shared SPL",
-    );
-    let t = table1(&EnergyParams::default());
-    println!(
-        "{:<20} {:>8} {:>12} {:>14} {:>14}",
-        "", "SPL rows", "Total Area", "Peak Dyn Power", "Total Leakage"
-    );
-    println!(
-        "{:<20} {:>8} {:>12.2} {:>14.2} {:>14.2}",
-        "Four Cores", "N/A", 1.00, 1.00, 1.00
-    );
-    println!(
-        "{:<20} {:>8} {:>12.2} {:>14.2} {:>14.2}",
-        "4-way Shared SPL", t.spl_rows, t.spl_rel_area, t.spl_rel_peak_dynamic, t.spl_rel_leakage
-    );
-    println!();
-    println!(
-        "paper:               {:>8} {:>12.2} {:>14.2} {:>14.2}",
-        24, 0.51, 0.14, 0.67
-    );
+    remap_bench::figures::table1(remap_bench::runner::jobs());
 }

@@ -17,18 +17,17 @@
 //! protection on (parity/CRC + sequence numbers) and off. Protected runs
 //! must recover every fault (`silent == 0`) and still validate; an
 //! unprotected run is *allowed* to mis-validate — that is the point — and
-//! is recorded as `ok: false` data rather than a job failure. Every run
-//! is seeded, so the emitted JSON is byte-identical across invocations
+//! is recorded as `ok: false` data rather than a harness error. The cells
+//! run through [`runner::run_with_jobs`] like every figure sweep: a cell
+//! that errs fails the target, one that panics propagates the panic. Every
+//! run is seeded, so the emitted JSON is byte-identical across invocations
 //! (wall-clock fields are deliberately excluded).
 
 use crate::json::{self, Json};
-use crate::runner::{self, JobFailure};
-use crate::sweep::{stream_jsonl, JsonlOpts, SweepOpts};
+use crate::runner;
 use remap::{CoreKind, FaultPlan, RunError, SiteCfg, SystemBuilder};
 use remap_isa::{Asm, Reg::*};
 use remap_spl::{Dest, SplConfig, SplFunction};
-use std::ops::ControlFlow;
-use std::path::Path;
 
 /// Seed of every plan in the sweep. Fixed so `BENCH_faultsweep.json` is
 /// reproducible byte for byte; chaos comes from the hash stream, not the
@@ -301,9 +300,8 @@ pub fn run_cell(cell: Cell) -> Result<CellResult, String> {
     })
 }
 
-/// The JSON object for one successful cell, on one line without a
-/// newline — the unit the streaming pipeline journals and emits.
-pub fn result_line(c: &CellResult) -> String {
+/// The JSON object of one cell, fields in report order.
+fn cell_json(c: &CellResult) -> Json {
     let f = &c.faults;
     let detected = f.spl.detected + f.hwq.detected + f.barrier.detected + f.cache.detected;
     Json::obj([
@@ -319,135 +317,67 @@ pub fn result_line(c: &CellResult) -> String {
         ("hwq_retries", f.hwq_retries.into()),
         ("barrier_demotions", f.barrier_demotions.into()),
     ])
-    .to_string()
 }
 
-/// The JSON object for a cell whose job failed every attempt.
-pub fn failure_line(fail: &JobFailure) -> String {
-    Json::obj([
-        ("job_failure", fail.index.into()),
-        ("attempts", fail.attempts.into()),
-        ("message", fail.message.as_str().into()),
-    ])
-    .to_string()
-}
-
-/// Runs one cell under [`runner::retry`] and renders its JSON line —
-/// success or failure, a granule always yields a line, so a streamed sweep
-/// never stalls on a bad cell.
-pub fn cell_line(index: usize, cell: Cell) -> String {
-    match runner::retry(index, || run_cell(cell)) {
-        Ok(c) => result_line(&c),
-        Err(fail) => failure_line(&fail),
-    }
-}
-
-/// Wraps rendered cell lines in the report envelope.
-pub fn wrap_lines(lines: &[String]) -> String {
-    let cells = lines.iter().map(|l| Json::Raw(l.clone())).collect();
+/// The report document over the sweep's cell results.
+fn document(results: &[CellResult]) -> String {
     json::render(&Json::obj([
         ("seed", SWEEP_SEED.into()),
         ("rates_ppm", Json::Arr(RATES_PPM.map(Json::from).to_vec())),
-        ("cells", Json::Arr(cells)),
+        ("cells", Json::Arr(results.iter().map(cell_json).collect())),
     ]))
 }
 
-/// Inspects a rendered cell line for the two harness defects the sweep
-/// polices: a job that failed every attempt, or a *protected* cell with
-/// silent corruption. String-level because resumed lines are replayed
-/// from the journal, never recomputed into structs; fields are read by
-/// key ([`json::get`]), so a change in [`result_line`]'s field order
-/// cannot silently disable the check.
-pub fn line_error(line: &str) -> Option<String> {
-    if json::get(line, "job_failure").is_some() {
-        return Some(format!("cell failed every attempt: {line}"));
+/// The harness defect in one cell's outcome, if any: a run that failed,
+/// or a *protected* cell with silent corruption. Silence in an
+/// unprotected cell is the datum the sweep records, not a defect.
+fn defect(cell: Cell, outcome: &Result<CellResult, String>) -> Option<String> {
+    let name = || {
+        let protection = if cell.protected {
+            "protected"
+        } else {
+            "unprotected"
+        };
+        format!(
+            "{} at {} ppm, {protection}",
+            cell.archetype.name(),
+            cell.rate_ppm
+        )
+    };
+    match outcome {
+        Err(e) => Some(format!("cell {}: {e}", name())),
+        Ok(c) if cell.protected && c.faults.total_silent() > 0 => Some(format!(
+            "cell {}: {} silent corruption(s) in a protected config",
+            name(),
+            c.faults.total_silent()
+        )),
+        Ok(_) => None,
     }
-    if json::get(line, "protected") == Some("true")
-        && json::get(line, "silent").is_some_and(|s| s != "0")
-    {
-        return Some(format!("silent corruption in a protected config: {line}"));
-    }
-    None
 }
 
-/// The journal path of a sweep written to `path`.
-pub fn journal_path(path: &str) -> String {
-    format!("{path}.journal")
-}
-
-/// Journal fingerprint of the sweep: encodes the seed *and every cell's
-/// definition*, not just the cell count, so a binary whose grid contents
-/// changed (archetypes or rates reordered, swapped, or re-tuned) under the
-/// same count and seed can never splice stale journaled results into a
-/// fresh report.
-pub fn fingerprint(cells: &[Cell]) -> String {
-    let grid: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{}:{}:{}",
-                c.archetype.name(),
-                c.rate_ppm,
-                u8::from(c.protected)
-            )
-        })
-        .collect();
-    format!("faultsweep v1 seed={SWEEP_SEED} grid={}", grid.join(","))
-}
-
-/// Runs the full grid on `jobs` workers through the ordered-streaming
-/// engine, printing each cell's JSON line the moment the head of line
-/// completes, and writes the JSON report to `path`.
+/// Runs the full grid on `jobs` workers, prints each cell's JSON line, and
+/// writes the JSON report to `path`.
 ///
-/// Completed cells checkpoint to `<path>.journal`; a killed sweep re-run
-/// with the same arguments replays the journaled prefix and computes only
-/// the remainder. The journal is removed once the report is written, so a
-/// *completed* sweep leaves only the artifact (and back-to-back runs stay
-/// byte-comparable).
-///
-/// Returns `Err` when the sweep found a harness defect: a job that failed
-/// both attempts, or a *protected* configuration with silent corruption.
+/// Returns `Err` naming every harness defect ([`run_cell`] errors and
+/// protected cells with silent corruption) instead of writing the report.
+/// A cell that panics propagates the panic, as in every figure sweep.
 pub fn report(jobs: usize, path: &str) -> Result<(), String> {
     crate::banner("faultsweep", "deterministic fault injection sweep");
     let cells = grid();
-    let journal = journal_path(path);
-    let fingerprint = fingerprint(&cells);
-    let mut lines: Vec<String> = Vec::with_capacity(cells.len());
-    let mut errors: Vec<String> = Vec::new();
-    let opts = JsonlOpts {
-        sweep: SweepOpts::new(jobs),
-        fingerprint: &fingerprint,
-        journal: Some(Path::new(&journal)),
-    };
-    let outcome = stream_jsonl(
-        &opts,
-        &cells,
-        |i, &cell| cell_line(i, cell),
-        |i, line| {
-            println!("  cell {i:>2}/{}: {line}", cells.len());
-            if let Some(e) = line_error(line) {
-                errors.push(e);
-            }
-            lines.push(line.to_string());
-            ControlFlow::Continue(())
-        },
-    )
-    .map_err(|e| format!("sweep journal I/O failed: {e}"))?;
-    if outcome.resumed > 0 {
-        println!(
-            "resumed {} of {} cells from {journal}",
-            outcome.resumed, outcome.total
-        );
+    let outcomes = runner::run_with_jobs(jobs, &cells, |_, &c| run_cell(c));
+    let mut errors = Vec::new();
+    for (i, (&cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
+        if let Ok(c) = outcome {
+            println!("  cell {i:>2}/{}: {}", cells.len(), cell_json(c));
+        }
+        errors.extend(defect(cell, outcome));
     }
-    let json = wrap_lines(&lines);
-    if let Err(e) = crate::write_report(path, &json) {
-        errors.push(e);
+    if !errors.is_empty() {
+        return Err(errors.join("; "));
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors.join("; "))
-    }
+    // No defect, so every outcome is `Ok`.
+    let results: Vec<CellResult> = outcomes.into_iter().flatten().collect();
+    crate::write_report(path, &document(&results))
 }
 
 #[cfg(test)]
@@ -521,108 +451,53 @@ mod tests {
     }
 
     #[test]
-    fn streamed_lines_match_collected_json() {
-        // A representative slice of the grid: every archetype, mixed
-        // rates and protection (full grid twice would double test time).
-        let cells: Vec<Cell> = grid().into_iter().take(9).collect();
-        let joined = wrap_lines(&runner::run_with_jobs(2, &cells, |i, &c| cell_line(i, c)));
-        let mut lines = Vec::new();
-        let opts = JsonlOpts {
-            sweep: SweepOpts::new(2),
-            fingerprint: "test",
-            journal: None,
+    fn defects_are_a_failed_run_or_protected_silence() {
+        let cell = |protected| Cell {
+            archetype: Archetype::SplAffine,
+            rate_ppm: 200_000,
+            protected,
         };
-        let outcome = stream_jsonl(
-            &opts,
-            &cells,
-            |i, &cell| cell_line(i, cell),
-            |_, line| {
-                lines.push(line.to_string());
-                ControlFlow::Continue(())
-            },
-        )
-        .expect("no journal, no I/O to fail");
-        assert!(outcome.completed);
-        assert_eq!(
-            wrap_lines(&lines),
-            joined,
-            "streamed must be byte-identical"
-        );
-    }
-
-    #[test]
-    fn line_error_flags_the_two_defects() {
-        assert!(line_error("{\"job_failure\": 3, \"attempts\": 2, \"message\": \"x\"}").is_some());
-        let bad = "{\"archetype\": \"spl_affine\", \"protected\": true, \"silent\": 2, \"x\": 0}";
-        assert!(line_error(bad).is_some());
-        let good = "{\"archetype\": \"spl_affine\", \"protected\": true, \"silent\": 0, \"x\": 0}";
-        assert!(line_error(good).is_none());
-        let unprot =
-            "{\"archetype\": \"spl_affine\", \"protected\": false, \"silent\": 9, \"x\": 0}";
-        assert!(line_error(unprot).is_none(), "unprotected silence is data");
-    }
-
-    #[test]
-    fn line_error_fires_on_a_result_line_rendered_cell() {
-        // Guard against serialization drift: the defect check must parse
-        // fields out of whatever result_line actually renders, not match
-        // a hard-coded byte pattern of it.
-        let mut faults = remap::FaultReport::default();
-        faults.spl.injected = 3;
-        faults.spl.silent = 2;
-        let bad = CellResult {
-            cell: Cell {
-                archetype: Archetype::SplAffine,
-                rate_ppm: 200_000,
-                protected: true,
-            },
-            ok: true,
-            cycles: 1234,
-            faults,
+        let outcome = |protected, silent| {
+            let mut faults = remap::FaultReport::default();
+            faults.spl.injected = 3;
+            faults.spl.silent = silent;
+            Ok(CellResult {
+                cell: cell(protected),
+                ok: true,
+                cycles: 1234,
+                faults,
+            })
         };
-        let line = result_line(&bad);
-        assert!(
-            line_error(&line).is_some(),
-            "protected cell with silent corruption must be flagged: {line}"
-        );
-        let clean = CellResult {
-            faults: remap::FaultReport::default(),
-            ..bad
-        };
-        assert!(line_error(&result_line(&clean)).is_none());
-        let unprotected = CellResult {
-            cell: Cell {
-                protected: false,
-                ..bad.cell
-            },
-            ..bad
-        };
-        assert!(
-            line_error(&result_line(&unprotected)).is_none(),
-            "unprotected silence is data, not a defect"
-        );
-    }
-
-    #[test]
-    fn fingerprint_encodes_grid_contents_not_just_count() {
-        let cells = grid();
-        let fp = fingerprint(&cells);
-        assert!(fp.contains("spl_affine") && fp.contains("200000"));
-        assert!(!fp.contains('\n'), "journal headers are one line");
-        // Same count, same seed, swapped cells: a different fingerprint.
-        let mut swapped = cells.clone();
-        swapped.swap(0, 1);
-        assert_ne!(fp, fingerprint(&swapped));
-        // A re-tuned rate with the same count: a different fingerprint.
-        let mut retuned = cells.clone();
-        retuned[3].rate_ppm += 1;
-        assert_ne!(fp, fingerprint(&retuned));
+        let failed = Err("spl_affine run failed: deadlock".to_string());
+        // (protected, outcome, the defect names this, or no defect)
+        let table = [
+            (
+                true,
+                failed.clone(),
+                Some("spl_affine at 200000 ppm, protected"),
+            ),
+            (false, failed, Some("run failed: deadlock")),
+            (true, outcome(true, 2), Some("2 silent corruption(s)")),
+            (true, outcome(true, 0), None),
+            (false, outcome(false, 9), None),
+        ];
+        for (i, (protected, outcome, want)) in table.into_iter().enumerate() {
+            match (defect(cell(protected), &outcome), want) {
+                (None, None) => {}
+                (Some(e), Some(want)) => assert!(e.contains(want), "row {i}: {e}"),
+                (got, want) => panic!("row {i}: defect {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]
     fn json_is_deterministic_and_balanced() {
         let cells = grid();
-        let run = || wrap_lines(&runner::run_with_jobs(2, &cells, |i, &c| cell_line(i, c)));
+        let run = || {
+            document(&runner::run_with_jobs(2, &cells, |_, &c| {
+                run_cell(c).expect("no cell of the grid fails")
+            }))
+        };
         let a = run();
         let b = run();
         assert_eq!(a, b, "same seed twice must be byte-identical");
@@ -664,37 +539,15 @@ mod tests {
             cycles: 31_507,
             faults: remap::FaultReport::default(),
         };
-        let fail = JobFailure {
-            index: 1,
-            attempts: 2,
-            message: "panic: cell 1 exploded".to_string(),
-        };
-        let lines = [result_line(&a), failure_line(&fail), result_line(&b)];
         let expected = r#"{
   "seed": 12648430,
   "rates_ppm": [0, 50000, 200000],
   "cells": [
     {"archetype": "hwq_pipe", "rate_ppm": 50000, "protected": false, "ok": false, "cycles": 4321, "injected": 5, "detected": 4, "recovered": 4, "silent": 1, "hwq_retries": 3, "barrier_demotions": 0},
-    {"job_failure": 1, "attempts": 2, "message": "panic: cell 1 exploded"},
     {"archetype": "mem_march", "rate_ppm": 0, "protected": true, "ok": true, "cycles": 31507, "injected": 0, "detected": 0, "recovered": 0, "silent": 0, "hwq_retries": 0, "barrier_demotions": 0}
   ]
 }
 "#;
-        assert_eq!(wrap_lines(&lines), expected);
-    }
-
-    #[test]
-    fn failure_messages_render_as_valid_json_strings() {
-        let fail = JobFailure {
-            index: 4,
-            attempts: 2,
-            message: "panic: \u{1b}[31mred\u{1b}[0m nul\0 tab\t".to_string(),
-        };
-        let line = failure_line(&fail);
-        assert!(line.contains("\\u001b[31mred"), "{line}");
-        assert!(line.contains("nul\\u0000"), "{line}");
-        assert!(line.contains("tab\\t"), "{line}");
-        assert!(!line.contains("\\u{"), "Rust escapes are not JSON: {line}");
-        assert!(line_error(&line).is_some());
+        assert_eq!(document(&[a, b]), expected);
     }
 }

@@ -28,6 +28,34 @@ fn footer(label: &str, jobs: usize, start: Instant) {
     );
 }
 
+/// Table I: relative area and power of four single-issue OOO cores and the
+/// four-way shared ReMAP fabric, beside the paper's values. Analytic, so
+/// `jobs` goes unused; it keeps the signature of every other target.
+pub fn table1(_jobs: usize) {
+    banner(
+        "Table I",
+        "relative area and power of 4 cores vs 4-way shared SPL",
+    );
+    let t = remap_power::table1(&remap_power::EnergyParams::default());
+    println!(
+        "{:<20} {:>8} {:>12} {:>14} {:>14}",
+        "", "SPL rows", "Total Area", "Peak Dyn Power", "Total Leakage"
+    );
+    println!(
+        "{:<20} {:>8} {:>12.2} {:>14.2} {:>14.2}",
+        "Four Cores", "N/A", 1.00, 1.00, 1.00
+    );
+    println!(
+        "{:<20} {:>8} {:>12.2} {:>14.2} {:>14.2}",
+        "4-way Shared SPL", t.spl_rows, t.spl_rel_area, t.spl_rel_peak_dynamic, t.spl_rel_leakage
+    );
+    println!();
+    println!(
+        "paper:               {:>8} {:>12.2} {:>14.2} {:>14.2}",
+        24, 0.51, 0.14, 0.67
+    );
+}
+
 /// Figure 8: whole-program performance vs the 1-thread OOO1 baseline.
 pub fn fig08(jobs: usize) {
     let start = Instant::now();

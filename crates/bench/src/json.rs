@@ -1,19 +1,17 @@
 //! The one JSON emitter behind every report of the harness: the
-//! `BENCH_*.json` artifacts, the journaled faultsweep cell lines and
-//! `remap verify --format json`.
+//! `BENCH_*.json` artifacts and `remap verify --format json`.
 //!
 //! The workspace carries no serialization dependency, so this module is
-//! deliberately small. [`Json`] is a value to *write*. Nothing reads a
-//! report back; the one reader, [`get`], hands back a member's raw text
-//! without building a tree, for the faultsweep check of each cell line.
+//! deliberately small. [`Json`] is a value to *write*; nothing in the
+//! workspace reads JSON.
 //!
 //! # Layout
 //!
 //! [`render`] lays a document out by one rule:
 //!
 //! * the top-level object has one member per line at a 2-space indent;
-//! * an array whose elements are objects, arrays, or raw values has one
-//!   element per line, indented 2 more than the line that opens it;
+//! * an array whose elements are objects or arrays has one element per
+//!   line, indented 2 more than the line that opens it;
 //! * everything else is inline, with `": "` and `", "` separators.
 //!
 //! [`Json`]'s `Display` is the all-inline form, used for one-line records.
@@ -36,8 +34,6 @@ pub enum Json {
     Fixed(f64, usize),
     /// A string, escaped on output.
     Str(String),
-    /// Already-rendered JSON text, emitted verbatim.
-    Raw(String),
     /// An array.
     Arr(Vec<Json>),
     /// An object.
@@ -66,11 +62,10 @@ impl Json {
             Json::Fixed(v, _) if !v.is_finite() => out.push_str("null"),
             Json::Fixed(v, d) => out.push_str(&format!("{v:.d$}")),
             Json::Str(s) => escape(s, out),
-            Json::Raw(s) => out.push_str(s),
             Json::Arr(items) => {
                 let block = items
                     .iter()
-                    .any(|v| matches!(v, Json::Obj(_) | Json::Arr(_) | Json::Raw(_)));
+                    .any(|v| matches!(v, Json::Obj(_) | Json::Arr(_)));
                 let items = items.iter().map(|v| (None, v));
                 write_seq(out, "[]", items, indent, indent.filter(|_| block));
             }
@@ -181,48 +176,6 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// The top-level members of an object's text, split at commas outside
-/// nested brackets and strings, trimmed, empties dropped. Text that is not
-/// wrapped in braces has no members.
-fn split_members(obj: &str) -> Vec<&str> {
-    let Some(body) = obj
-        .trim()
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-    else {
-        return Vec::new();
-    };
-    let (mut parts, mut start, mut depth) = (Vec::new(), 0, 0usize);
-    let (mut in_str, mut escaped) = (false, false);
-    for (i, b) in body.bytes().enumerate() {
-        match b {
-            _ if escaped => escaped = false,
-            b'\\' if in_str => escaped = true,
-            b'"' => in_str = !in_str,
-            _ if in_str => {}
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b',' if depth == 0 => {
-                parts.push(body[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(body[start..].trim());
-    parts.retain(|p| !p.is_empty());
-    parts
-}
-
-/// The raw text of the top-level member `key` of an object's text. Nested
-/// objects, string contents, and longer keys sharing a suffix never match.
-pub fn get<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    split_members(obj).into_iter().find_map(|m| {
-        let rest = m.strip_prefix('"')?.strip_prefix(key)?.strip_prefix('"')?;
-        Some(rest.trim_start().strip_prefix(':')?.trim())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,14 +192,13 @@ mod tests {
                     ("pts", Json::Arr(vec![Json::obj([("t", Json::Null)])])),
                 ])]),
             ),
-            ("log", Json::Arr(vec![Json::Raw("{\"k\": 1}".into())])),
             ("none", Json::Arr(vec![])),
             ("o", Json::obj([("s", "x".into()), ("b", true.into())])),
         ]);
         assert_eq!(
             render(&doc),
             "{\n  \"n\": 2,\n  \"xs\": [1, 2],\n  \"rows\": [\n    {\"a\": 0.50, \"pts\": [\n      \
-             {\"t\": null}\n    ]}\n  ],\n  \"log\": [\n    {\"k\": 1}\n  ],\n  \"none\": [],\n  \
+             {\"t\": null}\n    ]}\n  ],\n  \"none\": [],\n  \
              \"o\": {\"s\": \"x\", \"b\": true}\n}\n"
         );
         assert_eq!(render(&Json::Arr(vec![])), "[]\n");
@@ -260,17 +212,5 @@ mod tests {
     fn strings_escape_every_control_character() {
         let s = Json::from("q\"b\\n\nr\rt\tesc\u{1b}nul\0é").to_string();
         assert_eq!(s, "\"q\\\"b\\\\n\\nr\\rt\\tesc\\u001bnul\\u0000é\"");
-    }
-
-    #[test]
-    fn get_reads_only_top_level_members() {
-        let doc = "{\n  \"note\": \"\\\"agg\\\": 1, {[\",\n  \"baseline_agg\": 3.0,\n  \
-                   \"rows\": [\n    {\"agg\": 2.0}\n  ],\n  \"o\": {\"agg\": 5},\n  \"agg\": 4.0,\n}";
-        assert_eq!(get(doc, "agg"), Some("4.0"));
-        assert_eq!(get(doc, "note"), Some("\"\\\"agg\\\": 1, {[\""));
-        assert_eq!(get(doc, "o"), Some("{\"agg\": 5}"));
-        assert_eq!(get(&doc.replace("\"agg\": 4.0", "\"x\": 0"), "agg"), None);
-        assert_eq!(get("not an object", "agg"), None);
-        assert_eq!(get(doc, "rows"), Some("[\n    {\"agg\": 2.0}\n  ]"));
     }
 }

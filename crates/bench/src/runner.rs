@@ -14,14 +14,10 @@
 //! * [`run_with_jobs`] is a collect adapter over the bounded-window
 //!   ordered-streaming engine in [`crate::sweep`];
 //! * a panicking worker propagates its payload to the caller via
-//!   [`std::panic::resume_unwind`]; only [`retry`] catches panics, one
-//!   item at a time, for sweeps that record failures as data (the
-//!   faultsweep cells);
+//!   [`std::panic::resume_unwind`]; no sweep catches or retries a panic;
 //! * the default job count honours the `REMAP_JOBS` environment variable,
 //!   the harness's one knob, and otherwise uses
 //!   [`std::thread::available_parallelism`].
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Number of worker threads to use: `REMAP_JOBS` if set to a positive
 /// integer, otherwise the host's available parallelism. A set-but-invalid
@@ -105,98 +101,6 @@ where
     out
 }
 
-/// One sweep item that could not produce a result: it panicked or returned
-/// an error on every attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
-    /// Index of the item in the sweep.
-    pub index: usize,
-    /// Attempts made (always 2: the initial run plus one retry).
-    pub attempts: u32,
-    /// Panic payload or error message of the *last* attempt.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "job {} failed after {} attempts: {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
-/// Longest failure message kept in a [`JobFailure`] (and therefore in the
-/// JSON reports). A pathological payload — a panic carrying a
-/// multi-megabyte dump — is truncated at a char boundary with a note of
-/// how much was dropped, so one bad job cannot bloat a sweep artifact.
-pub const MAX_FAILURE_MESSAGE_BYTES: usize = 4096;
-
-/// Renders a panic payload for a [`JobFailure`]. Besides the common
-/// `&str`/`String` payloads, `Box<dyn Error>`-style payloads (as raised by
-/// `std::panic::panic_any` on an error value) are downcast and displayed;
-/// anything else degrades to a placeholder. The result is bounded by
-/// [`MAX_FAILURE_MESSAGE_BYTES`].
-pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    let msg = if let Some(s) = p.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else if let Some(e) = p.downcast_ref::<Box<dyn std::error::Error + Send + Sync>>() {
-        format!("panic: {e}")
-    } else if let Some(e) = p.downcast_ref::<Box<dyn std::error::Error + Send>>() {
-        format!("panic: {e}")
-    } else if let Some(e) = p.downcast_ref::<std::io::Error>() {
-        format!("panic: {e}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    };
-    truncate_message(msg)
-}
-
-/// Bounds a failure message to [`MAX_FAILURE_MESSAGE_BYTES`], cutting at a
-/// char boundary and recording how many bytes were dropped.
-pub fn truncate_message(msg: String) -> String {
-    if msg.len() <= MAX_FAILURE_MESSAGE_BYTES {
-        return msg;
-    }
-    let mut cut = MAX_FAILURE_MESSAGE_BYTES;
-    while !msg.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    let dropped = msg.len() - cut;
-    format!("{} … ({dropped} bytes truncated)", &msg[..cut])
-}
-
-/// Attempts [`retry`] makes per item: the initial run plus one retry.
-const ATTEMPTS: u32 = 2;
-
-/// Runs sweep item `index` under the crash-resilient policy: a panic or
-/// `Err` is retried once, and an item failing every attempt comes back as
-/// a [`JobFailure`] instead of aborting the sweep.
-///
-/// Deterministic jobs fail deterministically, so the single retry exists to
-/// absorb *host*-side flakiness (resource exhaustion in a parallel sweep),
-/// not to mask simulator bugs — the failure record keeps the attempt count
-/// so a flaky-once job is still visible. Figure sweeps do not use this:
-/// their panics propagate.
-pub fn retry<T>(index: usize, f: impl Fn() -> Result<T, String>) -> Result<T, JobFailure> {
-    let mut last = String::new();
-    for _ in 0..ATTEMPTS {
-        match catch_unwind(AssertUnwindSafe(&f)) {
-            Ok(Ok(t)) => return Ok(t),
-            Ok(Err(e)) => last = truncate_message(e),
-            Err(p) => last = panic_message(p.as_ref()),
-        }
-    }
-    Err(JobFailure {
-        index,
-        attempts: ATTEMPTS,
-        message: last,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,55 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_no_longer_aborts_the_sweep() {
-        let items: Vec<usize> = (0..16).collect();
-        let got = run_with_jobs(4, &items, |i, &x| {
-            retry(i, || {
-                if x == 9 {
-                    panic!("job 9 exploded");
-                }
-                Ok(x * x)
-            })
-        });
-        assert_eq!(got.len(), 16);
-        for (i, r) in got.iter().enumerate() {
-            if i == 9 {
-                let f = r.as_ref().expect_err("job 9 fails");
-                assert_eq!(f.index, 9);
-                assert_eq!(f.attempts, 2);
-                assert!(f.message.contains("job 9 exploded"), "{}", f.message);
-            } else {
-                assert_eq!(r.as_ref().copied().unwrap(), i * i);
-            }
-        }
-    }
-
-    #[test]
-    fn erroring_job_is_reported_in_slot() {
-        let got = retry(1, || -> Result<u32, String> {
-            Err("oracle mismatch".to_string())
-        });
-        let f = got.expect_err("the job errors every attempt");
-        assert_eq!(f.message, "oracle mismatch");
-        assert!(f.to_string().contains("job 1 failed after 2 attempts"));
-    }
-
-    #[test]
-    fn flaky_job_succeeds_on_retry() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = AtomicU32::new(0);
-        let got = retry(0, || {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                Err("transient".to_string())
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(got, Ok(42));
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
     fn streaming_runner_matches_serial_loop() {
         let items: Vec<usize> = (0..41).collect();
         let serial: Vec<_> = items.iter().enumerate().map(|(i, &x)| (i, x * 7)).collect();
@@ -326,37 +181,5 @@ mod tests {
             let streamed = run_with_jobs(jobs, &items, |i, &x| (i, x * 7));
             assert_eq!(serial, streamed, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn panic_message_downcasts_error_payloads() {
-        let e: Box<dyn std::error::Error + Send + Sync> = "disk on fire".into();
-        let p: Box<dyn std::any::Any + Send> = Box::new(e);
-        assert_eq!(panic_message(p.as_ref()), "panic: disk on fire");
-        let io = std::io::Error::other("queue jammed");
-        let e: Box<dyn std::error::Error + Send> = Box::new(io);
-        let p: Box<dyn std::any::Any + Send> = Box::new(e);
-        assert_eq!(panic_message(p.as_ref()), "panic: queue jammed");
-        let p: Box<dyn std::any::Any + Send> = Box::new(std::io::Error::other("io went away"));
-        assert_eq!(panic_message(p.as_ref()), "panic: io went away");
-        let p: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(p.as_ref()), "panic: <non-string payload>");
-    }
-
-    #[test]
-    fn pathological_messages_are_truncated() {
-        // A multi-megabyte panic payload must not reach the JSON reports
-        // whole. The cut lands on a char boundary even mid-multibyte.
-        let huge = "é".repeat(3 * 1024 * 1024);
-        let p: Box<dyn std::any::Any + Send> = Box::new(huge.clone());
-        let msg = panic_message(p.as_ref());
-        assert!(msg.len() <= MAX_FAILURE_MESSAGE_BYTES + 64, "{}", msg.len());
-        assert!(msg.contains("bytes truncated"), "truncation is recorded");
-        assert!(msg.starts_with("panic: é"));
-        // The same bound applies to `Err` messages through `retry`.
-        let f = retry(0, || -> Result<(), String> { Err("x".repeat(1 << 20)) })
-            .expect_err("job fails both attempts");
-        assert!(f.message.len() <= MAX_FAILURE_MESSAGE_BYTES + 64);
-        assert!(f.message.contains("bytes truncated"));
     }
 }

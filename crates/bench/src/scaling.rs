@@ -383,10 +383,7 @@ pub fn report(jobs: usize, path: &str) -> Result<(), String> {
         ("broadcast_wall_ms", Fixed(wall_bcast * 1e3, 1)),
         ("directory_wall_ms", Fixed(wall_dir * 1e3, 1)),
         ("wall_time_speedup", Fixed(wall_speedup, 2)),
-        (
-            "gate_min_speedup",
-            Json::Raw(DIR_GATE_MIN_SPEEDUP.to_string()),
-        ),
+        ("gate_min_speedup", Fixed(DIR_GATE_MIN_SPEEDUP, 1)),
         ("probes_avoided", stats.probes_avoided.into()),
     ]);
     crate::write_report(path, &doc_json(jobs, &curves, ablation))

@@ -1,9 +1,9 @@
-//! Ordered-streaming, work-stealing, resumable sweep engine.
+//! Ordered-streaming, work-stealing sweep engine.
 //!
 //! Every figure of the paper is a sweep over independent configurations,
 //! and the old runner was a join-at-end pool: it buffered every result in
-//! memory and sorted once at the end, so a single slow config (or a dead
-//! process at config 9,999 of 10,000) stalled or lost the whole sweep.
+//! memory and sorted once at the end, so a single slow config stalled the
+//! whole sweep.
 //! This module replaces that with the bounded-in-flight ordered-marshalling
 //! pattern (after `seq_rw_marshall`, see DESIGN.md §16):
 //!
@@ -14,20 +14,14 @@
 //!   receives results in strict item order the moment the head-of-line
 //!   item completes, instead of after the full join;
 //! * **bounded memory** — workers may run at most `window` items ahead of
-//!   the consumer, so a sweep holds O(window) results instead of O(sweep);
-//! * **resumability** — [`stream_jsonl`] checkpoints each consumed line to
-//!   an on-disk journal, so a *killed process* (not just a panicked job)
-//!   loses at most the in-flight window and the next run picks up where
-//!   the previous one died, byte-identical to an uninterrupted sweep.
+//!   the consumer, so a sweep holds O(window) results instead of O(sweep).
 //!
 //! Everything in the harness rides this engine, most of it through
 //! [`crate::runner::run_with_jobs`].
 
 use std::any::Any;
-use std::io::{Seek, SeekFrom, Write};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::{Condvar, Mutex};
 
 /// Shape of one streamed sweep: worker count, repetitions per item, and
@@ -40,7 +34,7 @@ pub struct SweepOpts {
     /// all of an item's rep results together, in rep order.
     pub reps: usize,
     /// Maximum items past the consumer's head that workers may claim.
-    /// Bounds both memory and the work lost when the process dies.
+    /// Bounds the results held in memory.
     pub window: usize,
 }
 
@@ -69,7 +63,7 @@ impl SweepOpts {
 
 /// Default in-flight window for a pool of `jobs` workers: deep enough
 /// that no worker starves while the consumer drains the head, shallow
-/// enough that memory and the crash-loss bound stay small.
+/// enough that the results held in memory stay few.
 pub fn default_window(jobs: usize) -> usize {
     jobs.max(1) * 4
 }
@@ -111,8 +105,7 @@ struct State<T> {
 ///
 /// `consume` returning [`ControlFlow::Break`] stops the sweep: workers
 /// finish their in-flight granules, no new granules are claimed, and the
-/// results past the break point are discarded — this is the "drop the pool
-/// mid-flight" hook the crash/resume tests simulate a kill with.
+/// results past the break point are discarded.
 ///
 /// # Panics
 ///
@@ -248,188 +241,6 @@ where
         resume_unwind(p);
     }
     consumed
-}
-
-/// Options of a journaled JSON-lines sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct JsonlOpts<'a> {
-    /// Pool shape of the underlying [`stream`].
-    pub sweep: SweepOpts,
-    /// Identity of the sweep (parameters, grid size, format version). A
-    /// journal written under a different fingerprint is ignored, so a
-    /// stale or foreign journal can never splice wrong results in.
-    pub fingerprint: &'a str,
-    /// Journal file. `None` disables checkpointing: every item is computed
-    /// and nothing is written to disk.
-    pub journal: Option<&'a Path>,
-}
-
-/// What a [`stream_jsonl`] run did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonlOutcome {
-    /// Items in the sweep.
-    pub total: usize,
-    /// Items replayed from the journal instead of recomputed.
-    pub resumed: usize,
-    /// Items computed (and journaled) by this run.
-    pub computed: usize,
-    /// Whether every item was emitted (the consumer never broke early).
-    pub completed: bool,
-}
-
-const JOURNAL_MAGIC: &str = "#remap-sweep-journal v1";
-
-/// Parses the journal at `path`: returns the validated prefix of emitted
-/// lines plus its length in bytes (header included), or an empty vector
-/// when the journal is missing, foreign (wrong fingerprint or item count),
-/// or corrupt from its first line. A torn tail — a final line without its
-/// newline, or with the wrong index — is dropped; everything before it is
-/// trusted. The byte length is what a resuming run must truncate the file
-/// to before appending: appending after a torn fragment would glue the
-/// next record onto it, and a second kill would leave a concatenated line
-/// a later load would accept as valid.
-fn load_journal(path: &Path, fingerprint: &str, total: usize) -> (Vec<String>, u64) {
-    let Ok(raw) = std::fs::read_to_string(path) else {
-        return (Vec::new(), 0);
-    };
-    let header = format!("{JOURNAL_MAGIC} {total} {fingerprint}\n");
-    let Some(mut rest) = raw.strip_prefix(header.as_str()) else {
-        return (Vec::new(), 0);
-    };
-    let mut lines = Vec::new();
-    let mut valid_bytes = header.len();
-    // Each record is "<index> <payload>\n"; a record is only trusted when
-    // its newline made it to disk and its index matches its position, so
-    // a torn tail or a duplicated write stops the walk (everything before
-    // it stays trusted).
-    while let Some(nl) = rest.find('\n') {
-        let record = &rest[..nl];
-        let Some((idx, payload)) = record.split_once(' ') else {
-            break;
-        };
-        if idx.parse::<usize>() != Ok(lines.len()) || lines.len() >= total {
-            break;
-        }
-        lines.push(payload.to_string());
-        valid_bytes += nl + 1;
-        rest = &rest[nl + 1..];
-    }
-    (lines, valid_bytes as u64)
-}
-
-/// Streams one JSON-lines sweep with optional crash/resume journaling.
-///
-/// `f(index, &items[index])` produces one line (no newline) per item;
-/// `emit(index, line)` receives the lines in strict item order. With a
-/// journal configured, every consumed line is appended and flushed to the
-/// journal *before* it is emitted, so a killed process loses at most the
-/// in-flight window; the next run replays the journaled prefix without
-/// recomputing it and the merged output is byte-identical to an
-/// uninterrupted sweep. A journal whose fingerprint or shape mismatches is
-/// ignored. On a completed sweep the journal is deleted — it only outlives
-/// a run that died.
-///
-/// Repetitions are not meaningful at the line level, so `opts.sweep.reps`
-/// is ignored (each item is one granule).
-pub fn stream_jsonl<I, F, C>(
-    opts: &JsonlOpts<'_>,
-    items: &[I],
-    f: F,
-    mut emit: C,
-) -> std::io::Result<JsonlOutcome>
-where
-    I: Sync,
-    F: Fn(usize, &I) -> String + Sync,
-    C: FnMut(usize, &str) -> ControlFlow<()>,
-{
-    let total = items.len();
-    let (done, valid_bytes) = match opts.journal {
-        Some(path) => load_journal(path, opts.fingerprint, total),
-        None => (Vec::new(), 0),
-    };
-    let resumed = done.len();
-
-    // Replay the journaled prefix first (no recomputation, no rewrite).
-    for (i, line) in done.iter().enumerate() {
-        if emit(i, line).is_break() {
-            return Ok(JsonlOutcome {
-                total,
-                resumed: i + 1,
-                computed: 0,
-                completed: false,
-            });
-        }
-    }
-
-    // (Re)open the journal: append after the valid prefix, start fresh
-    // (header included) otherwise. The file is truncated to the validated
-    // prefix first — a torn tail the load rejected must not stay on disk,
-    // or the appended record would be glued onto the fragment and a second
-    // kill would leave a concatenated line the next load accepts.
-    let mut journal = match opts.journal {
-        Some(path) => {
-            let mut fh = if resumed > 0 {
-                let mut fh = std::fs::OpenOptions::new().write(true).open(path)?;
-                fh.set_len(valid_bytes)?;
-                fh.seek(SeekFrom::Start(valid_bytes))?;
-                fh
-            } else {
-                let mut fh = std::fs::File::create(path)?;
-                fh.write_all(format!("{JOURNAL_MAGIC} {total} {}\n", opts.fingerprint).as_bytes())?;
-                fh
-            };
-            fh.flush()?;
-            Some(fh)
-        }
-        None => None,
-    };
-
-    let rest = &items[resumed..];
-    let mut computed = 0usize;
-    let mut io_error: Option<std::io::Error> = None;
-    stream(
-        SweepOpts {
-            reps: 1,
-            ..opts.sweep
-        },
-        rest,
-        |i, item, _| f(resumed + i, item),
-        |i, mut batch| {
-            let line = batch.pop().expect("one line per item");
-            if let Some(fh) = journal.as_mut() {
-                // Checkpoint before emit: the journal is the source of
-                // truth a resumed run replays from.
-                let write = fh
-                    .write_all(format!("{} {line}\n", resumed + i).as_bytes())
-                    .and_then(|()| fh.flush());
-                if let Err(e) = write {
-                    io_error = Some(e);
-                    return ControlFlow::Break(());
-                }
-            }
-            computed += 1;
-            emit(resumed + i, &line)
-        },
-    );
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    // `computed` counts items that were journaled and handed to `emit`, so
-    // the sweep is complete exactly when the journaled prefix plus this
-    // run's work covers every item.
-    let completed = resumed + computed == total;
-    if completed {
-        if let Some(path) = opts.journal {
-            drop(journal);
-            let _ = std::fs::remove_file(path);
-        }
-    }
-    Ok(JsonlOutcome {
-        total,
-        resumed,
-        computed,
-        completed,
-    })
 }
 
 #[cfg(test)]
@@ -574,33 +385,6 @@ mod tests {
             |_, _| ControlFlow::Continue(()),
         );
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn journal_roundtrip_and_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("remap-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.journal");
-        let intact = format!("{JOURNAL_MAGIC} 5 fp\n0 alpha\n1 beta\n");
-        std::fs::write(&path, format!("{intact}2 gam")).unwrap();
-        let (lines, valid) = load_journal(&path, "fp", 5);
-        assert_eq!(lines, vec!["alpha", "beta"]);
-        assert_eq!(
-            valid as usize,
-            intact.len(),
-            "valid bytes cover exactly the intact prefix, not the torn tail"
-        );
-        // Wrong fingerprint or total: the whole journal is ignored.
-        assert!(load_journal(&path, "other", 5).0.is_empty());
-        assert!(load_journal(&path, "fp", 6).0.is_empty());
-        // Index gap: trust stops at the gap.
-        let head = format!("{JOURNAL_MAGIC} 5 fp\n0 alpha\n");
-        std::fs::write(&path, format!("{head}2 beta\n")).unwrap();
-        let (lines, valid) = load_journal(&path, "fp", 5);
-        assert_eq!(lines, vec!["alpha"]);
-        assert_eq!(valid as usize, head.len());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

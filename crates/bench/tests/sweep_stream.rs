@@ -1,9 +1,8 @@
 //! The streaming marshaller must be invisible in the results: any pool
 //! shape (jobs × window × reps) yields exactly the serial loop's values in
-//! exactly its order, and the JSON-lines layer emits the same ordered,
-//! byte-stable lines.
+//! exactly its order.
 
-use remap_bench::sweep::{stream, stream_jsonl, JsonlOpts, SweepOpts};
+use remap_bench::sweep::{stream, SweepOpts};
 use std::ops::ControlFlow;
 
 /// A cheap but order-sensitive workload: index-dependent arithmetic with
@@ -65,29 +64,4 @@ fn rep_split_merges_to_the_single_rep_result() {
         );
         assert_eq!(merged, reference, "reps={reps}");
     }
-}
-
-#[test]
-fn jsonl_streaming_is_ordered_and_byte_stable() {
-    let items: Vec<u64> = (0..40).collect();
-    let render = |i: usize, &x: &u64| format!("{{\"i\": {i}, \"h\": {}}}", work(i, x));
-    let collect = |jobs: usize| {
-        let mut lines = Vec::new();
-        let opts = JsonlOpts {
-            sweep: SweepOpts::new(jobs).window(2),
-            fingerprint: "test",
-            journal: None,
-        };
-        let outcome = stream_jsonl(&opts, &items, render, |i, line| {
-            assert_eq!(i, lines.len(), "lines arrive in index order");
-            lines.push(line.to_string());
-            ControlFlow::Continue(())
-        })
-        .expect("no journal, no I/O");
-        assert!(outcome.completed);
-        lines.join("\n")
-    };
-    let serial = collect(1);
-    let pooled = collect(6);
-    assert_eq!(serial, pooled, "pooled JSON-lines are byte-identical");
 }

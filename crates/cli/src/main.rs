@@ -9,7 +9,6 @@
 //! ```
 
 use remap_bench::json::{self, Json};
-use remap_power::{table1, EnergyParams};
 use remap_workloads::barriers::BarrierBench;
 use remap_workloads::catalog::{self, mode_spellings};
 use remap_workloads::comm::CommBench;
@@ -21,7 +20,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
-        Some("table1") => cmd_table1(),
+        Some("table1") => {
+            remap_bench::figures::table1(1);
+            Ok(())
+        }
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
@@ -89,15 +91,6 @@ fn cmd_list() -> Result<(), String> {
         };
         println!("  {}{comp}", b.name());
     }
-    Ok(())
-}
-
-fn cmd_table1() -> Result<(), String> {
-    let t = table1(&EnergyParams::default());
-    println!("4-way shared SPL vs four OOO1 cores (paper: 0.51 / 0.14 / 0.67):");
-    println!("  area          {:.2}", t.spl_rel_area);
-    println!("  peak dynamic  {:.2}", t.spl_rel_peak_dynamic);
-    println!("  leakage       {:.2}", t.spl_rel_leakage);
     Ok(())
 }
 
@@ -221,8 +214,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// count.
 type BenchTarget = (&'static str, fn(usize));
 
-/// Figure targets of `remap bench`, in help order.
-const BENCH_TARGETS: [BenchTarget; 12] = [
+/// Figure and table targets of `remap bench`, in help order.
+const BENCH_TARGETS: [BenchTarget; 13] = [
+    ("table1", remap_bench::figures::table1),
     ("fig08", remap_bench::figures::fig08),
     ("fig09", remap_bench::figures::fig09),
     ("fig10", remap_bench::figures::fig10),
@@ -637,7 +631,7 @@ mod tests {
 
     #[test]
     fn table1_and_list_do_not_error() {
-        cmd_table1().unwrap();
+        remap_bench::figures::table1(1);
         cmd_list().unwrap();
     }
 }

@@ -72,7 +72,10 @@ fn a_report_that_cannot_be_written_exits_1() {
     // A directory where the report goes: the write fails, and the stale
     // artifact must not pass for this run's result.
     let dir = std::env::temp_dir().join(format!("remap-unwritable-{}", std::process::id()));
-    std::fs::create_dir_all(dir.join("BENCH_mlp.json")).expect("create blocking dir");
-    assert_one_error_line(&["bench", "mlp"], &dir);
+    for target in ["mlp", "faultsweep"] {
+        std::fs::create_dir_all(dir.join(format!("BENCH_{target}.json")))
+            .expect("create blocking dir");
+        assert_one_error_line(&["bench", target], &dir);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
