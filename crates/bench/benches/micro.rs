@@ -147,10 +147,9 @@ fn bench_flatmem(c: &mut Criterion) {
     });
 }
 
-/// The Cache tag array under the two regimes the MRU-way prediction
-/// separates: hit-heavy (prediction pays on nearly every access) and
-/// conflict-heavy (constant misses and LRU evictions; prediction must not
-/// slow the scan down).
+/// The Cache tag array under two regimes: hit-heavy (every access after
+/// warm-up finds its line in the set scan) and conflict-heavy (constant
+/// misses and LRU evictions).
 fn bench_cache_tag_array(c: &mut Criterion) {
     c.bench_function("cache_hit_heavy_64k", |b| {
         let mut cache = Cache::new(CacheConfig::l1());

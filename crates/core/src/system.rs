@@ -15,6 +15,7 @@ use remap_snap::{Reader, SnapError, State, Writer};
 use remap_spl::{
     Dest, FunctionKind, RequestError, Spl, SplConfig, SplFault, SplFunction, SplStats,
 };
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -789,6 +790,7 @@ impl SystemBuilder {
             skip_enabled: true,
             skipped_cycles: 0,
             core_quiet: vec![(0, 0); cores.len()],
+            fingerprint: OnceCell::new(),
             cores,
             kinds,
             init_regs: self.init_regs,
@@ -854,6 +856,10 @@ pub struct System {
     /// [`System::quiescent_wake`] reads `wake` instead of probing the core.
     /// `wake == 0` marks the window invalid.
     core_quiet: Vec<(u64, u64)>,
+    /// [`System::config_fingerprint`], computed on first use. Everything
+    /// it hashes is fixed at build time except the mlp/dir switches, whose
+    /// setters clear it.
+    fingerprint: OnceCell<u64>,
     env: Env,
 }
 
@@ -1388,6 +1394,7 @@ impl System {
     /// either way. Resets the hierarchy's MLP counters.
     pub fn set_mlp(&mut self, enabled: bool) {
         self.env.hier.set_mlp(enabled);
+        self.fingerprint.take();
     }
 
     /// Switches the memory hierarchy between the banked coherence directory
@@ -1396,6 +1403,7 @@ impl System {
     /// way. Resets the hierarchy's directory counters.
     pub fn set_dir(&mut self, enabled: bool) {
         self.env.hier.set_dir(enabled);
+        self.fingerprint.take();
     }
 
     /// Aggregated fault accounting across all sites (all zeros when no plan
@@ -1550,7 +1558,17 @@ impl System {
     /// Dynamic state (thread bindings, installed fault plan, skip-engine
     /// setting) is deliberately excluded: it either travels in the payload
     /// or — for the skip engine — provably does not affect results.
+    ///
+    /// Hashing every program's Debug text is a large share of a capture's
+    /// or restore's host time, so the value is computed once per system
+    /// (and again after [`System::set_mlp`] or [`System::set_dir`]).
     fn config_fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| self.fresh_config_fingerprint())
+    }
+
+    fn fresh_config_fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut h = remap_snap::Fnv::new();
         let _ = write!(h, "remap-system-v1;cores={};", self.cores.len());
@@ -2146,6 +2164,37 @@ mod tests {
             }
             other => panic!("expected BadSnapshot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cached_fingerprint_follows_the_mlp_and_dir_switches() {
+        let mut sys = pc_build();
+        let built = sys.config_fingerprint();
+        let mut seen = vec![built];
+        for (mlp, dir) in [(false, true), (false, false), (true, false), (true, true)] {
+            sys.set_mlp(mlp);
+            sys.set_dir(dir);
+            let fp = sys.config_fingerprint();
+            assert_eq!(fp, sys.fresh_config_fingerprint(), "mlp={mlp} dir={dir}");
+            seen.push(fp);
+        }
+        assert_eq!(seen[4], built, "both switches back on");
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 4, "each switch setting has its own fingerprint");
+
+        // A target whose cached fingerprint predates switching MLP off
+        // still refuses a snapshot taken with MLP on.
+        let mut donor = pc_build();
+        donor.run_until(32);
+        let snap = donor.snapshot();
+        let mut target = pc_build();
+        assert_eq!(target.config_fingerprint(), built);
+        target.set_mlp(false);
+        assert!(matches!(
+            target.restore(&snap),
+            Err(RunError::BadSnapshot { .. })
+        ));
     }
 
     #[test]

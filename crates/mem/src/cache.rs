@@ -96,14 +96,15 @@ impl CacheStats {
 /// by the owning [`Hierarchy`](crate::Hierarchy); the cache only provides
 /// mechanical probe/insert/invalidate operations.
 ///
-/// Storage is data-oriented: tags, states, and LRU stamps live in three
-/// parallel flat arrays indexed `set * ways + way` (empty ways carry
-/// `Mesi::Invalid`), and each set remembers its last-hit way (`mru_way`).
-/// Every lookup goes through `Cache::find_way`, which checks
-/// the predicted way before falling back to the linear scan — on hit-heavy
-/// traffic the common case touches a single tag. Way prediction is a pure
-/// search shortcut: tags of valid lines are unique within a set, so the
-/// predicted-way probe and the linear scan always agree.
+/// Storage is one packed record per way, indexed `set * ways + way`: the
+/// key `tag << 2 | code` (a two-bit MESI code, Invalid = 0) and the LRU
+/// stamp. An empty way is all-zero bits, so the array is
+/// allocated zeroed and a large L2 costs no build-time writes. A lookup
+/// scans the keys of one set; a way matches when its key's tag bits equal
+/// the address tag and its code is not Invalid. Beside the records, a
+/// residency bitmap holds one bit per way, set exactly when the way is
+/// valid, so snapshots and [`Cache::resident_line_addrs`] visit only the
+/// lines the cache holds.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -114,13 +115,42 @@ pub struct Cache {
     /// `log2(line_bytes * num_sets)`: shift that strips line offset and
     /// set index off an address, leaving the tag.
     tag_shift: u32,
-    tags: Vec<u64>,
-    states: Vec<Mesi>,
-    lru: Vec<u64>,
-    /// Last way hit (or filled) per set; purely a prediction hint.
-    mru_way: Vec<u32>,
+    /// `(key, lru)` per way: `key = tag << 2 | code`.
+    ways: Vec<(u64, u64)>,
+    /// Bit `i % 64` of word `i / 64` is set iff way `i` is valid.
+    resident: Vec<u64>,
     tick: u64,
     stats: CacheStats,
+}
+
+impl Mesi {
+    /// The two-bit code a cache key carries: Invalid is 0, so an all-zero
+    /// way is empty.
+    #[inline]
+    fn code(self) -> u64 {
+        match self {
+            Mesi::Invalid => 0,
+            Mesi::Shared => 1,
+            Mesi::Exclusive => 2,
+            Mesi::Modified => 3,
+        }
+    }
+
+    #[inline]
+    fn from_code(key: u64) -> Mesi {
+        [Mesi::Invalid, Mesi::Shared, Mesi::Exclusive, Mesi::Modified][(key & 3) as usize]
+    }
+}
+
+/// Positions of the set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 impl Cache {
@@ -128,8 +158,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or non-power-of-two
-    /// sets/line size).
+    /// Panics if the geometry is degenerate (zero sets, non-power-of-two
+    /// sets/line size, or fewer than four bytes per way of a set, which
+    /// would leave a key no room for its tag).
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
         assert!(sets > 0, "cache must have at least one set");
@@ -139,14 +170,18 @@ impl Cache {
             "line size must be a power of two"
         );
         let line_shift = cfg.line_bytes.trailing_zeros();
+        let tag_shift = line_shift + sets.trailing_zeros();
+        assert!(
+            tag_shift >= 2,
+            "line size times set count must be at least 4"
+        );
+        let n = sets * cfg.ways;
         Cache {
             num_sets: sets,
             line_shift,
-            tag_shift: line_shift + sets.trailing_zeros(),
-            tags: vec![0; sets * cfg.ways],
-            states: vec![Mesi::Invalid; sets * cfg.ways],
-            lru: vec![0; sets * cfg.ways],
-            mru_way: vec![0; sets],
+            tag_shift,
+            ways: vec![(0, 0); n],
+            resident: vec![0; n.div_ceil(64)],
             cfg,
             tick: 0,
             stats: CacheStats::default(),
@@ -178,31 +213,52 @@ impl Cache {
         addr & !(self.cfg.line_bytes as u64 - 1)
     }
 
-    /// Locates the way holding `tag` in set `si`, if resident. Checks the
-    /// set's MRU way first (way prediction), then scans linearly. This is
-    /// the single lookup used by every probe/access/set_state/invalidate/
-    /// insert path.
+    /// Index of the way holding the line of `addr`, if resident: a linear
+    /// scan of its set's keys. `key ^ tag << 2` is the way's code exactly
+    /// when the tags agree, so a valid match leaves 1..=3. This is the
+    /// single lookup used by every probe/access/set_state/invalidate/insert
+    /// path.
     #[inline]
-    fn find_way(&self, si: usize, tag: u64) -> Option<usize> {
-        let ways = self.cfg.ways;
-        let base = si * ways;
-        let pred = self.mru_way[si] as usize;
-        debug_assert!(pred < ways);
-        if self.states[base + pred] != Mesi::Invalid && self.tags[base + pred] == tag {
-            return Some(pred);
+    fn find(&self, addr: u64) -> Option<usize> {
+        let base = self.set_index(addr) * self.cfg.ways;
+        let want = self.tag(addr) << 2;
+        self.ways[base..base + self.cfg.ways]
+            .iter()
+            .position(|&(key, _)| (key ^ want).wrapping_sub(1) < 3)
+            .map(|w| base + w)
+    }
+
+    #[inline]
+    fn mark(&mut self, i: usize, valid: bool) {
+        let bit = 1u64 << (i % 64);
+        if valid {
+            self.resident[i / 64] |= bit;
+        } else {
+            self.resident[i / 64] &= !bit;
         }
-        (0..ways).find(|&w| {
-            w != pred && self.states[base + w] != Mesi::Invalid && self.tags[base + w] == tag
-        })
+    }
+
+    /// Indices of the valid ways, in increasing order.
+    fn resident_ways(&self) -> impl Iterator<Item = usize> + '_ {
+        self.resident
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| set_bits(word).map(move |b| wi * 64 + b))
+    }
+
+    /// Line-aligned base address of the line in way `i`.
+    #[inline]
+    fn way_line(&self, i: usize) -> u64 {
+        let si = (i / self.cfg.ways) as u64;
+        ((self.ways[i].0 >> 2) << self.tag_shift) | (si << self.line_shift)
     }
 
     /// Returns the MESI state of the line containing `addr` without touching
     /// LRU or statistics (used for snooping).
     #[inline]
     pub fn probe(&self, addr: u64) -> Mesi {
-        let si = self.set_index(addr);
-        match self.find_way(si, self.tag(addr)) {
-            Some(w) => self.states[si * self.cfg.ways + w],
+        match self.find(addr) {
+            Some(i) => Mesi::from_code(self.ways[i].0),
             None => Mesi::Invalid,
         }
     }
@@ -212,14 +268,11 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> Option<Mesi> {
         self.tick += 1;
-        let si = self.set_index(addr);
-        match self.find_way(si, self.tag(addr)) {
-            Some(w) => {
-                let i = si * self.cfg.ways + w;
-                self.lru[i] = self.tick;
-                self.mru_way[si] = w as u32;
+        match self.find(addr) {
+            Some(i) => {
+                self.ways[i].1 = self.tick;
                 self.stats.hits += 1;
-                Some(self.states[i])
+                Some(Mesi::from_code(self.ways[i].0))
             }
             None => {
                 self.stats.misses += 1;
@@ -229,33 +282,30 @@ impl Cache {
     }
 
     /// Changes the state of a resident line; no-op if not resident.
+    /// Setting Invalid keeps the way's tag bits and stamp; lookups never
+    /// match an Invalid way.
     #[inline]
     pub fn set_state(&mut self, addr: u64, state: Mesi) {
-        let si = self.set_index(addr);
-        if let Some(w) = self.find_way(si, self.tag(addr)) {
-            self.states[si * self.cfg.ways + w] = state;
-            self.mru_way[si] = w as u32;
+        if let Some(i) = self.find(addr) {
+            self.ways[i].0 = (self.ways[i].0 & !3) | state.code();
+            self.mark(i, state != Mesi::Invalid);
         }
     }
 
     /// Invalidates the line containing `addr` (remote store snoop). Returns
     /// the previous state, counting a writeback if it was Modified.
     pub fn invalidate(&mut self, addr: u64) -> Mesi {
-        let si = self.set_index(addr);
-        if let Some(w) = self.find_way(si, self.tag(addr)) {
-            let i = si * self.cfg.ways + w;
-            let prev = self.states[i];
-            self.tags[i] = 0;
-            self.states[i] = Mesi::Invalid;
-            self.lru[i] = 0;
-            self.stats.invalidations += 1;
-            if prev == Mesi::Modified {
-                self.stats.writebacks += 1;
-            }
-            prev
-        } else {
-            Mesi::Invalid
+        let Some(i) = self.find(addr) else {
+            return Mesi::Invalid;
+        };
+        let prev = Mesi::from_code(self.ways[i].0);
+        self.ways[i] = (0, 0);
+        self.mark(i, false);
+        self.stats.invalidations += 1;
+        if prev == Mesi::Modified {
+            self.stats.writebacks += 1;
         }
+        prev
     }
 
     /// Inserts the line containing `addr` with the given state, evicting the
@@ -264,85 +314,73 @@ impl Cache {
     /// count writebacks).
     pub fn insert(&mut self, addr: u64, state: Mesi) -> Option<(u64, Mesi)> {
         self.tick += 1;
-        let si = self.set_index(addr);
-        let tag = self.tag(addr);
-        let base = si * self.cfg.ways;
-        if let Some(w) = self.find_way(si, tag) {
+        let key = self.tag(addr) << 2 | state.code();
+        if let Some(i) = self.find(addr) {
             // Already resident (e.g. refill racing an upgrade): just update.
-            self.states[base + w] = state;
-            self.lru[base + w] = self.tick;
-            self.mru_way[si] = w as u32;
+            self.ways[i] = (key, self.tick);
+            self.mark(i, state != Mesi::Invalid);
             return None;
         }
         // Prefer an empty way; otherwise evict the LRU of the set (LRU stamps
         // are unique — `tick` is monotonic — so the victim is unambiguous).
+        let base = self.set_index(addr) * self.cfg.ways;
+        let set = &self.ways[base..base + self.cfg.ways];
         let mut evicted = None;
-        let set_states = &self.states[base..base + self.cfg.ways];
-        let slot = match set_states.iter().position(|&s| s == Mesi::Invalid) {
-            Some(w) => w,
+        let slot = match set.iter().position(|&(k, _)| k & 3 == 0) {
+            Some(w) => base + w,
             None => {
                 let mut w = 0;
-                for cand in 1..self.cfg.ways {
-                    if self.lru[base + cand] < self.lru[base + w] {
+                for cand in 1..set.len() {
+                    if set[cand].1 < set[w].1 {
                         w = cand;
                     }
                 }
-                let victim_state = self.states[base + w];
+                let victim = base + w;
+                let victim_state = Mesi::from_code(self.ways[victim].0);
                 if victim_state == Mesi::Modified {
                     self.stats.writebacks += 1;
                 }
-                let victim_base =
-                    (self.tags[base + w] << self.tag_shift) | ((si as u64) << self.line_shift);
-                evicted = Some((victim_base, victim_state));
-                w
+                evicted = Some((self.way_line(victim), victim_state));
+                victim
             }
         };
-        self.tags[base + slot] = tag;
-        self.states[base + slot] = state;
-        self.lru[base + slot] = self.tick;
-        self.mru_way[si] = slot as u32;
+        self.ways[slot] = (key, self.tick);
+        self.mark(slot, state != Mesi::Invalid);
         evicted
     }
 
-    /// Number of resident lines (for tests).
+    /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.states.iter().filter(|&&s| s != Mesi::Invalid).count()
+        self.resident.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Line-aligned base address of every resident line (used to reseed
-    /// the coherence directory when it is enabled mid-run).
+    /// Line-aligned base address of every resident line, in way order (used
+    /// to reseed the coherence directory when it is enabled mid-run).
     pub fn resident_line_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        let ways = self.cfg.ways;
-        self.states.iter().enumerate().filter_map(move |(i, &st)| {
-            if st == Mesi::Invalid {
-                return None;
-            }
-            let si = (i / ways) as u64;
-            Some((self.tags[i] << self.tag_shift) | (si << self.line_shift))
-        })
+        self.resident_ways().map(|i| self.way_line(i))
     }
 }
 
 /// Resident lines only: a count, then `index, tag, state, lru` for each
-/// non-Invalid line in index order, then the way predictions, the tick
-/// and the statistics. Geometry is not written — it is part of the config
-/// fingerprint. Invalid lines need not travel: `find_way` never matches
-/// one, `insert` fills the first Invalid way whatever its tag or stamp,
-/// and LRU victims are chosen only in full sets. Load works on any target:
-/// every line not listed ends Invalid. Its tag and stamp stay as they
-/// were, as `set_state(_, Mesi::Invalid)` leaves them; nothing reads them.
+/// valid way in index order, then the tick and the statistics. Geometry is
+/// not written — it is part of the config fingerprint. Invalid lines need
+/// not travel: a lookup never matches one, `insert` fills the first
+/// Invalid way whatever its tag bits or stamp, and LRU victims are chosen
+/// only in full sets. Save and load visit only the residency bitmap's set
+/// bits, so both cost what the cache holds. Load works on any target: it
+/// first empties the target's valid ways, so every line not listed ends
+/// Invalid. An Invalid way's leftover tag bits and stamp (from
+/// `set_state(_, Mesi::Invalid)`) stay as they were; nothing reads them.
 impl remap_snap::State for Cache {
     fn save(&self, w: &mut remap_snap::Writer) {
         w.put_len(self.resident_lines());
-        for (i, &st) in self.states.iter().enumerate() {
-            if st != Mesi::Invalid {
-                i.save(w);
-                self.tags[i].save(w);
-                st.save(w);
-                self.lru[i].save(w);
-            }
+        for i in self.resident_ways() {
+            let (key, lru) = self.ways[i];
+            i.save(w);
+            (key >> 2).save(w);
+            Mesi::from_code(key).save(w);
+            lru.save(w);
         }
-        remap_snap::save_all(w, &self.mru_way, true);
         self.tick.save(w);
         self.stats.save(w);
     }
@@ -351,44 +389,39 @@ impl remap_snap::State for Cache {
         use remap_snap::SnapError::Corrupt;
         // Charged at the encoded entry size: index 8, tag 8, MESI 1, stamp 8.
         let n = r.get_len::<[u8; 25]>()?;
-        self.states.fill(Mesi::Invalid);
+        for wi in 0..self.resident.len() {
+            for b in set_bits(std::mem::take(&mut self.resident[wi])) {
+                self.ways[wi * 64 + b].0 &= !3;
+            }
+        }
         let mut next = 0;
         for _ in 0..n {
             let i = usize::read(r)?;
-            if i < next || i >= self.states.len() {
+            if i < next || i >= self.ways.len() {
                 return Err(Corrupt(format!(
                     "resident line {i} out of order or past {} lines",
-                    self.states.len()
+                    self.ways.len()
                 )));
             }
             next = i + 1;
-            self.tags[i].load(r)?;
-            self.states[i].load(r)?;
-            if self.states[i] == Mesi::Invalid {
+            let tag = u64::read(r)?;
+            if tag >> (64 - self.tag_shift) != 0 {
+                return Err(Corrupt(format!("tag {tag:#x} of line {i} is too wide")));
+            }
+            let mut state = Mesi::Invalid;
+            state.load(r)?;
+            if state == Mesi::Invalid {
                 return Err(Corrupt(format!("resident line {i} is Invalid")));
             }
-            self.lru[i].load(r)?;
+            self.ways[i] = (tag << 2 | state.code(), u64::read(r)?);
+            self.mark(i, true);
         }
-        remap_snap::load_all(r, &mut self.mru_way, true)?;
         self.tick.load(r)?;
-        self.stats.load(r)?;
-        self.check_restored()
+        self.stats.load(r)
     }
 }
 
 remap_snap::state!(CacheStats |s| { s.hits, s.misses, s.writebacks, s.invalidations });
-
-impl Cache {
-    /// Way predictions index the set, so a restored one must be in range.
-    fn check_restored(&mut self) -> Result<(), remap_snap::SnapError> {
-        match self.mru_way.iter().find(|&&m| m as usize >= self.cfg.ways) {
-            Some(m) => Err(remap_snap::SnapError::Corrupt(format!(
-                "mru_way {m} out of range"
-            ))),
-            None => Ok(()),
-        }
-    }
-}
 
 /// One byte per line, in declaration order (M, E, S, I).
 impl remap_snap::State for Mesi {
@@ -488,10 +521,8 @@ mod tests {
     }
 
     #[test]
-    fn way_prediction_tracks_alternating_lines() {
+    fn alternating_lines_in_one_set_keep_hitting() {
         let mut c = tiny();
-        // Two lines in the same set: alternating hits flip the MRU way and
-        // must keep hitting (the prediction is a shortcut, not a filter).
         c.insert(0x000, Mesi::Exclusive);
         c.insert(0x020, Mesi::Shared);
         for _ in 0..8 {
@@ -503,14 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn invalidated_mru_way_is_not_a_false_hit() {
+    fn invalid_way_with_tag_bits_is_not_a_hit() {
         let mut c = tiny();
         c.insert(0x000, Mesi::Exclusive);
         assert_eq!(c.access(0x000), Some(Mesi::Exclusive));
+        // Invalid, but the way keeps its tag bits: no lookup may match it.
+        c.set_state(0x000, Mesi::Invalid);
+        assert_eq!(c.probe(0x000), Mesi::Invalid);
+        assert_eq!(c.access(0x000), None);
+        assert_eq!(c.resident_lines(), 0);
+        // An invalidated way is all-zero, the key of tag 0 with code
+        // Invalid: line 0x000 (tag 0) still misses after it.
+        c.insert(0x000, Mesi::Shared);
         c.invalidate(0x000);
-        // The MRU way still points at the cleared slot; a fresh line with a
-        // different tag must not hit through the stale prediction.
+        assert_eq!(c.access(0x000), None);
         assert_eq!(c.access(0x040), None);
+        assert_eq!(c.resident_line_addrs().count(), 0);
     }
 
     #[test]
@@ -591,7 +630,7 @@ mod tests {
     }
 
     /// A cache encoding with the given `(index, tag, MESI byte, lru)`
-    /// list and `tail`'s way predictions, tick and statistics.
+    /// list and `tail`'s tick and statistics.
     fn encode_lines(lines: &[(u64, u64, u8, u64)], tail: &Cache) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_len(lines.len());
@@ -599,7 +638,6 @@ mod tests {
             (i, tag).save(&mut w);
             (st, lru).save(&mut w);
         }
-        remap_snap::save_all(&mut w, &tail.mru_way, true);
         (tail.tick, tail.stats).save(&mut w);
         w.into_vec()
     }
@@ -615,6 +653,7 @@ mod tests {
             ("index past the geometry", vec![(0, 7, 0, 1), (4, 9, 2, 2)]),
             ("Invalid state", vec![(0, 7, 3, 1)]),
             ("bad MESI byte", vec![(0, 7, 9, 1)]),
+            ("tag wider than the address", vec![(0, 1 << 59, 0, 1)]),
         ] {
             let bytes = encode_lines(&lines, &tail);
             assert!(

@@ -1,15 +1,18 @@
-//! Property test: the data-oriented `Cache` with MRU-way prediction is
-//! observationally identical to a plain linear-scan reference model.
+//! Property test: the packed `Cache` (one `tag << 2 | code` key and LRU
+//! stamp per way, plus a residency bitmap) is observationally identical to
+//! a plain reference model.
 //!
 //! The reference reimplements the documented policy with none of the
-//! layout tricks: per-line structs, no way prediction, first-match linear
-//! lookup. Valid tags are unique within a set, so prediction must be a
-//! pure search shortcut — every operation's return value, the hit/miss/
-//! writeback/invalidation counters, and the final resident set must match
-//! over arbitrary operation sequences and geometries.
+//! layout tricks: separate tag, state and stamp arrays, a `Mesi` per way,
+//! first-match linear lookup, and residency read off the states. Every
+//! operation's return value, the hit/miss/writeback/invalidation counters,
+//! the resident set and its line addresses must match over arbitrary
+//! operation sequences and geometries; and a snapshot restored into a
+//! cache that already holds other lines must continue identically.
 
 use proptest::prelude::*;
 use remap_mem::{Cache, CacheConfig, Mesi};
+use remap_snap::{Reader, State, Writer};
 
 /// Linear-scan reference cache: same policy, naive implementation.
 struct RefCache {
@@ -151,6 +154,37 @@ impl RefCache {
     fn resident_lines(&self) -> usize {
         self.states.iter().filter(|&&s| s != Mesi::Invalid).count()
     }
+
+    fn resident_line_addrs(&self) -> Vec<u64> {
+        (0..self.states.len())
+            .filter(|&i| self.states[i] != Mesi::Invalid)
+            .map(|i| {
+                (self.tags[i] << self.tag_shift) | (((i / self.ways) as u64) << self.line_shift)
+            })
+            .collect()
+    }
+}
+
+fn saved(c: &Cache) -> Vec<u8> {
+    let mut w = Writer::new();
+    c.save(&mut w);
+    w.into_vec()
+}
+
+/// Applies `op` to a cache or the reference, rendering what it returned.
+macro_rules! apply {
+    ($cache:expr, $op:expr) => {
+        match $op {
+            Op::Access(a) => format!("{:?}", $cache.access(a)),
+            Op::Insert(a, s) => format!("{:?}", $cache.insert(a, s)),
+            Op::Invalidate(a) => format!("{:?}", $cache.invalidate(a)),
+            Op::SetState(a, s) => {
+                $cache.set_state(a, s);
+                String::new()
+            }
+            Op::Probe(a) => format!("{:?}", $cache.probe(a)),
+        }
+    };
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -200,8 +234,8 @@ fn arb_geometry() -> impl Strategy<Value = (usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Identical hit/miss/eviction/invalidate sequences and final stats
-    /// between the predicted and linear-scan implementations.
+    /// Identical hit/miss/eviction/invalidate sequences, final stats and
+    /// resident lines between the packed cache and the reference.
     #[test]
     fn cache_matches_linear_scan_reference(
         geom in arb_geometry(),
@@ -218,19 +252,8 @@ proptest! {
         };
         let mut cache = Cache::new(cfg);
         let mut model = RefCache::new(cfg);
-        for op in &ops {
-            match *op {
-                Op::Access(a) => prop_assert_eq!(cache.access(a), model.access(a)),
-                Op::Insert(a, s) => prop_assert_eq!(cache.insert(a, s), model.insert(a, s)),
-                Op::Invalidate(a) => {
-                    prop_assert_eq!(cache.invalidate(a), model.invalidate(a))
-                }
-                Op::SetState(a, s) => {
-                    cache.set_state(a, s);
-                    model.set_state(a, s);
-                }
-                Op::Probe(a) => prop_assert_eq!(cache.probe(a), model.probe(a)),
-            }
+        for &op in &ops {
+            prop_assert_eq!(apply!(cache, op), apply!(model, op));
         }
         let st = cache.stats();
         prop_assert_eq!(st.hits, model.hits);
@@ -243,5 +266,47 @@ proptest! {
         for line in 0..4u64 * 6 {
             prop_assert_eq!(cache.probe(line * 16), model.probe(line * 16));
         }
+        prop_assert_eq!(
+            cache.resident_line_addrs().collect::<Vec<_>>(),
+            model.resident_line_addrs()
+        );
+    }
+
+    /// A snapshot restored into a cache that holds other lines (the same
+    /// operations replayed backwards) saves the same bytes and answers the
+    /// operations that follow exactly as the reference does.
+    #[test]
+    fn snapshot_restores_into_a_dirty_target(
+        geom in arb_geometry(),
+        ops in proptest::collection::vec(arb_op(4, 6), 1..200),
+    ) {
+        let (sets, ways) = geom;
+        let cfg = CacheConfig {
+            size_bytes: sets * ways * 16,
+            ways,
+            line_bytes: 16,
+            hit_latency: 1,
+        };
+        let mut donor = Cache::new(cfg);
+        let mut model = RefCache::new(cfg);
+        let mut target = Cache::new(cfg);
+        for &op in &ops {
+            apply!(donor, op);
+            apply!(model, op);
+        }
+        for &op in ops.iter().rev() {
+            apply!(target, op);
+        }
+        let bytes = saved(&donor);
+        let mut r = Reader::new(&bytes);
+        prop_assert!(target.load(&mut r).is_ok());
+        prop_assert!(r.finish().is_ok());
+        prop_assert_eq!(saved(&target), bytes);
+        prop_assert_eq!(target.resident_lines(), donor.resident_lines());
+        for &op in &ops {
+            prop_assert_eq!(apply!(target, op), apply!(model, op));
+            apply!(donor, op);
+        }
+        prop_assert_eq!(saved(&target), saved(&donor));
     }
 }

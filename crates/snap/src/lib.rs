@@ -16,16 +16,16 @@
 //!
 //! * a plain `Vec`/`VecDeque`/`HashMap` field is **bounded**: a `u64`
 //!   length prefix, then the elements, replacing the current contents;
-//! * `exact` marks a **fixed-geometry** sequence (per-core arrays, cache
-//!   way predictions, bank tables): the length prefix must equal the
-//!   restoring system's length and elements load in place;
+//! * `exact` marks a **fixed-geometry** sequence (per-core arrays, bank
+//!   tables): the length prefix must equal the restoring system's length
+//!   and elements load in place;
 //! * `fixed` (and `sized`) sequences carry **no prefix**: their length is
 //!   implied by the geometry or by an earlier field — core
 //!   `regs`/`map`, a barrier entry's per-core flags, and the like;
 //! * a **resident** sequence (a cache's lines, by hand) writes only the
 //!   occupied entries of a fixed-geometry array: a count, then each entry
-//!   with its index, in strictly increasing index order; load marks every
-//!   entry empty first, so the entries not listed end empty.
+//!   with its index, in strictly increasing index order; load empties
+//!   every occupied entry first, so the entries not listed end empty.
 //!
 //! Checks live in the codec once. [`Reader`] enforces a single allocation
 //! rule ([`Reader::get_len`]): a length whose elements would not fit, at
@@ -45,14 +45,15 @@
 //! word-parallel checksum over everything before it. Torn tails, foreign
 //! files, and fingerprint mismatches are all refused with a typed
 //! [`SnapError`] before a single payload byte is interpreted. The format
-//! is at version 5 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! is at version 6 ([`FORMAT_VERSION`]): version 2 added each SPL
 //! function's state word, version 3 writes only the resident lines of
 //! each cache and frames with the word-parallel checksum, version 4
 //! drops the skip engine's probe hint, streaks and backoff deadlines from
 //! the system state, and version 5 drops each core's ROB walk tags, its
 //! memory-ordering and executing lists and each ROB entry's issue-queue
-//! flag (the core rebuilds its ROB masks from the ROB), so files of older
-//! versions are refused as [`SnapError::BadVersion`].
+//! flag (the core rebuilds its ROB masks from the ROB), and version 6
+//! drops each cache's per-set way predictions, so files of older versions
+//! are refused as [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -65,8 +66,9 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 /// functions' state words; version 3 encodes caches by resident line and
 /// changed the frame checksum; version 4 drops the skip engine's probe
 /// hint, streaks and backoff deadlines; version 5 drops each core's ROB
-/// walk tags, memory-ordering and executing lists and issue-queue flags.
-pub const FORMAT_VERSION: u32 = 5;
+/// walk tags, memory-ordering and executing lists and issue-queue flags;
+/// version 6 drops the caches' way predictions.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;

@@ -97,7 +97,7 @@ fn steady_state_cycles_do_not_allocate() {
 }
 
 /// The memory-system fast paths — the word-granular `FlatMem` accessors
-/// behind `inst_fetch`, the MRU-way tag lookup, and the L1-hit fast lane
+/// behind `inst_fetch`, the tag lookup's set scan, and the L1-hit fast lane
 /// that answers loads/stores without consulting MESI — must allocate
 /// nothing once the touched pages and cache metadata exist. Drives the
 /// `Hierarchy` ports directly (hits, misses with eviction, cross-core
