@@ -8,6 +8,7 @@
 
 use crate::report::RunError;
 use remap_snap::SnapError;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A complete, self-validating snapshot of a [`System`](crate::System)'s
@@ -97,31 +98,74 @@ impl Snapshot {
         }
     }
 
-    /// Writes the snapshot crash-safely: the image lands in `<path>.tmp`
-    /// first, any existing `path` is linked (or, on a filesystem without
+    /// Writes the snapshot crash-safely, recycling the generation it
+    /// retires. Three files rest beside each other: `path` (the newest
+    /// image), `<path>.prev` (the one before) and `<path>.spare` (the one
+    /// before that, kept only for its blocks).
+    ///
+    /// The spare is renamed to `<path>.tmp` and the image written into it
+    /// in place, then cut to length. `.prev` is hard-linked to the spare
+    /// name; any existing `path` is linked (or, on a filesystem without
     /// hard links, copied) to `<path>.prev.tmp` and that renamed over
-    /// `<path>.prev`, and the new file is renamed over `path`. Every step
-    /// that replaces a name is a rename, so once written, `path` never
-    /// goes missing: a kill at any point leaves a complete `path` (old or
-    /// new) and, from the second write on, an older generation in `.prev`
-    /// for [`Snapshot::read_with_fallback`] to fall back on if `path` is
-    /// later torn.
+    /// `.prev`; and the new file is renamed over `path`. In the steady
+    /// state no blocks are freed or allocated: the files rotate by link
+    /// and rename only. Every step that replaces a name is a rename, so
+    /// once written, `path` never goes missing: a kill at any point leaves
+    /// a complete `path` (old or new) and, from the second write on, an
+    /// older generation in `.prev` for [`Snapshot::read_with_fallback`] to
+    /// fall back on if `path` is later torn. `.tmp` is overwritten in place
+    /// only while it is a regular file with exactly one link, which a kill
+    /// between the link and the rename above would break; anything else
+    /// there is removed and created afresh, as it always is off unix.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = sibling(path, ".tmp");
-        std::fs::write(&tmp, &self.bytes)?;
+        let spare = sibling(path, ".spare");
+        let prev = sibling(path, ".prev");
+        ignore_missing(std::fs::rename(&spare, &tmp))?;
+        let mut file = open_recycled(&tmp)?;
+        file.write_all(&self.bytes)?;
+        file.set_len(self.bytes.len() as u64)?;
+        drop(file);
         if path.exists() {
+            // The generation `.prev` is about to lose becomes the spare. A
+            // refused link (no hard links here) just leaves no spare.
+            if cfg!(unix) {
+                let _ = std::fs::hard_link(&prev, &spare);
+            }
             let prev_tmp = sibling(path, ".prev.tmp");
             // A link left by a kill between the two steps below. It must go
             // first: copying onto a link to `path` would truncate `path`.
-            match std::fs::remove_file(&prev_tmp) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
-                _ => {}
-            }
+            ignore_missing(std::fs::remove_file(&prev_tmp))?;
             link_or_copy(path, &prev_tmp)?;
-            std::fs::rename(&prev_tmp, sibling(path, ".prev"))?;
+            std::fs::rename(&prev_tmp, &prev)?;
         }
         std::fs::rename(&tmp, path)
     }
+}
+
+/// Treats a missing file as success.
+fn ignore_missing(r: std::io::Result<()>) -> std::io::Result<()> {
+    match r {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// Opens `tmp` for writing in place when it is a regular file that no
+/// other name shares; otherwise removes whatever is there and creates it.
+fn open_recycled(tmp: &Path) -> std::io::Result<std::fs::File> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        if std::fs::symlink_metadata(tmp).is_ok_and(|m| m.is_file() && m.nlink() == 1) {
+            return std::fs::OpenOptions::new().write(true).open(tmp);
+        }
+    }
+    ignore_missing(std::fs::remove_file(tmp))?;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(tmp)
 }
 
 /// Hard-links `from` to `to`, copying instead where the link is refused
@@ -181,6 +225,86 @@ mod tests {
             Snapshot::read_with_fallback(&path).unwrap().fingerprint(),
             Some(10)
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("remap-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn sized(fp: u64, len: usize) -> Snapshot {
+        Snapshot::from_payload(fp, &vec![fp as u8; len])
+    }
+
+    #[cfg(unix)]
+    fn ino(path: &Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).unwrap())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_fourth_write_lands_in_the_spare_inode() {
+        let dir = scratch("spare");
+        let path = dir.join("ckpt.snap");
+        for fp in 1..=3 {
+            sized(fp, 4096).write_to(&path).unwrap();
+        }
+        let spare = sibling(&path, ".spare");
+        let (spare_ino, prev_ino) = (ino(&spare), ino(&path));
+        assert_eq!(std::fs::read(&spare).unwrap(), sized(1, 4096).as_bytes());
+        let fourth = sized(4, 4096);
+        fourth.write_to(&path).unwrap();
+        assert_eq!(ino(&path), spare_ino, "the spare was written in place");
+        assert_eq!(ino(&sibling(&path, ".prev")), prev_ino);
+        assert_eq!(std::fs::read(&path).unwrap(), fourth.as_bytes());
+        assert_eq!(
+            std::fs::read(sibling(&path, ".prev")).unwrap(),
+            sized(3, 4096).as_bytes()
+        );
+        assert_eq!(std::fs::read(&spare).unwrap(), sized(2, 4096).as_bytes());
+        assert!(!sibling(&path, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_spare_linked_to_prev_is_not_overwritten_in_place() {
+        let dir = scratch("linked");
+        let path = dir.join("ckpt.snap");
+        sized(1, 512).write_to(&path).unwrap();
+        sized(2, 512).write_to(&path).unwrap();
+        let (prev, spare) = (sibling(&path, ".prev"), sibling(&path, ".spare"));
+        // A kill after `.prev` gained the spare name, before it was replaced.
+        if std::fs::hard_link(&prev, &spare).is_err() {
+            return; // no hard links on this filesystem: nothing to guard
+        }
+        sized(3, 512).write_to(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), sized(3, 512).as_bytes());
+        assert_eq!(std::fs::read(&prev).unwrap(), sized(2, 512).as_bytes());
+        assert_eq!(
+            std::fs::read(&spare).unwrap(),
+            sized(1, 512).as_bytes(),
+            "the old .prev's bytes survive"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_shrinking_image_leaves_no_stale_tail() {
+        let dir = scratch("shrink");
+        let path = dir.join("ckpt.snap");
+        for fp in 1..=3 {
+            sized(fp, 8192).write_to(&path).unwrap();
+        }
+        for fp in 4..=6 {
+            let small = sized(fp, 100);
+            small.write_to(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), small.as_bytes());
+            assert_eq!(Snapshot::read_from(&path).unwrap(), small);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

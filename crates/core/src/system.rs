@@ -215,6 +215,9 @@ impl CorePorts for Env {
     fn load_blocked_by_dir(&self, core: usize, addr: u64) -> bool {
         self.hier.load_blocked_by_dir(core, addr, self.cycle)
     }
+    fn fill_generation(&self, core: usize) -> u64 {
+        self.hier.fill_generation(core)
+    }
 
     fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) {
         // No epoch bump: staging only touches the caller's own input queue,

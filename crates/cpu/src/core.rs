@@ -14,7 +14,8 @@
 //!   forwarding. The ROB is a ring of 64 slots (seq `s` in slot `s & 63`);
 //!   five age-ordered bitmasks over it (bit `i` is `rob[i]`, the `i`-th
 //!   oldest) name the entries issue, writeback, the load-ordering check and
-//!   the quiescence probe visit, and skip loads queued behind a fence.
+//!   the quiescence probe visit, and skip loads queued behind a fence; a
+//!   sixth holds the loads the memory hierarchy refused until their wake.
 //! * **Writeback** — completed values broadcast to waiting consumers;
 //!   mispredicted branches squash all younger work and redirect fetch.
 //! * **Commit** — up to `retire_width` per cycle, in order. Stores drain
@@ -313,6 +314,15 @@ pub struct Core {
     /// right by one and a squash clears the squashed tail. Derived state,
     /// rebuilt from the ROB on restore.
     masks: [u64; 5],
+    /// Loads the memory hierarchy refused ([`CorePorts::load_ready`]), a
+    /// ROB mask like `masks`. While the cycle is before `held_until` (the
+    /// earliest [`CorePorts::load_wake`] read at their refusals) and the
+    /// core's [`CorePorts::fill_generation`] is still `held_gen`, they are
+    /// still refused, so issue and the quiescence probe skip the probe.
+    /// Derived state, cleared on restore.
+    held: u64,
+    held_gen: u64,
+    held_until: u64,
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
     iq_occ: (usize, usize),
@@ -366,6 +376,9 @@ impl Core {
                 len: 0,
             },
             masks: [0; 5],
+            held: 0,
+            held_gen: 0,
+            held_until: 0,
             iq_occ: (0, 0),
             fetch_buf: Vec::new(),
             fetch_pc: 0,
@@ -531,7 +544,11 @@ impl Core {
                     // A miss the hierarchy would refuse (MSHR file full) is
                     // not progress; the file's earliest fill completion is
                     // the wake.
-                    LoadPath::Memory(addr) if ports.load_ready(self.id, addr) => return None,
+                    LoadPath::Memory(addr)
+                        if !self.held(i, ports) && ports.load_ready(self.id, addr) =>
+                    {
+                        return None
+                    }
                     LoadPath::Memory(_) => ports.load_wake(self.id),
                 }
             } else {
@@ -1007,8 +1024,12 @@ impl Core {
                     LoadPath::Forward(addr, raw) => (addr, raw as u64, 1),
                     // The hierarchy cannot start another fill (MSHR file
                     // full): hold the load without consuming a load/store
-                    // unit and retry next cycle.
-                    LoadPath::Memory(addr) if !ports.load_ready(self.id, addr) => continue,
+                    // unit, and probe again once the hold lapses.
+                    LoadPath::Memory(_) if self.held(i, ports) => continue,
+                    LoadPath::Memory(addr) if !ports.load_ready(self.id, addr) => {
+                        self.hold(i, ports);
+                        continue;
+                    }
                     LoadPath::Memory(addr) => {
                         let (raw, mem_lat) = ports.load(self.id, addr, size, e.pc);
                         (addr, raw, mem_lat)
@@ -1040,6 +1061,26 @@ impl Core {
             issued += 1;
             self.stats.issued += 1;
         }
+    }
+
+    /// Whether the load at ROB index `i` is held: refused under the
+    /// current fill generation, with the hold's wake still ahead.
+    #[inline]
+    fn held<P: CorePorts + ?Sized>(&self, i: usize, ports: &P) -> bool {
+        self.held & 1 << i != 0
+            && self.cycle < self.held_until
+            && ports.fill_generation(self.id) == self.held_gen
+    }
+
+    /// Holds the load at ROB index `i`, just refused by the hierarchy. A
+    /// lapsed hold is dropped first; a live one keeps the earlier wake.
+    fn hold<P: CorePorts + ?Sized>(&mut self, i: usize, ports: &P) {
+        let gen = ports.fill_generation(self.id);
+        if gen != self.held_gen || self.cycle >= self.held_until {
+            (self.held, self.held_gen, self.held_until) = (0, gen, u64::MAX);
+        }
+        self.held |= 1 << i;
+        self.held_until = self.held_until.min(ports.load_wake(self.id));
     }
 
     /// The cycle the unpipelined divider `inst` needs is next free (`0` for
@@ -1276,6 +1317,7 @@ impl Core {
         self.stats.squashed += (self.rob.len - keep) as u64;
         self.rob.len = keep;
         self.masks = self.masks.map(|m| m & below(keep));
+        self.held &= below(keep);
         // Rewind the seq counter over the squashed (never-committed) tail:
         // nothing references those seqs any more, and reissuing them keeps
         // ROB seqs contiguous, so each seq's slot stays its own.
@@ -1333,6 +1375,7 @@ impl Core {
                 break;
             }
             self.masks = self.masks.map(|m| m >> 1);
+            self.held >>= 1;
             let slot = self.rob.slot(0);
             (self.rob.head, self.rob.len) = (self.rob.head + 1, self.rob.len - 1);
             let e = &self.rob.slots[slot];
@@ -1480,6 +1523,7 @@ impl Core {
             f.inst = inst(f.pc);
         }
         self.masks = self.masks_recount();
+        self.held = 0;
         Ok(())
     }
 }
@@ -2231,5 +2275,104 @@ mod tests {
         assert_eq!(core.reg(R1), 0x1000, "wrapped around the list");
         // 16 serialized 10-cycle loads dominate: at least 160 cycles.
         assert!(core.cycle() > 160);
+    }
+
+    /// Memory that refuses loads until `open`, counting the probes, with a
+    /// fill generation and a refusal wake the test sets.
+    struct Gate {
+        inner: NullPorts,
+        open: bool,
+        probes: std::cell::Cell<u32>,
+        gen: u64,
+        wake: u64,
+    }
+
+    impl CorePorts for Gate {
+        fn inst_fetch(&mut self, core: usize, addr: u64) -> u32 {
+            self.inner.inst_fetch(core, addr)
+        }
+        fn load(&mut self, core: usize, addr: u64, size: u8, pc: u32) -> (u64, u32) {
+            self.inner.load(core, addr, size, pc)
+        }
+        fn store(&mut self, core: usize, addr: u64, size: u8, value: u64) -> u32 {
+            self.inner.store(core, addr, size, value)
+        }
+        fn amo_add(&mut self, core: usize, addr: u64, delta: i64) -> (i64, u32) {
+            self.inner.amo_add(core, addr, delta)
+        }
+        fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) {
+            self.inner.spl_load(core, offset, nbytes, value)
+        }
+        fn spl_init(&mut self, core: usize, cfg: u16) -> PortPush {
+            self.inner.spl_init(core, cfg)
+        }
+        fn spl_store(&mut self, core: usize) -> Option<u64> {
+            self.inner.spl_store(core)
+        }
+        fn hwq_send(&mut self, core: usize, q: u8, value: u64) -> PortPush {
+            self.inner.hwq_send(core, q, value)
+        }
+        fn hwq_recv(&mut self, core: usize, q: u8) -> Option<u64> {
+            self.inner.hwq_recv(core, q)
+        }
+        fn hwbar(&mut self, core: usize, id: u8) -> bool {
+            self.inner.hwbar(core, id)
+        }
+        fn ready(&self, core: usize, cause: BlockedOn) -> bool {
+            self.inner.ready(core, cause)
+        }
+        fn load_ready(&self, _core: usize, _addr: u64) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            self.open
+        }
+        fn load_wake(&self, _core: usize) -> u64 {
+            self.wake
+        }
+        fn fill_generation(&self, _core: usize) -> u64 {
+            self.gen
+        }
+    }
+
+    #[test]
+    fn a_held_load_reprobes_after_the_cores_own_fill_or_its_wake() {
+        let mut a = Asm::new("t");
+        a.li(R1, 0x800);
+        a.lw(R2, R1, 0);
+        a.halt();
+        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+        let mut ports = Gate {
+            inner: null_ports(3),
+            open: false,
+            probes: Default::default(),
+            gen: 0,
+            wake: 1_000,
+        };
+        while ports.probes.get() == 0 {
+            assert!(
+                core.step(&mut ports) && core.cycle() < 100,
+                "load never probed"
+            );
+        }
+        // Refused once, then held: neither issue nor the quiescence probe
+        // asks again, and the probe reports the refusal's wake.
+        for _ in 0..20 {
+            core.step(&mut ports);
+        }
+        assert_eq!(core.next_event(&ports), Some(1_000));
+        assert_eq!(ports.probes.get(), 1, "a held load is not re-probed");
+        // The core's own fill may have changed the answer: probe again.
+        ports.gen += 1;
+        core.step(&mut ports);
+        assert_eq!(ports.probes.get(), 2, "a new fill generation re-probes");
+        core.step(&mut ports);
+        assert_eq!(ports.probes.get(), 2, "held again under the new generation");
+        // Reaching the wake lapses the hold too; this time it is accepted.
+        ports.open = true;
+        while core.cycle() < 1_000 {
+            core.step(&mut ports);
+        }
+        assert_eq!(ports.probes.get(), 3);
+        while core.step(&mut ports) {}
+        assert_eq!(ports.probes.get(), 3, "an accepted load issues once");
     }
 }

@@ -80,6 +80,14 @@ pub trait CorePorts {
     fn load_wake(&self, _core: usize) -> u64 {
         u64::MAX
     }
+    /// A count that changes whenever the core's own memory traffic may
+    /// have changed what [`CorePorts::load_ready`] answers for it. While it
+    /// stands still, a load refused at one cycle stays refused until the
+    /// [`CorePorts::load_wake`] read at that cycle, so the core holds it
+    /// without re-probing. The default (never refused) never changes.
+    fn fill_generation(&self, _core: usize) -> u64 {
+        0
+    }
     /// Whether a refused load is held by coherence-directory bank occupancy
     /// rather than a full MSHR file (deadlock-report attribution only; the
     /// default covers environments without a directory).

@@ -18,6 +18,7 @@
 //! changed. `Hierarchy::set_dir(false)` restores the broadcast reference
 //! model.
 
+use crate::cache::Cache;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -92,38 +93,19 @@ impl Hasher for LineHasher {
     }
 }
 
-/// The cores whose private L2 holds one line, one bit per core. A tracked
-/// line always has at least one sharer, so a snapshot's zero mask is
-/// refused as it is decoded.
-#[derive(Debug, Default, Clone, Copy)]
-struct SharerMask(u64);
-
-impl remap_snap::State for SharerMask {
-    fn save(&self, w: &mut remap_snap::Writer) {
-        self.0.save(w);
-    }
-    fn load(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        match u64::read(r)? {
-            0 => Err(remap_snap::SnapError::Corrupt("empty sharer mask".into())),
-            mask => {
-                self.0 = mask;
-                Ok(())
-            }
-        }
-    }
-}
-
 /// The banked sharer directory. Tracks, per line address, the bitmask of
 /// cores whose private L2 holds the line (bounding the core count at 64),
 /// plus per-bank port busy-until times for conflict modeling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Directory {
     line_shift: u32,
     clusters: usize,
     side: usize,
-    sharers: HashMap<u64, SharerMask, BuildHasherDefault<LineHasher>>,
+    /// Line → the cores whose private L2 holds it, one bit per core. A
+    /// tracked line always has at least one sharer.
+    sharers: HashMap<u64, u64, BuildHasherDefault<LineHasher>>,
     ports: [[u64; DIR_PORTS]; DIR_BANKS],
-    stats: DirStats,
+    pub(crate) stats: DirStats,
 }
 
 impl Directory {
@@ -172,19 +154,41 @@ impl Directory {
 
     /// Records that `core`'s private L2 now holds the line of `addr`.
     pub fn add_sharer(&mut self, addr: u64, core: usize) {
-        let line = self.line(addr);
-        let mask = &mut self.sharers.entry(line).or_default().0;
-        *mask |= 1u64 << core;
-        let n = mask.count_ones();
+        let n = self.set_bit(addr, core);
         if n > self.stats.max_sharers {
             self.stats.max_sharers = n;
         }
     }
 
+    /// Replaces every sharer set with the residency of `l2s`, core `i`'s
+    /// private L2 being the `i`-th, and returns the largest sharer set.
+    /// The counters are left alone: enabling the directory mid-run
+    /// (`Hierarchy::set_dir`) records the return value as a fresh
+    /// directory's `max_sharers`, and a restore keeps the snapshot's.
+    pub fn seed<'a>(&mut self, l2s: impl IntoIterator<Item = &'a Cache>) -> u32 {
+        self.sharers.clear();
+        let mut max = 0;
+        for (core, l2) in l2s.into_iter().enumerate() {
+            for addr in l2.resident_line_addrs() {
+                max = max.max(self.set_bit(addr, core));
+            }
+        }
+        max
+    }
+
+    /// Sets `core`'s bit in the mask of the line of `addr`; returns the
+    /// line's sharer count.
+    #[inline]
+    fn set_bit(&mut self, addr: u64, core: usize) -> u32 {
+        let mask = self.sharers.entry(self.line(addr)).or_default();
+        *mask |= 1u64 << core;
+        mask.count_ones()
+    }
+
     /// Drops `core`'s sharer bit for the line of `addr` (invalidation).
     pub fn remove_sharer(&mut self, addr: u64, core: usize) {
         let line = self.line(addr);
-        if let Some(SharerMask(mask)) = self.sharers.get_mut(&line) {
+        if let Some(mask) = self.sharers.get_mut(&line) {
             *mask &= !(1u64 << core);
             if *mask == 0 {
                 self.sharers.remove(&line);
@@ -201,7 +205,7 @@ impl Directory {
 
     /// Current sharer mask for the line of `addr`.
     pub fn sharers(&self, addr: u64) -> u64 {
-        self.sharers.get(&self.line(addr)).map_or(0, |m| m.0)
+        self.sharers.get(&self.line(addr)).copied().unwrap_or(0)
     }
 
     /// Number of tracked lines (sharer entries currently non-empty).
@@ -283,9 +287,10 @@ impl Directory {
     }
 }
 
-// Sharer masks travel sorted by line (the map's codec), then the port
-// busy windows and counters.
-remap_snap::state!(Directory |d| { d.sharers, d.ports, d.stats });
+// Only the port busy windows and counters travel. The sharer masks are
+// derived state, the union of the private L2s' resident lines: the owning
+// hierarchy reseeds them (`Directory::seed`) once its caches are restored.
+remap_snap::state!(Directory |d| { d.ports, d.stats });
 
 remap_snap::state!(DirStats |s| {
     s.lookups,
@@ -316,29 +321,6 @@ mod tests {
         assert_eq!(d.sharers(0x100), 0);
         assert_eq!(d.tracked_lines(), 0);
         assert_eq!(d.stats().back_invalidations, 1);
-    }
-
-    #[test]
-    fn snapshot_with_a_zero_sharer_mask_is_refused() {
-        use remap_snap::{Reader, SnapError, State, Writer};
-        let mut d = Directory::new(4, 32, 64);
-        d.add_sharer(0x100, 1);
-        d.add_sharer(0x200, 2);
-        let mut w = Writer::new();
-        d.save(&mut w);
-        let good = w.into_vec();
-        let restore = |bytes: &[u8]| {
-            let mut r = Reader::new(bytes);
-            Directory::new(4, 32, 64).load(&mut r)?;
-            r.finish()
-        };
-        restore(&good).unwrap();
-        // Entries follow the count, sorted by line: (line 8, mask 0b10),
-        // then (line 16, mask 0b100). Zero the second mask.
-        let mut bad = good.clone();
-        assert_eq!(bad[32..40], 4u64.to_le_bytes());
-        bad[32..40].copy_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(restore(&bad), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -249,6 +249,9 @@ pub struct Hierarchy {
     fault: Option<Box<CacheFault>>,
     mlp: Option<Box<Mlp>>,
     dir: Option<Box<Directory>>,
+    /// Per-core fill generation ([`Hierarchy::fill_generation`]); not
+    /// snapshotted.
+    fill_gen: Vec<u64>,
 }
 
 remap_snap::state!(BusStats |s| { s.upgrades, s.c2c_transfers, s.dram_accesses, s.snoops });
@@ -261,6 +264,8 @@ remap_snap::state!(CorePrivate |c| { c.l1i, c.l1d, c.l2 });
 // configuration: restore never silently rebuilds a model from scratch
 // (`set_mlp`/`set_dir` reseed state and would not be bit-identical), and
 // the fault stream must already be installed from the snapshot's plan.
+// The directory's sharer masks do not travel: `Hierarchy::restored`
+// rebuilds them from the restored L2 tags.
 remap_snap::state!(Hierarchy |h| {
     exact h.cores,
     h.mem,
@@ -268,7 +273,7 @@ remap_snap::state!(Hierarchy |h| {
     present h.fault,
     present h.mlp,
     present h.dir,
-});
+} check Hierarchy::restored);
 
 /// Where a full-miss line fill came from (the timing source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,6 +301,7 @@ impl Hierarchy {
             mem: FlatMem::new(),
             bus: BusStats::default(),
             fault: None,
+            fill_gen: vec![0; n_cores],
         }
     }
 
@@ -304,27 +310,52 @@ impl Hierarchy {
     /// (counters reset); disabling restores the blocking-latency model.
     pub fn set_mlp(&mut self, enabled: bool) {
         self.mlp = enabled.then(|| Box::new(Mlp::new(self.cores.len(), &self.cfg)));
+        self.fill_gen.iter_mut().for_each(|g| *g += 1);
     }
 
-    /// Enables or disables the coherence directory. Enabling reseeds the sharer sets from the lines
-    /// currently resident in every private L2 (so mid-run activation is
-    /// functionally exact); disabling restores the broadcast snoop walk.
-    /// Core counts above 64 always use the broadcast model.
+    /// Enables or disables the coherence directory. Enabling seeds the
+    /// sharer sets from the lines currently resident in every private L2
+    /// (so mid-run activation is functionally exact) and records the
+    /// largest as `max_sharers`; disabling restores the broadcast snoop
+    /// walk. Core counts above 64 always use the broadcast model.
     pub fn set_dir(&mut self, enabled: bool) {
         self.dir = (enabled && self.cores.len() <= 64).then(|| {
             let mut d = Box::new(fresh_dir(self.cores.len(), &self.cfg));
-            for (i, c) in self.cores.iter().enumerate() {
-                for line in c.l2.resident_line_addrs() {
-                    d.add_sharer(line, i);
-                }
-            }
+            d.stats.max_sharers = d.seed(self.cores.iter().map(|c| &c.l2));
             d
         });
+        self.fill_gen.iter_mut().for_each(|g| *g += 1);
+    }
+
+    /// Restore hook: rebuilds the directory's sharer masks from the
+    /// restored L2 tags, leaving its restored counters as they are.
+    fn restored(&mut self) -> Result<(), remap_snap::SnapError> {
+        if let Some(d) = self.dir.as_deref_mut() {
+            d.seed(self.cores.iter().map(|c| &c.l2));
+        }
+        Ok(())
+    }
+
+    /// A count that changes whenever `core`'s own accesses may have changed
+    /// what [`load_ready`](Self::load_ready) answers for it, other than by
+    /// the passage of time: every L1D or L1I miss of the core, and every
+    /// [`set_mlp`](Self::set_mlp) or [`set_dir`](Self::set_dir). Other
+    /// cores can only make a refused load wait longer (they invalidate
+    /// lines and claim directory ports), so while the count stands still a
+    /// load refused at cycle `t` stays refused until
+    /// [`load_wake`](Self::load_wake)`(core, t)`.
+    pub fn fill_generation(&self, core: usize) -> u64 {
+        self.fill_gen[core]
     }
 
     /// Whether the directory model is active.
     pub fn dir_enabled(&self) -> bool {
         self.dir.is_some()
+    }
+
+    /// The coherence directory, when the model is on.
+    pub fn directory(&self) -> Option<&Directory> {
+        self.dir.as_deref()
     }
 
     /// Directory counters so far (all zeros when the model is off).
@@ -504,6 +535,7 @@ impl Hierarchy {
     /// Instruction-fetch miss path: L2 and, if needed, DRAM (through the
     /// memory controller with a next-line prefetch under the MLP model).
     fn inst_fetch_miss(&mut self, core: usize, addr: u64, mut lat: u32, now: u64) -> u32 {
+        self.fill_gen[core] += 1;
         lat += self.cfg.l2.hit_latency;
         if self.cores[core].l2.access(addr).is_some() {
             self.cores[core].l1i.insert(addr, Mesi::Shared);
@@ -656,6 +688,7 @@ impl Hierarchy {
         now: u64,
     ) -> u32 {
         // L1D miss: consult the private L2.
+        self.fill_gen[core] += 1;
         lat += self.cfg.l2.hit_latency;
         let l2_state = self.cores[core].l2.access(addr);
         let (fill, src, hop) = match l2_state {
@@ -1430,6 +1463,53 @@ mod tests {
         assert_eq!(h.cores[1].l1d.probe(0x100), Mesi::Invalid);
         assert_eq!(h.dir_stats().probes_sent, 1);
         h.check_mesi_invariants(&[0x100]).unwrap();
+    }
+
+    #[test]
+    fn fill_generation_moves_only_with_the_cores_own_misses() {
+        let mut h = h2();
+        let gens = |h: &Hierarchy| (h.fill_generation(0), h.fill_generation(1));
+        let t = h.load(0, 0x100, 4, PC_NONE, 0).1 as u64;
+        assert_eq!(gens(&h), (1, 0), "an L1D miss");
+        h.load(0, 0x104, 4, PC_NONE, t);
+        h.store(0, 0x100, 4, 1, t);
+        assert_eq!(gens(&h), (1, 0), "L1D hits, the silent E->M upgrade too");
+        h.inst_fetch(0, 0x4000_0000, t);
+        assert_eq!(gens(&h), (2, 0), "an L1I miss");
+        h.inst_fetch(0, 0x4000_0000, t + 300);
+        // Another core's miss invalidates core 0's copy: that can only
+        // make core 0's loads wait longer, so its generation stands.
+        h.store(1, 0x100, 4, 2, t + 300);
+        assert_eq!(gens(&h), (2, 1));
+        h.set_dir(false);
+        assert_eq!(gens(&h), (3, 2), "a model switch changes every answer");
+        h.set_mlp(false);
+        assert_eq!(gens(&h), (4, 3));
+    }
+
+    #[test]
+    fn restore_rebuilds_the_sharer_masks_from_the_l2_tags() {
+        use remap_snap::{Reader, State, Writer};
+        let mut h = Hierarchy::new(4, HierarchyConfig::default());
+        let mut t = 0;
+        for i in 0..64u64 {
+            let (core, addr) = ((i % 4) as usize, 0x1000 + (i * 7 % 19) * 32);
+            t += h.load(core, addr, 4, PC_NONE, t).1 as u64;
+        }
+        let mut w = Writer::new();
+        h.save(&mut w);
+        let bytes = w.into_vec();
+        // Into a fresh hierarchy and into one whose directory holds other
+        // lines.
+        let mut dirty = Hierarchy::new(4, HierarchyConfig::default());
+        dirty.load(3, 0x9000, 4, PC_NONE, 0);
+        for mut back in [Hierarchy::new(4, HierarchyConfig::default()), dirty] {
+            State::load(&mut back, &mut Reader::new(&bytes)).unwrap();
+            back.check_directory_residency().unwrap();
+            assert_eq!(back.directory(), h.directory());
+        }
+        let d = h.directory().unwrap();
+        assert!(d.tracked_lines() > 0 && d.stats().max_sharers > 1, "{d:?}");
     }
 
     #[test]

@@ -45,15 +45,17 @@
 //! word-parallel checksum over everything before it. Torn tails, foreign
 //! files, and fingerprint mismatches are all refused with a typed
 //! [`SnapError`] before a single payload byte is interpreted. The format
-//! is at version 6 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! is at version 7 ([`FORMAT_VERSION`]): version 2 added each SPL
 //! function's state word, version 3 writes only the resident lines of
 //! each cache and frames with the word-parallel checksum, version 4
 //! drops the skip engine's probe hint, streaks and backoff deadlines from
-//! the system state, and version 5 drops each core's ROB walk tags, its
+//! the system state, version 5 drops each core's ROB walk tags, its
 //! memory-ordering and executing lists and each ROB entry's issue-queue
-//! flag (the core rebuilds its ROB masks from the ROB), and version 6
-//! drops each cache's per-set way predictions, so files of older versions
-//! are refused as [`SnapError::BadVersion`].
+//! flag (the core rebuilds its ROB masks from the ROB), version 6 drops
+//! each cache's per-set way predictions, and version 7 drops the coherence
+//! directory's sharer masks (the hierarchy rebuilds them from the restored
+//! L2 tags), so files of older versions are refused as
+//! [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -67,8 +69,9 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 /// changed the frame checksum; version 4 drops the skip engine's probe
 /// hint, streaks and backoff deadlines; version 5 drops each core's ROB
 /// walk tags, memory-ordering and executing lists and issue-queue flags;
-/// version 6 drops the caches' way predictions.
-pub const FORMAT_VERSION: u32 = 6;
+/// version 6 drops the caches' way predictions; version 7 drops the
+/// coherence directory's sharer masks.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
@@ -906,6 +909,16 @@ mod tests {
             decode_file(&v4, 0x1234),
             Err(SnapError::BadVersion { found: 4 })
         );
+        // Version 5 still carried each cache's way predictions, version 6
+        // the directory's sharer masks.
+        for old in [5u32, 6] {
+            let mut v = img.clone();
+            v[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_file(&v, 0x1234),
+                Err(SnapError::BadVersion { found: old })
+            );
+        }
         // A payload length near u64::MAX is torn, not an overflow.
         let mut huge = img.clone();
         huge[20..28].copy_from_slice(&u64::MAX.to_le_bytes());

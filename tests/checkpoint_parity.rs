@@ -260,6 +260,34 @@ fn grid_checkpoint_parity_16_36_64_cores() {
     }
 }
 
+/// Snapshots do not carry the directory's sharer masks: restore rebuilds
+/// them from the restored L2 tags. Mid-run and at halt, on the 16/36/64-core
+/// grids, the rebuilt directory equals the donor's mask for mask (ports and
+/// counters too) and is exactly the union of the L2s.
+#[test]
+fn restored_grid_directory_matches_the_donor_16_36_64_cores() {
+    let b = BarrierBench::Ll3;
+    for p in [16, 36, 64] {
+        let m = BarrierMode::Remap(p);
+        let mut donor = b.build(m, 64);
+        let cycles = b.build(m, 64).run(MAX_CYCLES).expect("reference").cycles;
+        let cut = |donor: &System, when: &str| {
+            let mut back = b.build(m, 64);
+            back.restore(&donor.snapshot()).expect("restore");
+            let (want, got) = (donor.hierarchy(), back.hierarchy());
+            let dir = want.directory().expect("the grid runs the directory");
+            assert!(dir.tracked_lines() > 0, "{m:?} {when}: vacuous");
+            assert_eq!(got.directory(), Some(dir), "{m:?} {when}");
+            got.check_directory_residency()
+                .unwrap_or_else(|e| panic!("{m:?} {when}: {e}"));
+        };
+        assert!(donor.run_until(cycles / 2));
+        cut(&donor, "mid-run");
+        donor.run(MAX_CYCLES).expect("donor");
+        cut(&donor, "at halt");
+    }
+}
+
 /// Snapshots carry resident cache lines, not the cache geometry or any
 /// per-set state: a halted 16-core LL2 grid leaves nearly every line of
 /// its 1 MB private L2s Invalid, so its snapshot (263,033 bytes) stays
