@@ -1562,9 +1562,12 @@ impl System {
     /// setting) is deliberately excluded: it either travels in the payload
     /// or — for the skip engine — provably does not affect results.
     ///
-    /// Hashing every program's Debug text is a large share of a capture's
-    /// or restore's host time, so the value is computed once per system
-    /// (and again after [`System::set_mlp`] or [`System::set_dir`]).
+    /// Programs are hashed by their name and instruction words through
+    /// `Inst`'s derived `Hash`, with every integer widened to `u64` so 32-
+    /// and 64-bit hosts agree, not by their `Debug` text: one operand of
+    /// one instruction still changes the value, at a few nanoseconds per
+    /// instruction. The value is computed once per system (and again after
+    /// [`System::set_mlp`] or [`System::set_dir`]).
     fn config_fingerprint(&self) -> u64 {
         *self
             .fingerprint
@@ -1573,16 +1576,13 @@ impl System {
 
     fn fresh_config_fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
+        use std::hash::Hash as _;
         let mut h = remap_snap::Fnv::new();
         let _ = write!(h, "remap-system-v1;cores={};", self.cores.len());
         for (i, c) in self.cores.iter().enumerate() {
-            let _ = write!(
-                h,
-                "core{i}:{:?}:{:?}:{:?};",
-                self.kinds[i],
-                c.config(),
-                c.program()
-            );
+            let _ = write!(h, "core{i}:{:?}:{:?}:", self.kinds[i], c.config());
+            c.program().name().hash(&mut h);
+            c.program().insts().hash(&mut h);
         }
         for (ci, cl) in self.env.clusters.iter().enumerate() {
             let _ = write!(h, "cluster{ci}:{:?}:{:?};", cl.spl.config(), cl.cores);
@@ -2166,6 +2166,44 @@ mod tests {
                 );
             }
             other => panic!("expected BadSnapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_operand_of_one_instruction_refuses_the_snapshot() {
+        // Two cores count to 40; the second core's step is `step`.
+        let build = |step: i32| {
+            let mut b = SystemBuilder::new();
+            for core in 0..2 {
+                let mut a = Asm::new("count");
+                a.li(R1, 0);
+                a.li(R2, 40);
+                a.label("loop");
+                a.addi(R1, R1, if core == 1 { step } else { 1 });
+                a.bne(R1, R2, "loop");
+                a.halt();
+                b.add_core(CoreKind::Ooo1, a.assemble().unwrap());
+            }
+            b.build()
+        };
+        let snap_of = |step| {
+            let mut donor = build(step);
+            assert!(donor.run_until(32), "donor halted early");
+            donor.snapshot()
+        };
+        assert_ne!(build(1).config_fingerprint(), build(2).config_fingerprint());
+        for (from, into) in [(1, 2), (2, 1)] {
+            match build(into).restore(&snap_of(from)) {
+                Err(RunError::BadSnapshot { reason }) => {
+                    assert!(reason.contains("different configuration"), "{reason}")
+                }
+                other => panic!("step {from} into step {into}: {other:?}"),
+            }
+        }
+        for step in [1, 2] {
+            let mut same = build(step);
+            same.restore(&snap_of(step)).unwrap();
+            assert_eq!(same.cycle(), 32);
         }
     }
 

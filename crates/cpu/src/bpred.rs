@@ -1,6 +1,8 @@
 //! Hybrid gshare + bimodal branch predictor with BTB and return-address
 //! stack, per Table II of the paper.
 
+use remap_snap::{load_trained, save_trained, Reader, SnapError, State, Writer};
+
 /// Prediction returned by [`Predictor::predict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Prediction {
@@ -27,6 +29,13 @@ pub struct PredStats {
     /// RAS pushes + pops.
     pub ras_ops: u64,
 }
+
+/// Reset value of the direction counters (weakly not-taken).
+const DIR_RESET: u8 = 1;
+/// Reset value of the chooser (weakly trusts gshare).
+const CHOOSER_RESET: u8 = 2;
+/// Largest value of a 2-bit saturating counter.
+const COUNTER_MAX: u8 = 3;
 
 fn counter_update(c: &mut u8, taken: bool) {
     if taken {
@@ -67,9 +76,9 @@ impl Predictor {
     pub fn new(bits: u32, btb_entries: usize, ras_max: usize) -> Predictor {
         let n = 1usize << bits;
         Predictor {
-            gshare: vec![1; n],
-            bimodal: vec![1; n],
-            chooser: vec![2; n],
+            gshare: vec![DIR_RESET; n],
+            bimodal: vec![DIR_RESET; n],
+            chooser: vec![CHOOSER_RESET; n],
             history: 0,
             mask: (n - 1) as u32,
             btb: vec![None; btb_entries],
@@ -176,15 +185,54 @@ remap_snap::state!(Prediction |p| { p.taken, p.target, p.history });
 
 remap_snap::state!(PredStats |s| { s.lookups, s.dir_mispredicts, s.target_mispredicts, s.ras_ops });
 
-remap_snap::state!(Predictor |p| {
-    exact p.gshare,
-    fixed p.bimodal,
-    fixed p.chooser,
-    p.history,
-    exact p.btb,
-    p.ras,
-    p.stats,
-});
+/// The direction tables travel as their trained entries (a `gshare`
+/// length prefix pins the geometry) and the BTB as its occupied slots,
+/// `slot, pc, target` in slot order, so a snapshot costs what the
+/// predictor learned, not its table sizes. Load first resets every table
+/// and empties the BTB, so a dirty target ends exactly like a fresh one.
+impl State for Predictor {
+    fn save(&self, w: &mut Writer) {
+        w.put_len(self.gshare.len());
+        save_trained(w, &self.gshare, DIR_RESET);
+        save_trained(w, &self.bimodal, DIR_RESET);
+        save_trained(w, &self.chooser, CHOOSER_RESET);
+        self.history.save(w);
+        w.put_len(self.btb.iter().flatten().count());
+        for (slot, e) in self.btb.iter().enumerate() {
+            if let Some(entry) = e {
+                slot.save(w);
+                entry.save(w);
+            }
+        }
+        self.ras.save(w);
+        self.stats.save(w);
+    }
+
+    fn load(&mut self, r: &mut Reader) -> Result<(), SnapError> {
+        r.exact_len(self.gshare.len())?;
+        load_trained(r, &mut self.gshare, DIR_RESET, COUNTER_MAX)?;
+        load_trained(r, &mut self.bimodal, DIR_RESET, COUNTER_MAX)?;
+        load_trained(r, &mut self.chooser, CHOOSER_RESET, COUNTER_MAX)?;
+        self.history.load(r)?;
+        // Charged at the encoded entry size: slot 8, pc 4, target 4.
+        let n = r.get_len::<[u8; 16]>()?;
+        self.btb.fill(None);
+        let mut next = 0;
+        for _ in 0..n {
+            let slot = r.get_index(&mut next, self.btb.len())?;
+            let entry = <(u32, u32)>::read(r)?;
+            if entry.0 as usize % self.btb.len() != slot {
+                return Err(SnapError::Corrupt(format!(
+                    "BTB slot {slot} holds pc {}, which maps elsewhere",
+                    entry.0
+                )));
+            }
+            self.btb[slot] = Some(entry);
+        }
+        self.ras.load(r)?;
+        self.stats.load(r)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -279,6 +327,129 @@ mod tests {
         assert_eq!(pr.ras_pop(), Some(3));
         assert_eq!(pr.ras_pop(), Some(2));
         assert_eq!(pr.ras_pop(), None, "oldest entries were shifted out");
+    }
+
+    fn saved(p: &Predictor) -> Vec<u8> {
+        let mut w = Writer::new();
+        p.save(&mut w);
+        w.into_vec()
+    }
+
+    fn restored(target: &mut Predictor, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = Reader::new(bytes);
+        target.load(&mut r)?;
+        r.finish()
+    }
+
+    /// Trains `p` on `branches` branch sites starting at `pc0`, each
+    /// taken on a pattern of its own.
+    fn train(p: &mut Predictor, pc0: u32, branches: u32) {
+        for round in 0..16 {
+            for pc in pc0..pc0 + branches {
+                let pred = p.predict(pc, true);
+                p.update(pc, (round + pc) % 3 != 0, pc + 100, pred);
+            }
+        }
+        p.ras_push(pc0);
+    }
+
+    fn same(a: &Predictor, b: &Predictor) -> bool {
+        (
+            &a.gshare, &a.bimodal, &a.chooser, a.history, &a.btb, &a.ras, a.stats,
+        ) == (
+            &b.gshare, &b.bimodal, &b.chooser, b.history, &b.btb, &b.ras, b.stats,
+        )
+    }
+
+    #[test]
+    fn trained_predictor_round_trips_into_fresh_and_dirty_targets() {
+        let mut donor = Predictor::new(10, 128, 4);
+        train(&mut donor, 40, 24);
+        let bytes = saved(&donor);
+        let mut fresh = Predictor::new(10, 128, 4);
+        restored(&mut fresh, &bytes).unwrap();
+        assert!(same(&fresh, &donor));
+        assert_eq!(saved(&fresh), bytes);
+
+        // The dirty target trained sites and BTB slots the donor never
+        // touched: they end at their reset value and empty.
+        let mut dirty = Predictor::new(10, 128, 4);
+        train(&mut dirty, 600, 60);
+        restored(&mut dirty, &bytes).unwrap();
+        assert!(same(&dirty, &donor));
+        assert!(dirty.bimodal[600..660].iter().all(|&c| c == DIR_RESET));
+        assert!(dirty.chooser[600..660].iter().all(|&c| c == CHOOSER_RESET));
+        assert_eq!(saved(&dirty), bytes);
+
+        // Only what was learned travels: under the 3 KiB the dense tables
+        // alone took, and an untrained predictor costs only its prefixes.
+        assert!(bytes.len() < 3 * 1024, "{} bytes", bytes.len());
+        let untrained = saved(&Predictor::new(10, 128, 4));
+        assert_eq!(untrained.len(), 8 + 3 * 8 + 4 + 8 + 8 + 4 * 8);
+    }
+
+    /// A predictor encoding with the given `gshare` entries and BTB slots
+    /// and nothing else trained.
+    fn encode(gshare: &[(u64, u8)], btb: &[(u64, u32, u32)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(1024);
+        w.put_len(gshare.len());
+        for &(i, v) in gshare {
+            (i, v).save(&mut w);
+        }
+        w.put_len(0);
+        w.put_len(0);
+        0u32.save(&mut w);
+        w.put_len(btb.len());
+        for &(slot, pc, target) in btb {
+            (slot, (pc, target)).save(&mut w);
+        }
+        Vec::<u32>::new().save(&mut w);
+        PredStats::default().save(&mut w);
+        w.into_vec()
+    }
+
+    #[test]
+    fn corrupt_predictor_entries_are_refused() {
+        let good = encode(&[(3, 0), (1023, 3)], &[(5, 133, 9)]);
+        restored(&mut Predictor::new(10, 128, 4), &good).unwrap();
+        for (what, gshare, btb) in [
+            ("counter index out of order", vec![(9, 0), (3, 3)], vec![]),
+            ("counter index repeated", vec![(3, 0), (3, 3)], vec![]),
+            ("counter index past the table", vec![(1024, 2)], vec![]),
+            ("counter of 4", vec![(3, 4)], vec![]),
+            ("BTB slot 128", vec![], vec![(128, 128, 9)]),
+            ("BTB slots out of order", vec![], vec![(6, 6, 9), (5, 5, 9)]),
+            ("BTB pc of another slot", vec![], vec![(5, 6, 9)]),
+        ] {
+            let mut target = Predictor::new(10, 128, 4);
+            let bytes = encode(&gshare, &btb);
+            assert!(
+                matches!(restored(&mut target, &bytes), Err(SnapError::Corrupt(_))),
+                "{what}"
+            );
+        }
+        // A count larger than the payload, in the first table and in the
+        // BTB, is refused before anything is reserved.
+        let mut huge = good.clone();
+        huge[8..16].copy_from_slice(&1000u64.to_le_bytes());
+        let at = good.len() - 4 * 8 - 8 - 16 - 8;
+        assert_eq!(good[at..at + 8], 1u64.to_le_bytes(), "BTB count");
+        let mut huge_btb = good.clone();
+        huge_btb[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        for bad in [huge, huge_btb] {
+            assert_eq!(
+                restored(&mut Predictor::new(10, 128, 4), &bad),
+                Err(SnapError::Truncated)
+            );
+        }
+        for cut in 0..good.len() {
+            assert_eq!(
+                restored(&mut Predictor::new(10, 128, 4), &good[..cut]),
+                Err(SnapError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

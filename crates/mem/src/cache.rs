@@ -396,14 +396,7 @@ impl remap_snap::State for Cache {
         }
         let mut next = 0;
         for _ in 0..n {
-            let i = usize::read(r)?;
-            if i < next || i >= self.ways.len() {
-                return Err(Corrupt(format!(
-                    "resident line {i} out of order or past {} lines",
-                    self.ways.len()
-                )));
-            }
-            next = i + 1;
+            let i = r.get_index(&mut next, self.ways.len())?;
             let tag = u64::read(r)?;
             if tag >> (64 - self.tag_shift) != 0 {
                 return Err(Corrupt(format!("tag {tag:#x} of line {i} is too wide")));

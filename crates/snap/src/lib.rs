@@ -12,7 +12,7 @@
 //!
 //! The encoding is deliberately dumb: fixed-width little-endian integers,
 //! `usize` as `u64`, `bool` and `Option` tags as one byte, no schema, no
-//! varints, no serde. Sequences come in four shapes:
+//! varints, no serde. Sequences come in five shapes:
 //!
 //! * a plain `Vec`/`VecDeque`/`HashMap` field is **bounded**: a `u64`
 //!   length prefix, then the elements, replacing the current contents;
@@ -22,19 +22,28 @@
 //! * `fixed` (and `sized`) sequences carry **no prefix**: their length is
 //!   implied by the geometry or by an earlier field — core
 //!   `regs`/`map`, a barrier entry's per-core flags, and the like;
-//! * a **resident** sequence (a cache's lines, by hand) writes only the
-//!   occupied entries of a fixed-geometry array: a count, then each entry
-//!   with its index, in strictly increasing index order; load empties
-//!   every occupied entry first, so the entries not listed end empty.
+//! * a **resident** sequence (a cache's lines, a branch target buffer's
+//!   slots, by hand) writes only the occupied entries of a fixed-geometry
+//!   array: a count, then each entry with its index, in strictly
+//!   increasing index order; load empties every occupied entry first, so
+//!   the entries not listed end empty;
+//! * a **trained** sequence ([`save_trained`] / [`load_trained`], a branch
+//!   predictor's counter tables) writes only the bytes of a fixed-geometry
+//!   table that differ from its reset value: a count, then `(index,
+//!   value)` pairs in strictly increasing index order, found by a
+//!   word-wise scan; load refills the table with the reset value first, so
+//!   the entries not listed end at it.
 //!
 //! Checks live in the codec once. [`Reader`] enforces a single allocation
 //! rule ([`Reader::get_len`]): a length whose elements would not fit, at
 //! their in-memory size (on 64-bit hosts never less than their encoded
 //! size), in the bytes left is [`SnapError::Truncated`], so no length
 //! field, however corrupt, can make a restore reserve more memory than the
-//! payload holds. Range checks that protect later indexing (MESI and enum
-//! tags, presence flags, way and core indices) are written once, in the
-//! hand impls or in a `state!` list's `check` hook.
+//! payload holds. The index of a resident or trained entry is read once,
+//! by [`Reader::get_index`], which refuses an index out of order or past
+//! the table. Other range checks that protect later indexing (MESI and
+//! enum tags, presence flags, way and core indices) are written once, in
+//! the hand impls or in a `state!` list's `check` hook.
 //!
 //! A restore that fails partway may leave the target partially
 //! overwritten: a system that got an error must not be run further.
@@ -45,16 +54,18 @@
 //! word-parallel checksum over everything before it. Torn tails, foreign
 //! files, and fingerprint mismatches are all refused with a typed
 //! [`SnapError`] before a single payload byte is interpreted. The format
-//! is at version 7 ([`FORMAT_VERSION`]): version 2 added each SPL
+//! is at version 8 ([`FORMAT_VERSION`]): version 2 added each SPL
 //! function's state word, version 3 writes only the resident lines of
 //! each cache and frames with the word-parallel checksum, version 4
 //! drops the skip engine's probe hint, streaks and backoff deadlines from
 //! the system state, version 5 drops each core's ROB walk tags, its
 //! memory-ordering and executing lists and each ROB entry's issue-queue
 //! flag (the core rebuilds its ROB masks from the ROB), version 6 drops
-//! each cache's per-set way predictions, and version 7 drops the coherence
+//! each cache's per-set way predictions, version 7 drops the coherence
 //! directory's sharer masks (the hierarchy rebuilds them from the restored
-//! L2 tags), so files of older versions are refused as
+//! L2 tags), and version 8 writes only the trained entries of each branch
+//! predictor's counter tables and the occupied slots of its target
+//! buffer, so files of older versions are refused as
 //! [`SnapError::BadVersion`].
 
 use std::collections::{HashMap, VecDeque};
@@ -70,8 +81,10 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 /// hint, streaks and backoff deadlines; version 5 drops each core's ROB
 /// walk tags, memory-ordering and executing lists and issue-queue flags;
 /// version 6 drops the caches' way predictions; version 7 drops the
-/// coherence directory's sharer masks.
-pub const FORMAT_VERSION: u32 = 7;
+/// coherence directory's sharer masks; version 8 writes only the trained
+/// entries of the branch predictors' counter tables and the occupied
+/// slots of their target buffers.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Frame header length: magic, version, fingerprint, payload length.
 pub const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
@@ -124,7 +137,9 @@ impl std::error::Error for SnapError {}
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming 64-bit FNV-1a hasher (configuration fingerprints).
+/// Streaming 64-bit FNV-1a hasher (configuration fingerprints). Text goes
+/// in byte by byte ([`Fnv::update`], `write!`); values go in through
+/// [`std::hash::Hash`], a word at a time.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -155,6 +170,35 @@ impl std::fmt::Write for Fnv {
 impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
+    }
+}
+
+/// Hashing a value word by word: every integer write, `usize` and the
+/// enum discriminants a derived `Hash` writes included, widens to `u64`
+/// and folds in as one checksum step, so 32- and 64-bit hosts agree and an
+/// instruction costs a few multiplies instead of its `Debug` text. Byte
+/// strings (names) go through FNV-1a.
+impl std::hash::Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v.into());
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v.into());
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = sum_step(self.0, v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -253,6 +297,23 @@ impl<'a> Reader<'a> {
             .ok()
             .filter(|&n| n.checked_mul(per).is_some_and(|b| b <= self.remaining()))
             .ok_or(SnapError::Truncated)
+    }
+
+    /// Reads the index of the next entry of a resident or trained sequence
+    /// over a `len`-entry table: it must be at least `*next` (indices
+    /// strictly increase) and below `len`, else [`SnapError::Corrupt`].
+    /// Advances `*next` past it.
+    pub fn get_index(&mut self, next: &mut usize, len: usize) -> Result<usize, SnapError> {
+        let i = u64::read(self)?;
+        match usize::try_from(i) {
+            Ok(i) if i >= *next && i < len => {
+                *next = i + 1;
+                Ok(i)
+            }
+            _ => Err(SnapError::Corrupt(format!(
+                "entry {i} out of order or past {len} entries"
+            ))),
+        }
     }
 
     /// Reads a length prefix that must equal `expected` (fixed geometry).
@@ -490,6 +551,62 @@ pub fn load_present<T: State + ?Sized>(r: &mut Reader, v: Option<&mut T>) -> Res
             std::any::type_name::<T>()
         ))),
     }
+}
+
+/// Writes the **trained** entries of a fixed-geometry byte table, those
+/// that differ from `reset`: a count, then `(index, value)` for each, in
+/// increasing index order. The scan compares eight entries at a time
+/// against the reset pattern, so a table that learned little costs a few
+/// hundred word compares, not a call per entry.
+pub fn save_trained(w: &mut Writer, table: &[u8], reset: u8) {
+    let at = w.len();
+    w.put_len(0);
+    let mut n = 0u64;
+    let mut put = |w: &mut Writer, i: usize, v: u8| {
+        i.save(w);
+        v.save(w);
+        n += 1;
+    };
+    let pattern = u64::from_le_bytes([reset; 8]);
+    let (words, tail) = table.as_chunks::<8>();
+    for (k, word) in words.iter().enumerate() {
+        let mut diff = u64::from_le_bytes(*word) ^ pattern;
+        while diff != 0 {
+            let b = diff.trailing_zeros() as usize / 8;
+            put(w, k * 8 + b, word[b]);
+            diff &= !(0xff << (b * 8));
+        }
+    }
+    let base = table.len() - tail.len();
+    for (b, &v) in tail.iter().enumerate() {
+        if v != reset {
+            put(w, base + b, v);
+        }
+    }
+    w.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
+}
+
+/// Loads a table written by [`save_trained`]: refills it with `reset`,
+/// then applies the listed entries. An index out of order or past the
+/// table, or a value equal to `reset` or above `max`, is
+/// [`SnapError::Corrupt`]; a count the bytes left cannot hold is
+/// [`SnapError::Truncated`].
+pub fn load_trained(r: &mut Reader, table: &mut [u8], reset: u8, max: u8) -> Result<(), SnapError> {
+    // Charged at the encoded entry size: index 8, value 1.
+    let n = r.get_len::<[u8; 9]>()?;
+    table.fill(reset);
+    let mut next = 0;
+    for _ in 0..n {
+        let i = r.get_index(&mut next, table.len())?;
+        let v = u8::read(r)?;
+        if v == reset || v > max {
+            return Err(SnapError::Corrupt(format!(
+                "trained entry {i} holds {v} (reset {reset}, max {max})"
+            )));
+        }
+        table[i] = v;
+    }
+    Ok(())
 }
 
 /// Implements [`State`] for a type from one ordered list of its fields,
@@ -910,8 +1027,9 @@ mod tests {
             Err(SnapError::BadVersion { found: 4 })
         );
         // Version 5 still carried each cache's way predictions, version 6
-        // the directory's sharer masks.
-        for old in [5u32, 6] {
+        // the directory's sharer masks, version 7 every predictor counter
+        // and target-buffer slot.
+        for old in [5u32, 6, 7] {
             let mut v = img.clone();
             v[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
@@ -980,6 +1098,94 @@ mod tests {
                 "top bits of words {words:?}"
             );
         }
+    }
+
+    fn trained(table: &[u8], reset: u8) -> Vec<u8> {
+        let mut w = Writer::new();
+        save_trained(&mut w, table, reset);
+        w.into_vec()
+    }
+
+    fn encode_entries(entries: &[(u64, u8)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(entries.len());
+        for &(i, v) in entries {
+            (i, v).save(&mut w);
+        }
+        w.into_vec()
+    }
+
+    #[test]
+    fn trained_tables_list_only_what_differs_from_reset() {
+        // 21 entries: two whole words and a 5-byte tail, trained in the
+        // first and last byte of a word, in the tail, and not at all.
+        let mut table = [1u8; 21];
+        for (i, v) in [(0, 3), (7, 0), (9, 2), (20, 0)] {
+            table[i] = v;
+        }
+        let bytes = trained(&table, 1);
+        assert_eq!(bytes, encode_entries(&[(0, 3), (7, 0), (9, 2), (20, 0)]));
+        // Load refills with the reset value: a dirty target ends exactly
+        // like a fresh one.
+        let mut dirty = [3u8; 21];
+        let mut r = Reader::new(&bytes);
+        load_trained(&mut r, &mut dirty, 1, 3).unwrap();
+        r.finish().unwrap();
+        assert_eq!(dirty, table);
+        assert_eq!(trained(&[2; 16], 2), encode_entries(&[]));
+        for len in [0, 1, 7, 8, 9, 64] {
+            let t: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
+            let mut back = vec![0; len];
+            load_trained(&mut Reader::new(&trained(&t, 2)), &mut back, 2, 3).unwrap();
+            assert_eq!(back, t, "{len} entries");
+        }
+    }
+
+    #[test]
+    fn corrupt_trained_entries_are_refused() {
+        let load = |bytes: &[u8]| load_trained(&mut Reader::new(bytes), &mut [1u8; 16], 1, 3);
+        load(&encode_entries(&[(2, 0), (15, 3)])).unwrap();
+        for (what, entries) in [
+            ("duplicate index", vec![(2, 0), (2, 3)]),
+            ("out-of-order index", vec![(5, 0), (2, 3)]),
+            ("index past the table", vec![(2, 0), (16, 3)]),
+            ("index near u64::MAX", vec![(u64::MAX, 3)]),
+            ("counter above the maximum", vec![(2, 4)]),
+            ("entry at its reset value", vec![(2, 1)]),
+        ] {
+            assert!(
+                matches!(load(&encode_entries(&entries)), Err(SnapError::Corrupt(_))),
+                "{what}"
+            );
+        }
+        // A count larger than the bytes left, and every cut.
+        let good = encode_entries(&[(2, 0), (15, 3)]);
+        let mut huge = good.clone();
+        huge[..8].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(load(&huge), Err(SnapError::Truncated));
+        for cut in 0..good.len() {
+            assert_eq!(
+                load(&good[..cut]),
+                Err(SnapError::Truncated),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn hashed_integers_widen_to_words() {
+        use std::hash::Hash;
+        let hash = |v: &dyn Fn(&mut Fnv)| {
+            let mut h = Fnv::new();
+            v(&mut h);
+            h.finish()
+        };
+        let five = hash(&|h| 5u64.hash(h));
+        assert_eq!(hash(&|h| 5usize.hash(h)), five);
+        assert_eq!(hash(&|h| 5u32.hash(h)), five);
+        assert_eq!(hash(&|h| 5u8.hash(h)), five);
+        assert_ne!(hash(&|h| 6u64.hash(h)), five);
+        assert_ne!(hash(&|h| [5u64, 0].hash(h)), hash(&|h| [0u64, 5].hash(h)));
     }
 
     #[test]

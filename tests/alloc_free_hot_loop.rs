@@ -166,6 +166,44 @@ fn hierarchy_fast_paths_do_not_allocate() {
     );
 }
 
+/// The coherence directory's sharer map may grow only at build or restore
+/// time: it is pre-sized for every line the private L2s can hold, so
+/// thousands of cold misses that each start tracking a new line allocate
+/// nothing. The pages behind the lines are backed first, so the functional
+/// memory's arena does not grow in the measured window either.
+#[test]
+fn directory_tracks_cold_lines_without_allocating() {
+    use remap_mem::{Hierarchy, HierarchyConfig, PC_NONE};
+
+    let _guard = SERIAL.lock().unwrap();
+    let cfg = HierarchyConfig::default();
+    let line = cfg.l2.line_bytes as u64;
+    let mut h = Hierarchy::new(2, cfg);
+    let base = 0x40_0000u64;
+    for i in 0..8192u64 {
+        h.mem_mut().write_u32(base + i * line, i as u32);
+    }
+
+    let before = allocations();
+    let mut t = 0u64;
+    for i in 0..8192u64 {
+        let (_, l) = h.load((i % 2) as usize, base + i * line, 4, PC_NONE, t);
+        t += l as u64;
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "8,192 cold-line loads allocated {} times",
+        after - before
+    );
+    let tracked = h.directory().expect("2-core directory").tracked_lines();
+    assert!(
+        tracked >= 8192,
+        "directory tracks {tracked} lines; the loads did not start tracking new lines"
+    );
+}
+
 /// The quiescence skip path — probing every component's `next_event`,
 /// bulk-advancing stall statistics, and rotating the SPL round-robin
 /// pointer — must add zero allocations over the ticked path. The barrier

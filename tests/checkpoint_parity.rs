@@ -289,10 +289,12 @@ fn restored_grid_directory_matches_the_donor_16_36_64_cores() {
 }
 
 /// Snapshots carry resident cache lines, not the cache geometry or any
-/// per-set state: a halted 16-core LL2 grid leaves nearly every line of
-/// its 1 MB private L2s Invalid, so its snapshot (263,033 bytes) stays
-/// under 512 KiB, far below the 16 × 557 KB a dense tag/state/LRU
-/// encoding writes (9,568,061 bytes).
+/// per-set state, and predictors carry only their trained entries: a
+/// halted 16-core LL2 grid leaves nearly every line of its 1 MB private
+/// L2s Invalid and nearly every one of each core's 12,288 predictor
+/// counters at its reset value, so its snapshot stays under 128 KiB, far
+/// below the 16 × 557 KB a dense tag/state/LRU encoding writes (9,568,061
+/// bytes) and the 16 × 12 KiB of dense predictor tables alone.
 #[test]
 fn halted_grid_snapshot_holds_only_resident_lines() {
     let b = BarrierBench::Ll2;
@@ -301,7 +303,7 @@ fn halted_grid_snapshot_holds_only_resident_lines() {
     b.check(&sys, 512).expect("LL2 Remap(16) output");
     let bytes = sys.snapshot().as_bytes().len();
     assert!(
-        bytes < 1 << 19,
-        "halted LL2 Remap(16) snapshot is {bytes} bytes, expected under 512 KiB"
+        bytes < 1 << 17,
+        "halted LL2 Remap(16) snapshot is {bytes} bytes, expected under 128 KiB"
     );
 }
