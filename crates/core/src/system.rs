@@ -16,7 +16,7 @@ use remap_spl::{
     Dest, FunctionKind, RequestError, Spl, SplConfig, SplFault, SplFunction, SplStats,
 };
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// The SPL runs at one quarter of the core clock (500 MHz vs 2 GHz).
@@ -209,8 +209,8 @@ impl CorePorts for Env {
     fn load_ready(&self, core: usize, addr: u64) -> bool {
         self.hier.load_ready(core, addr, self.cycle)
     }
-    fn load_wake(&self, core: usize) -> u64 {
-        self.hier.load_wake(core, self.cycle)
+    fn load_wake(&self, core: usize, addr: u64) -> u64 {
+        self.hier.load_wake(core, addr, self.cycle)
     }
     fn load_blocked_by_dir(&self, core: usize, addr: u64) -> bool {
         self.hier.load_blocked_by_dir(core, addr, self.cycle)
@@ -571,7 +571,9 @@ impl Env {
                 }
                 // Group participants by cluster; the last arrival's cluster
                 // releases immediately, remote clusters after the bus delay.
-                let mut by_cluster: HashMap<usize, Vec<usize>> = HashMap::new();
+                // Ordered by cluster, so the pending list (and a snapshot of
+                // it) is the same in every process.
+                let mut by_cluster: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
                 for c in cores {
                     let Some((ci, local)) = self.core_cluster[c] else {
                         record(
@@ -793,6 +795,7 @@ impl SystemBuilder {
             skip_enabled: true,
             skipped_cycles: 0,
             core_quiet: vec![(0, 0); cores.len()],
+            owed: vec![0; cores.len()],
             fingerprint: OnceCell::new(),
             cores,
             kinds,
@@ -855,15 +858,31 @@ pub struct System {
     /// The wake cache: each core's quiescence window `(epoch, wake)`, set
     /// by the one probe after an inert real step. While `env.epoch` still
     /// equals `epoch` and `env.cycle < wake`, the core's step is provably
-    /// inert and is replaced by `Core::skip_cycles(1)`, and
+    /// inert and the core only owes the cycle (`owed`), and
     /// [`System::quiescent_wake`] reads `wake` instead of probing the core.
     /// `wake == 0` marks the window invalid.
     core_quiet: Vec<(u64, u64)>,
+    /// Idle cycles each running core has stood still through (on the
+    /// wake-cache fast path or in a bulk skip) and not yet been charged.
+    /// They are charged with one [`Core::skip_cycles`] just before the
+    /// core's next real step and whenever control leaves the run loop
+    /// ([`System::settle`]), so outside [`System::drive`] and
+    /// [`System::tick`] every entry is zero. Exact because, while a core
+    /// stands still, `skip_cycles(n)` equals `n` calls of `skip_cycles(1)`.
+    /// Never snapshotted.
+    owed: Vec<u64>,
     /// [`System::config_fingerprint`], computed on first use. Everything
     /// it hashes is fixed at build time except the mlp/dir switches, whose
     /// setters clear it.
     fingerprint: OnceCell<u64>,
     env: Env,
+}
+
+/// Charges `core` the idle cycles it owes and clears the count.
+fn pay(core: &mut Core, owed: &mut u64) {
+    if *owed != 0 {
+        core.skip_cycles(std::mem::take(owed));
+    }
 }
 
 /// Where [`System::drive`] stops.
@@ -942,6 +961,22 @@ impl System {
     /// Advances the whole system by one core cycle. Returns `false` once
     /// every core has halted.
     pub fn step(&mut self) -> bool {
+        let any = self.tick();
+        self.settle();
+        any
+    }
+
+    /// Charges every core the idle cycles it owes (`owed`), so its
+    /// counters read as if it had been ticked through them.
+    fn settle(&mut self) {
+        for (core, owed) in self.cores.iter_mut().zip(&mut self.owed) {
+            pay(core, owed);
+        }
+    }
+
+    /// One cycle of [`System::step`], leaving the idle cycles of parked
+    /// cores owed.
+    fn tick(&mut self) -> bool {
         self.env.cycle += 1;
         // A fault backoff expiring this cycle is probe-visible (a parked
         // sender becomes ready): bump the epoch so cached core windows die,
@@ -985,8 +1020,9 @@ impl System {
         // folding each core's newly committed instructions into the
         // incrementally maintained total.
         //
-        // A core holding a live window in the wake cache takes the
-        // arithmetic idle-tick fast path instead of a full pipeline step.
+        // A core holding a live window in the wake cache takes the idle
+        // fast path instead of a full pipeline step: it only owes the
+        // cycle, charged before its next real step.
         // The one probe that fills the cache runs right after a real step
         // that was inert (fetched, dispatched, issued and committed
         // nothing); the window dies on the core's next real step or on any
@@ -1001,13 +1037,14 @@ impl System {
             let id = self.running[r];
             let (qep, qwake) = self.core_quiet[id];
             if self.skip_enabled && qwake != 0 && qep == self.env.epoch && self.env.cycle < qwake {
-                self.cores[id].skip_cycles(1);
+                self.owed[id] += 1;
                 self.running[w] = id;
                 w += 1;
                 any = true;
                 continue;
             }
             self.core_quiet[id].1 = 0;
+            pay(&mut self.cores[id], &mut self.owed[id]);
             let work_before = work(self.cores[id].stats());
             let still_running = self.cores[id].step(&mut self.env);
             let stats = self.cores[id].stats();
@@ -1126,7 +1163,7 @@ impl System {
         debug_assert!(target > from);
         let delta = target - from;
         for &id in &self.running {
-            self.cores[id].skip_cycles(delta);
+            self.owed[id] += delta;
         }
         // Idle SPL edges crossed by the jump still rotate the fabric's
         // round-robin pointer; replicate that arithmetically.
@@ -1168,10 +1205,13 @@ impl System {
     /// step and skip individually. Returns `false` once every core has
     /// halted.
     pub fn step_or_skip(&mut self, limit: u64) -> bool {
-        if self.skip_toward(limit) {
-            return !self.all_halted();
-        }
-        self.step()
+        let any = if self.skip_toward(limit) {
+            !self.all_halted()
+        } else {
+            self.tick()
+        };
+        self.settle();
+        any
     }
 
     /// Runs until every core halts or `max_cycles` elapse.
@@ -1283,8 +1323,16 @@ impl System {
     ///
     /// Every check is on the state between two cycles, so a call that stops
     /// and a later call that resumes see the same sequence of checks as one
-    /// uninterrupted call.
+    /// uninterrupted call. The idle cycles parked cores owe are charged on
+    /// the way out, however the loop ends.
     fn drive(&mut self, stop: Stop) -> Result<(), RunError> {
+        let out = self.drive_owing(stop);
+        self.settle();
+        out
+    }
+
+    /// The loop of [`System::drive`], which may leave cycles owed.
+    fn drive_owing(&mut self, stop: Stop) -> Result<(), RunError> {
         const STALL_WINDOW: u64 = 200_000;
         // The stall window counts from the most recent commit anywhere, not
         // from this call's entry: a run resumed from a snapshot (or
@@ -1318,6 +1366,7 @@ impl System {
             // never a perturbation of the run).
             if self.env.cycle >= next_ckpt {
                 if let Some((every, path)) = stop.ckpt {
+                    self.settle();
                     self.snapshot()
                         .write_to(path)
                         .map_err(|e| RunError::BadSnapshot {
@@ -1347,7 +1396,7 @@ impl System {
                 .min(stop.park_at)
                 .min(last_progress + STALL_WINDOW + 1);
             if !self.skip_toward(limit) {
-                self.step();
+                self.tick();
             }
         }
     }
@@ -1623,6 +1672,10 @@ impl System {
     /// ([`System::restore`]) continues the run bit-identically: same
     /// results, same cycle counts, same statistics, same fault sequence.
     pub fn snapshot(&self) -> Snapshot {
+        debug_assert!(
+            self.owed.iter().all(|&n| n == 0),
+            "snapshot with idle cycles still owed"
+        );
         let mut w = Writer::new();
         // The fault plan travels first: restore rebuilds the seeded streams
         // from it before overlaying their dynamic state.
@@ -1688,6 +1741,7 @@ impl System {
             )));
         }
         self.spl_events.clear();
+        self.owed.fill(0);
         self.env.run_error = None;
         Ok(())
     }

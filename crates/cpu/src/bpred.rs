@@ -104,6 +104,7 @@ impl Predictor {
     /// Predicts a control-flow instruction at `pc`. `conditional` selects
     /// whether the direction tables are consulted (unconditional transfers
     /// are always taken). Speculatively updates the global history.
+    #[inline]
     pub fn predict(&mut self, pc: u32, conditional: bool) -> Prediction {
         self.stats.lookups += 1;
         let history = self.history;
@@ -139,6 +140,7 @@ impl Predictor {
     /// `pred` must be the value returned by the matching [`predict`] call.
     ///
     /// [`predict`]: Predictor::predict
+    #[inline]
     pub fn update(&mut self, pc: u32, taken: bool, target: u32, pred: Prediction) {
         // Train direction tables using the history at prediction time.
         let gi = ((pc ^ pred.history) & self.mask) as usize;
@@ -166,6 +168,7 @@ impl Predictor {
     }
 
     /// Pushes a return address (call).
+    #[inline]
     pub fn ras_push(&mut self, ret: u32) {
         self.stats.ras_ops += 1;
         if self.ras.len() == self.ras_max {
@@ -175,6 +178,7 @@ impl Predictor {
     }
 
     /// Pops a predicted return address (return).
+    #[inline]
     pub fn ras_pop(&mut self) -> Option<u32> {
         self.stats.ras_ops += 1;
         self.ras.pop()

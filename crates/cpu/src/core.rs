@@ -315,13 +315,15 @@ pub struct Core {
     /// rebuilt from the ROB on restore.
     masks: [u64; 5],
     /// Loads the memory hierarchy refused ([`CorePorts::load_ready`]), a
-    /// ROB mask like `masks`. While the cycle is before `held_until` (the
-    /// earliest [`CorePorts::load_wake`] read at their refusals) and the
-    /// core's [`CorePorts::fill_generation`] is still `held_gen`, they are
-    /// still refused, so issue and the quiescence probe skip the probe.
-    /// Derived state, cleared on restore.
+    /// ROB mask like `masks`. While the cycle is before `held_until` and
+    /// the core's [`CorePorts::fill_generation`] is still `held_gen`, they
+    /// are still refused, so issue and the quiescence probe skip the
+    /// probe. Derived state, cleared on restore.
     held: u64,
+    /// The fill generation the holds were taken under.
     held_gen: u64,
+    /// The earliest of the held loads' wakes, each read per line from
+    /// [`CorePorts::load_wake`] at its refusal.
     held_until: u64,
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
@@ -549,7 +551,7 @@ impl Core {
                     {
                         return None
                     }
-                    LoadPath::Memory(_) => ports.load_wake(self.id),
+                    LoadPath::Memory(addr) => ports.load_wake(self.id, addr),
                 }
             } else {
                 self.divider_free_at(inst)
@@ -651,6 +653,7 @@ impl Core {
     /// the head's stall cause, and the dispatch-side ROB/IQ-full stall
     /// counters. Calling this for cycles `next_event` did not clear breaks
     /// bit-parity with the ticked path.
+    #[inline]
     pub fn skip_cycles(&mut self, delta: u64) {
         self.cycle += delta;
         self.stats.cycles += delta;
@@ -888,6 +891,7 @@ impl Core {
     /// A source operand read at rename. The map names only in-flight
     /// producers (commit clears the entry of the seq it retires, squash
     /// rebuilds the map) and never `r0`, whose architectural value is 0.
+    #[inline]
     fn resolve_src(&self, r: Reg) -> Src {
         match self.map[r.index()] {
             Some(seq) => match &self.rob[self.rob.age(seq)] {
@@ -920,6 +924,7 @@ impl Core {
 
     /// Charges `n` cycles of the current front-end stall, if any, to its
     /// counter; returns whether the front end is stalled.
+    #[inline]
     fn charge_dispatch_stall(&mut self, n: u64) -> bool {
         match self.dispatch_stall() {
             Some(DispatchStall::RobFull) => self.stats.rob_full_stalls += n,
@@ -929,6 +934,7 @@ impl Core {
         true
     }
 
+    #[inline]
     fn dispatch(&mut self) {
         for _ in 0..self.cfg.fetch_width {
             if self.fetch_buf.is_empty() || self.charge_dispatch_stall(1) {
@@ -1027,7 +1033,7 @@ impl Core {
                     // unit, and probe again once the hold lapses.
                     LoadPath::Memory(_) if self.held(i, ports) => continue,
                     LoadPath::Memory(addr) if !ports.load_ready(self.id, addr) => {
-                        self.hold(i, ports);
+                        self.hold(i, addr, ports);
                         continue;
                     }
                     LoadPath::Memory(addr) => {
@@ -1072,15 +1078,16 @@ impl Core {
             && ports.fill_generation(self.id) == self.held_gen
     }
 
-    /// Holds the load at ROB index `i`, just refused by the hierarchy. A
-    /// lapsed hold is dropped first; a live one keeps the earlier wake.
-    fn hold<P: CorePorts + ?Sized>(&mut self, i: usize, ports: &P) {
+    /// Holds the load of `addr` at ROB index `i`, just refused by the
+    /// hierarchy, until its own wake. A lapsed hold is dropped first; a
+    /// live one keeps the earlier wake.
+    fn hold<P: CorePorts + ?Sized>(&mut self, i: usize, addr: u64, ports: &P) {
         let gen = ports.fill_generation(self.id);
         if gen != self.held_gen || self.cycle >= self.held_until {
             (self.held, self.held_gen, self.held_until) = (0, gen, u64::MAX);
         }
         self.held |= 1 << i;
-        self.held_until = self.held_until.min(ports.load_wake(self.id));
+        self.held_until = self.held_until.min(ports.load_wake(self.id, addr));
     }
 
     /// The cycle the unpipelined divider `inst` needs is next free (`0` for
@@ -1176,6 +1183,7 @@ impl Core {
         }
     }
 
+    #[inline]
     fn src_val(&self, i: usize, s: usize) -> i64 {
         match self.rob[i].src[s] {
             Src::Ready(v) => v,
@@ -1184,6 +1192,7 @@ impl Core {
     }
 
     /// Memory-disambiguation check for the load at ROB index `i`.
+    #[inline]
     fn load_check(&self, i: usize) -> LoadPath {
         // Address must be computable: base ready (guaranteed by caller).
         let base = match self.rob[i].src[0] {
@@ -1240,6 +1249,7 @@ impl Core {
 
     // --- writeback ------------------------------------------------------------
 
+    #[inline]
     fn writeback(&mut self) {
         let cycle = self.cycle;
         // Nothing in a functional unit can complete before `exec_next_done`,
@@ -1312,6 +1322,7 @@ impl Core {
         }
     }
 
+    #[inline]
     fn squash_after(&mut self, seq: u64, redirect: u32) {
         let keep = self.rob.age(seq) + 1;
         self.stats.squashed += (self.rob.len - keep) as u64;
@@ -2325,7 +2336,7 @@ mod tests {
             self.probes.set(self.probes.get() + 1);
             self.open
         }
-        fn load_wake(&self, _core: usize) -> u64 {
+        fn load_wake(&self, _core: usize, _addr: u64) -> u64 {
             self.wake
         }
         fn fill_generation(&self, _core: usize) -> u64 {
@@ -2374,5 +2385,185 @@ mod tests {
         assert_eq!(ports.probes.get(), 3);
         while core.step(&mut ports) {}
         assert_eq!(ports.probes.get(), 3, "an accepted load issues once");
+    }
+    /// Memory with four banks of two ports each, shaped like the
+    /// hierarchy's directory: a load of a line not yet cached is refused
+    /// while every port of the line's bank is busy, and its wake is that
+    /// bank's earliest free port. An accepted load caches its line and its
+    /// buddy line (`line ^ 32`, like a prefetch), claims a port and moves
+    /// the fill generation, so the core's own fill can make a held load of
+    /// the buddy ready before its wake. Other cores claim ports on a fixed
+    /// schedule, which only ever makes a refused load wait longer.
+    ///
+    /// With `reference` set, the fill generation changes on every call and
+    /// every wake is the next cycle, so no hold outlives a cycle: the core
+    /// probes every refused load every cycle.
+    struct Banks {
+        inner: NullPorts,
+        now: u64,
+        ports: [[u64; 2]; 4],
+        cached: Vec<u64>,
+        gen: u64,
+        probes: std::cell::Cell<u32>,
+        refusals: std::cell::Cell<u32>,
+        reference: bool,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl Banks {
+        const BUSY: u64 = 6;
+
+        fn new(reference: bool) -> Banks {
+            Banks {
+                inner: null_ports(1),
+                now: 0,
+                ports: [[0; 2]; 4],
+                cached: Vec::new(),
+                gen: 0,
+                probes: Default::default(),
+                refusals: Default::default(),
+                reference,
+                calls: Default::default(),
+            }
+        }
+
+        fn bank(addr: u64) -> usize {
+            (addr >> 5) as usize % 4
+        }
+
+        fn free_at(&self, addr: u64) -> u64 {
+            let [a, b] = self.ports[Self::bank(addr)];
+            a.min(b)
+        }
+
+        /// Claims the earliest-free port of `addr`'s bank for `busy` cycles.
+        fn claim(&mut self, addr: u64, busy: u64) {
+            let bank = &mut self.ports[Self::bank(addr)];
+            let slot = usize::from(bank[1] < bank[0]);
+            bank[slot] = bank[slot].max(self.now) + busy;
+        }
+
+        /// Moves to cycle `now`, where another core claims a port of the
+        /// next bank in turn for seven cycles.
+        fn advance(&mut self, now: u64) {
+            self.now = now;
+            self.claim(now << 5, 7);
+        }
+    }
+
+    impl CorePorts for Banks {
+        fn inst_fetch(&mut self, core: usize, addr: u64) -> u32 {
+            self.inner.inst_fetch(core, addr)
+        }
+        fn load(&mut self, core: usize, addr: u64, size: u8, pc: u32) -> (u64, u32) {
+            let line = addr & !31;
+            let (v, _) = self.inner.load(core, addr, size, pc);
+            if self.cached.contains(&line) {
+                return (v, 1);
+            }
+            self.claim(addr, Self::BUSY);
+            self.cached.extend([line, line ^ 32]);
+            self.gen += 1;
+            (v, 8)
+        }
+        fn store(&mut self, core: usize, addr: u64, size: u8, value: u64) -> u32 {
+            self.inner.store(core, addr, size, value)
+        }
+        fn amo_add(&mut self, core: usize, addr: u64, delta: i64) -> (i64, u32) {
+            self.inner.amo_add(core, addr, delta)
+        }
+        fn spl_load(&mut self, core: usize, offset: u8, nbytes: u8, value: u64) {
+            self.inner.spl_load(core, offset, nbytes, value)
+        }
+        fn spl_init(&mut self, core: usize, cfg: u16) -> PortPush {
+            self.inner.spl_init(core, cfg)
+        }
+        fn spl_store(&mut self, core: usize) -> Option<u64> {
+            self.inner.spl_store(core)
+        }
+        fn hwq_send(&mut self, core: usize, q: u8, value: u64) -> PortPush {
+            self.inner.hwq_send(core, q, value)
+        }
+        fn hwq_recv(&mut self, core: usize, q: u8) -> Option<u64> {
+            self.inner.hwq_recv(core, q)
+        }
+        fn hwbar(&mut self, core: usize, id: u8) -> bool {
+            self.inner.hwbar(core, id)
+        }
+        fn ready(&self, core: usize, cause: BlockedOn) -> bool {
+            self.inner.ready(core, cause)
+        }
+        fn load_ready(&self, _core: usize, addr: u64) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            let ready = self.cached.contains(&(addr & !31)) || self.free_at(addr) <= self.now;
+            self.refusals.set(self.refusals.get() + u32::from(!ready));
+            ready
+        }
+        fn load_wake(&self, _core: usize, addr: u64) -> u64 {
+            if self.reference {
+                self.now + 1
+            } else {
+                self.free_at(addr).max(self.now + 1)
+            }
+        }
+        fn fill_generation(&self, _core: usize) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            if self.reference {
+                self.calls.get()
+            } else {
+                self.gen
+            }
+        }
+    }
+
+    #[test]
+    fn held_loads_match_a_core_that_probes_every_cycle() {
+        // Each iteration loads two buddy lines in different banks through
+        // independent base registers, then a dependent third load.
+        let mut a = Asm::new("t");
+        a.li(R1, 0x1000);
+        a.li(R2, 0x1020);
+        a.li(R6, 0);
+        a.li(R7, 96);
+        a.label("loop");
+        a.lw(R3, R1, 0);
+        a.lw(R4, R2, 0);
+        a.add(R5, R3, R4);
+        a.lw(R5, R5, 0x3000);
+        a.addi(R1, R1, 64);
+        a.addi(R2, R2, 64);
+        a.addi(R6, R6, 1);
+        a.bne(R6, R7, "loop");
+        a.halt();
+        let prog = a.assemble().unwrap();
+        let mut cores = [0, 1].map(|_| Core::new(0, CoreConfig::ooo2(), prog.clone()));
+        let mut envs = [Banks::new(false), Banks::new(true)];
+        let image = |c: &Core| {
+            let mut w = remap_snap::Writer::new();
+            c.save(&mut w);
+            w.into_vec()
+        };
+        loop {
+            let running = [0, 1].map(|k| {
+                envs[k].advance(cores[k].cycle() + 1);
+                cores[k].step(&mut envs[k])
+            });
+            let cycle = cores[0].cycle();
+            assert_eq!(running[0], running[1], "cycle {cycle}");
+            assert_eq!(cores[0].stats(), cores[1].stats(), "cycle {cycle}");
+            assert!(image(&cores[0]) == image(&cores[1]), "cycle {cycle}");
+            assert_eq!(envs[0].ports, envs[1].ports, "cycle {cycle}");
+            assert_eq!(envs[0].cached, envs[1].cached, "cycle {cycle}");
+            if !running[0] {
+                break;
+            }
+            assert!(cycle < 100_000, "program did not halt");
+        }
+        let [held, every] = envs.map(|e| (e.probes.get(), e.refusals.get()));
+        assert!(held.1 > 100, "too few refusals to pin the hold: {held:?}");
+        assert!(
+            held.0 < every.0,
+            "holds saved no probes: {held:?} vs {every:?}"
+        );
     }
 }

@@ -75,9 +75,16 @@ pub trait CorePorts {
     fn load_ready(&self, _core: usize, _addr: u64) -> bool {
         true
     }
-    /// Wake point paired with [`CorePorts::load_ready`]: the earliest cycle
-    /// a refused load could be accepted (`u64::MAX` when never refused).
-    fn load_wake(&self, _core: usize) -> u64 {
+    /// Wake point paired with [`CorePorts::load_ready`] for a load of
+    /// `addr` just refused: a cycle after the current one before which the
+    /// load is certainly still refused, as long as
+    /// [`CorePorts::fill_generation`] stands still. A memory hierarchy
+    /// answers with the later of when the line's own directory bank frees a
+    /// port and when the core's MSHR file frees a register, each counted
+    /// only if it refuses the line. An early answer is safe (the core
+    /// re-probes); a late one is not. The default (never refused) is
+    /// `u64::MAX`.
+    fn load_wake(&self, _core: usize, _addr: u64) -> u64 {
         u64::MAX
     }
     /// A count that changes whenever the core's own memory traffic may

@@ -311,6 +311,7 @@ impl Inst {
     /// The destination register written by this instruction, if any.
     ///
     /// Writes to `r0` are reported as `None` (they are architectural no-ops).
+    #[inline]
     pub fn dest(self) -> Option<Reg> {
         let d = match self {
             Inst::Alu { rd, .. }
@@ -336,6 +337,7 @@ impl Inst {
     /// Source registers read by this instruction (up to two).
     ///
     /// Reads of `r0` are included (they are satisfied instantly by rename).
+    #[inline]
     pub fn sources(self) -> [Option<Reg>; 2] {
         match self {
             Inst::Alu { rs1, rs2, .. } | Inst::Fp { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
@@ -368,6 +370,7 @@ impl Inst {
     }
 
     /// Scheduling class (issue queue + functional unit selection).
+    #[inline]
     pub fn class(self) -> InstClass {
         match self {
             Inst::Alu { op, .. } | Inst::AluImm { op, .. } => match op {
@@ -388,6 +391,7 @@ impl Inst {
     }
 
     /// Whether this is a control-transfer instruction.
+    #[inline]
     pub fn is_control(self) -> bool {
         self.class() == InstClass::Branch
     }
@@ -396,6 +400,7 @@ impl Inst {
     /// the reorder buffer (queue pops and synchronization operations; queue
     /// *pushes* — `spl_load`, `spl_init`, `hwq_send` — execute in the
     /// pipeline and take effect at commit instead).
+    #[inline]
     pub fn is_at_head_only(self) -> bool {
         matches!(
             self,

@@ -209,6 +209,7 @@ impl Cache {
     }
 
     /// Line-aligned base address for `addr`.
+    #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr & !(self.cfg.line_bytes as u64 - 1)
     }

@@ -215,15 +215,25 @@ impl Directory {
 
     /// Pure occupancy probe: whether the bank serving `addr` has a free
     /// port at `now`.
+    #[inline]
     pub fn bank_ready(&self, addr: u64, now: u64) -> bool {
+        self.bank_free_at(addr) <= now
+    }
+
+    /// The cycle the bank serving `addr` has a free port from: the
+    /// earliest busy-until time of its ports. Ports only ever get busier,
+    /// so a load refused by this bank waits at least until then.
+    #[inline]
+    pub fn bank_free_at(&self, addr: u64) -> u64 {
         self.ports[Self::bank(self.line(addr))]
             .iter()
-            .any(|&busy_until| busy_until <= now)
+            .fold(u64::MAX, |t, &busy_until| t.min(busy_until))
     }
 
     /// Claims a port of the bank serving `addr` for a lookup issued at
     /// `t_req` (FCFS on the earliest-free port). Returns the queue delay —
     /// zero when a port is free, the wait otherwise.
+    #[inline]
     pub fn occupy(&mut self, addr: u64, t_req: u64) -> u64 {
         self.stats.lookups += 1;
         let bank = &mut self.ports[Self::bank(self.line(addr))];
@@ -278,6 +288,7 @@ impl Directory {
     /// bank (all ports busy past `now`) — the only directory state that
     /// can gate a refused load. Banks with a free port report nothing
     /// (mirrors `MshrFile::blocking_wake`).
+    #[inline]
     pub fn next_event(&self, now: u64) -> Option<u64> {
         self.ports
             .iter()

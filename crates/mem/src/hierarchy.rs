@@ -343,7 +343,8 @@ impl Hierarchy {
     /// cores can only make a refused load wait longer (they invalidate
     /// lines and claim directory ports), so while the count stands still a
     /// load refused at cycle `t` stays refused until
-    /// [`load_wake`](Self::load_wake)`(core, t)`.
+    /// [`load_wake`](Self::load_wake)`(core, addr, t)`.
+    #[inline]
     pub fn fill_generation(&self, core: usize) -> u64 {
         self.fill_gen[core]
     }
@@ -445,6 +446,7 @@ impl Hierarchy {
     /// register/port — and the blocking broadcast model entirely — report
     /// nothing. Extra wake points are parity-safe; missing ones are not,
     /// so this errs conservative.
+    #[inline]
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mshr = self
             .mlp
@@ -462,6 +464,7 @@ impl Hierarchy {
     /// free port or the core's L1D MSHR file can neither merge it nor
     /// spare a register. The core holds the load and re-probes; in the
     /// blocking broadcast model this is always true.
+    #[inline]
     pub fn load_ready(&self, core: usize, addr: u64, now: u64) -> bool {
         if self.mlp.is_none() && self.dir.is_none() {
             return true;
@@ -493,25 +496,28 @@ impl Hierarchy {
             && !d.bank_ready(addr, now)
     }
 
-    /// Wake point paired with [`load_ready`](Self::load_ready): the
-    /// earliest cycle the core's L1D MSHR file frees a register or a
-    /// blocking directory bank frees a port. The MSHR half is exact (the
-    /// file only mutates during the owning core's own accesses and frees
-    /// purely by time); the directory half may undershoot when another
-    /// core claims the freed port first, which is safe — the refused load
-    /// just re-probes.
-    pub fn load_wake(&self, core: usize, now: u64) -> u64 {
-        let mshr = self
-            .mlp
-            .as_deref()
-            .and_then(|m| m.files_d[core].min_done(now))
-            .unwrap_or(u64::MAX);
-        let dir = self
-            .dir
-            .as_deref()
-            .and_then(|d| d.next_event(now))
-            .unwrap_or(u64::MAX);
-        mshr.min(dir)
+    /// Wake point paired with [`load_ready`](Self::load_ready) for a load
+    /// of `addr` refused at `now`: the later of the cycle the line's own
+    /// directory bank frees a port (when all of that bank's ports are
+    /// busy) and the cycle the core's L1D MSHR file frees a register (when
+    /// it cannot accept the line), never at or before `now`. Both halves
+    /// are lower bounds: ports and fills free purely with time, and other
+    /// cores can only claim ports, so until the core's own
+    /// [`fill_generation`](Self::fill_generation) moves the load stays
+    /// refused before this cycle. A busy bank that does not serve the line
+    /// does not delay it.
+    #[inline]
+    pub fn load_wake(&self, core: usize, addr: u64, now: u64) -> u64 {
+        let dir = self.dir.as_deref().map_or(0, |d| d.bank_free_at(addr));
+        let mshr = self.mlp.as_deref().map_or(0, |m| {
+            let file = &m.files_d[core];
+            if file.can_accept(self.cores[core].l1d.line_addr(addr), now) {
+                0
+            } else {
+                file.min_done(now).unwrap_or(u64::MAX)
+            }
+        });
+        dir.max(mshr).max(now + 1)
     }
 
     /// Instruction-fetch timing for the line containing `addr`.
@@ -520,6 +526,7 @@ impl Hierarchy {
     /// misses fill both L2 and L1I in Shared state. The L1I-hit fast lane
     /// answers without touching anything beyond the L1I tag array (plus, in
     /// the MLP model, a clamp against an in-flight fill of the same line).
+    #[inline]
     pub fn inst_fetch(&mut self, core: usize, addr: u64, now: u64) -> u32 {
         let lat = self.cfg.l1i.hit_latency;
         if self.cores[core].l1i.access(addr).is_some() {
@@ -587,6 +594,7 @@ impl Hierarchy {
     /// bytes) and the access latency. `pc` identifies the load instruction
     /// for the stride prefetcher ([`PC_NONE`] to opt out); `now` is the
     /// current cycle, the reference point for all MLP timing.
+    #[inline]
     pub fn load(&mut self, core: usize, addr: u64, size: u8, pc: u32, now: u64) -> (u64, u32) {
         let lat = self.data_access(core, addr, false, pc, now);
         let v = match size {
@@ -599,6 +607,7 @@ impl Hierarchy {
     }
 
     /// Data store of the `size` low bytes of `value`; returns the latency.
+    #[inline]
     pub fn store(&mut self, core: usize, addr: u64, size: u8, value: u64, now: u64) -> u32 {
         let lat = self.data_access(core, addr, true, PC_NONE, now);
         match size {
@@ -630,6 +639,7 @@ impl Hierarchy {
     /// back to the full protocol in [`data_access_slow`](Self::data_access_slow).
     /// Under the MLP model a hit's latency is clamped against an in-flight
     /// fill of the same line (secondary-miss merging).
+    #[inline]
     fn data_access(&mut self, core: usize, addr: u64, write: bool, pc: u32, now: u64) -> u32 {
         let lat = self.cfg.l1d.hit_latency;
         let hit = match self.cores[core].l1d.access(addr) {
@@ -676,8 +686,10 @@ impl Hierarchy {
     }
 
     /// Full-protocol path on an L1D miss: private L2, then snoop/DRAM.
-    /// Outlined so the fast lane above stays small enough to inline into
-    /// the cores' load/store ports.
+    /// Outlined (no `#[inline]`) so the fast lane above, which is
+    /// `#[inline]` like `load` and `store`, stays small enough to inline
+    /// into the cores' load/store ports, which `Core::step` instantiates
+    /// in the system crate.
     fn data_access_slow(
         &mut self,
         core: usize,
@@ -1340,7 +1352,7 @@ mod tests {
             !h.load_ready(0, 0xf00000, 0),
             "untracked full miss needs a register"
         );
-        let wake = h.load_wake(0, 0);
+        let wake = h.load_wake(0, 0xf00000, 0);
         assert!(wake > 0 && wake != u64::MAX);
         assert_eq!(h.next_event(0), Some(wake), "full file publishes its wake");
         assert!(
@@ -1360,7 +1372,7 @@ mod tests {
             h.load(0, 0x10000 + i * 32, 4, PC_NONE, 0);
         }
         assert!(h.load_ready(0, 0xf00000, 0));
-        assert_eq!(h.load_wake(0, 0), u64::MAX);
+        assert_eq!(h.load_wake(0, 0xf00000, 0), 1, "nothing to wait for");
         assert_eq!(h.next_event(0), None);
         assert_eq!(h.mlp_stats(), MlpStats::default());
     }
@@ -1525,11 +1537,72 @@ mod tests {
         assert!(!h.load_ready(0, 0x4000, 12), "bank 0 has no free port");
         assert!(h.load_blocked_by_dir(0, 0x4000, 12));
         assert!(h.load_ready(0, 0x4020, 12), "bank 1 is free");
-        let wake = h.load_wake(0, 12);
+        let wake = h.load_wake(0, 0x4000, 12);
         assert_eq!(h.next_event(12), Some(wake));
         assert!(h.load_ready(0, 0x4000, wake));
         assert!(!h.load_blocked_by_dir(0, 0x4000, wake));
         assert_eq!(h.dir_stats().lookups, 2);
+    }
+
+    /// Core 0's four L1D MSHRs hold misses to banks 0..3 issued at cycle
+    /// 0; returns the hierarchy and the file's earliest fill.
+    fn full_file() -> (Hierarchy, u64) {
+        let mut h = h2();
+        for i in 0..4u64 {
+            h.load(0, 0x10000 + i * 32, 4, PC_NONE, 0);
+        }
+        let min_done = h.mlp.as_deref().unwrap().files_d[0].min_done(0).unwrap();
+        (h, min_done)
+    }
+
+    #[test]
+    fn load_wake_waits_only_on_what_refuses_the_line() {
+        // Lines in directory bank 0 (line index divisible by 8) and bank 1.
+        let (bank0, bank0_b, bank1) = (0x20000, 0x20100, 0x20020);
+        // A busy bank that does not serve the line does not delay it.
+        let mut h = h2();
+        h.set_mlp(false);
+        h.load(1, bank0, 4, PC_NONE, 0);
+        h.load(1, bank0_b, 4, PC_NONE, 0);
+        assert!(!h.load_ready(0, 0xf00000, 12), "bank 0 is full");
+        assert!(h.load_ready(0, bank1, 12));
+        assert_eq!(h.load_wake(0, bank1, 12), 13, "nothing refuses bank 1");
+        let busy = h.directory().unwrap().bank_free_at(0xf00000);
+        assert_eq!(h.load_wake(0, 0xf00000, 12), busy);
+
+        // A full MSHR file alone: its earliest fill.
+        let (h, min_done) = full_file();
+        assert!(!h.load_ready(0, 0xf00020, 0));
+        assert!(h.directory().unwrap().bank_ready(0xf00020, 0));
+        assert_eq!(h.load_wake(0, 0xf00020, 0), min_done);
+        assert_eq!(h.load_wake(0, 0xf00020, min_done - 1), min_done);
+
+        // Both blocked, the bank freeing first: the file's fill.
+        let (mut h, min_done) = full_file();
+        h.load(1, bank0, 4, PC_NONE, 0);
+        h.load(1, bank0_b, 4, PC_NONE, 0);
+        let busy = h.directory().unwrap().bank_free_at(bank0);
+        assert!(12 < busy && busy < min_done, "{busy} {min_done}");
+        assert_eq!(h.load_wake(0, 0xf00000, 12), min_done);
+
+        // Both blocked, the file draining first: the bank's free port.
+        let (mut h, min_done) = full_file();
+        let late = min_done - 2;
+        h.load(1, bank0, 4, PC_NONE, late);
+        h.load(1, bank0_b, 4, PC_NONE, late);
+        let busy = h.directory().unwrap().bank_free_at(bank0);
+        assert!(busy > min_done, "{busy} {min_done}");
+        assert!(!h.load_ready(0, 0xf00000, late));
+        assert_eq!(h.load_wake(0, 0xf00000, late), busy);
+        assert!(!h.load_ready(0, 0xf00000, busy - 1));
+        assert!(h.load_ready(0, 0xf00000, busy));
+
+        // Never at or before `now`, even for a line nothing refuses.
+        for now in [0, 12, late, busy, busy + 100] {
+            for addr in [bank0, bank1, 0x10000, 0xf00000] {
+                assert!(h.load_wake(0, addr, now) > now, "{addr:#x} at {now}");
+            }
+        }
     }
 
     #[test]

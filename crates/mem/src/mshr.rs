@@ -91,6 +91,7 @@ impl MshrFile {
     }
 
     /// True when at least one fill is still in flight at `now`.
+    #[inline]
     pub fn any_in_flight(&self, now: u64) -> bool {
         self.max_done > now && self.entries.iter().any(|e| e.in_flight(now))
     }
@@ -98,6 +99,7 @@ impl MshrFile {
     /// Earliest completion among in-flight fills (`None` when idle). This
     /// is the file's wake point: a core refused by a full file can make
     /// progress no earlier.
+    #[inline]
     pub fn min_done(&self, now: u64) -> Option<u64> {
         self.entries
             .iter()
@@ -109,6 +111,7 @@ impl MshrFile {
     /// Completion cycle of an in-flight fill of `line`, for clamping the
     /// latency of accesses that hit the tags while the line's fill is
     /// still on its way.
+    #[inline]
     pub fn in_flight_done(&self, line: u64, now: u64) -> Option<u64> {
         if self.max_done <= now {
             return None;
@@ -125,6 +128,7 @@ impl MshrFile {
     /// must match [`merge`](Self::merge)/[`alloc`](Self::alloc) exactly —
     /// a refusal implies every register is in flight, so the paired wake
     /// point [`min_done`](Self::min_done) always exists.
+    #[inline]
     pub fn can_accept(&self, line: u64, now: u64) -> bool {
         self.entries.iter().any(|e| {
             e.is_free(now)
@@ -142,6 +146,7 @@ impl MshrFile {
     /// Wake point of a file that can currently refuse demands: when every
     /// register holds an in-flight fill, the earliest completion; `None`
     /// otherwise (a non-full file never blocks anything).
+    #[inline]
     pub fn blocking_wake(&self, now: u64) -> Option<u64> {
         if self.entries.iter().all(|e| e.in_flight(now)) {
             self.min_done(now)

@@ -478,6 +478,7 @@ impl Spl {
     ///
     /// The round-robin pointer still rotates on quiescent ticks; callers that
     /// bulk-skip must replicate that with [`Spl::skip_ticks`].
+    #[inline]
     pub fn next_event(&self, now: u64) -> Option<u64> {
         // A released barrier whose participants are all at head issues (or
         // counts a stall) on every tick.

@@ -263,3 +263,65 @@ fn traced_step_or_skip_loop_skips_like_run_until() {
         }
     }
 }
+
+/// Parked cores owe their idle cycles and pay them before control leaves
+/// the run loop. On a 36-core Barrier grid, where most cores sit parked on
+/// the SPL barrier, a run cut every few cycles (most cuts fall inside idle
+/// windows) must, after every `run_until(t)`, show each core's statistics
+/// equal to a skip-off twin's, and snapshot to the same bytes as a skip-on
+/// twin driven by `step_or_skip`, which pays after every call and skips
+/// exactly what `run_until` does.
+#[test]
+fn owed_idle_cycles_are_paid_whenever_the_run_loop_returns() {
+    const STRIDE: u64 = 7;
+    let (b, m) = (BarrierBench::Ll3, BarrierMode::Remap(36));
+    let build = |skip| {
+        let mut sys = b.build(m, 64);
+        sys.set_skip(skip);
+        sys
+    };
+    let (mut cut, mut ticked, mut stepped) = (build(true), build(false), build(true));
+    let n = cut.n_cores();
+    let mut waits = vec![0; n];
+    let (mut cuts, mut idle_cuts) = (0, 0);
+    let mut t = 0;
+    loop {
+        t += STRIDE;
+        let running = cut.run_until(t);
+        ticked.run_until(t);
+        while stepped.cycle() < t && !stepped.all_halted() {
+            stepped.step_or_skip(t);
+        }
+        assert_eq!(cut.cycle(), ticked.cycle(), "cut at {t}");
+        assert_eq!(cut.cycle(), stepped.cycle(), "cut at {t}");
+        for c in 0..n {
+            assert_eq!(
+                cut.core_stats(c),
+                ticked.core_stats(c),
+                "cut at {t}: core {c} stats"
+            );
+        }
+        assert!(
+            cut.snapshot().as_bytes() == stepped.snapshot().as_bytes(),
+            "cut at {t}: snapshot bytes"
+        );
+        // A cut where most cores spent the last stride waiting on the
+        // barrier lands inside their idle windows.
+        let parked = (0..n)
+            .filter(|&c| {
+                let w = cut.core_stats(c).spl_wait_cycles;
+                std::mem::replace(&mut waits[c], w) != w
+            })
+            .count();
+        cuts += 1;
+        idle_cuts += usize::from(2 * parked > n);
+        if !running {
+            break;
+        }
+    }
+    assert!(cut.skipped_cycles() > 0, "nothing skipped");
+    assert!(
+        4 * idle_cuts > cuts,
+        "only {idle_cuts} of {cuts} cuts fell inside idle windows"
+    );
+}
